@@ -26,7 +26,7 @@ from .continuation import (
     deflated_search,
 )
 from .deflation import DeflationState
-from .obstacle1d import BeamProblem, path_follow, _discretization
+from .obstacle1d import BeamProblem, HermiteMesh1D, _discretization, gamma_schedule, path_follow
 from .reformulate import NcpFunction, assemble_residual
 from .solver import (
     LINE_SEARCH_BACKTRACKING,
@@ -240,16 +240,15 @@ def _run_solve(args, parser) -> int:
     line_search = rec.line_search if args.line_search is None else args.line_search
     try:
         problem = problems.build(bench, mu=args.mu)
+        config = _solver_config(args).with_(
+            line_search=LINE_SEARCH_BACKTRACKING if line_search else LINE_SEARCH_NONE,
+            singular_action=rec.singular_action,
+        )
+        if args.max_iter is None and rec.max_iter != config.max_iter:
+            config = config.with_(max_iter=rec.max_iter)
+        deflation = DeflationState(power=power, shift=shift)
     except ValueError as err:
         parser.error(str(err))
-
-    config = _solver_config(args).with_(
-        line_search=LINE_SEARCH_BACKTRACKING if line_search else LINE_SEARCH_NONE,
-        singular_action=rec.singular_action,
-    )
-    if args.max_iter is None and rec.max_iter != config.max_iter:
-        config = config.with_(max_iter=rec.max_iter)
-    deflation = DeflationState(power=power, shift=shift)
     events: list = []
     solutions = deflated_search(
         problem,
@@ -291,8 +290,16 @@ def _run_continue(args, parser) -> int:
     kind = rec.ncp
     power = args.p if args.p is not None else rec.power
     shift = args.shift if args.shift is not None else rec.shift
-    config = _solver_config(args).with_(singular_action=rec.singular_action)
-    search_config = config if args.max_iter is not None else config.with_(max_iter=rec.max_iter)
+    try:
+        config = _solver_config(args).with_(singular_action=rec.singular_action)
+        search_config = config if args.max_iter is not None else config.with_(max_iter=rec.max_iter)
+        deflation = DeflationState(power=power, shift=shift)
+        plan = ContinuationPlan(
+            start=args.mu_start, end=args.mu_end, steps=args.mu_steps,
+            config=config, ncp=kind, power=power, shift=shift,
+        )
+    except ValueError as err:
+        parser.error(str(err))
 
     events: list = []
     first = problems.build(bench, mu=args.mu_start)
@@ -300,14 +307,10 @@ def _run_continue(args, parser) -> int:
         first,
         guesses=[problems.initial_guess(bench)],
         ncp=kind,
-        deflation=DeflationState(power=power, shift=shift),
+        deflation=deflation,
         config=search_config,
         max_roots=args.max_roots,
         events=events,
-    )
-    plan = ContinuationPlan(
-        start=args.mu_start, end=args.mu_end, steps=args.mu_steps,
-        config=config, ncp=kind, power=power, shift=shift,
     )
     final = initial
     if len(initial) > 0:
@@ -339,8 +342,15 @@ def _run_continue(args, parser) -> int:
 
 
 def _run_beam(args, parser) -> int:
-    problem = BeamProblem(load=args.load, half_width=args.alpha)
-    config = _solver_config(args)
+    try:
+        problem = BeamProblem(load=args.load, half_width=args.alpha)
+        config = _solver_config(args)
+        # built here only so that bad values fail before any solve
+        HermiteMesh1D(args.mesh, problem.length)
+        gamma_schedule(args.gamma0, args.gamma_max, args.q)
+        DeflationState(power=args.p, shift=args.shift)
+    except ValueError as err:
+        parser.error(str(err))
     events: list = []
     try:
         state = path_follow(

@@ -14,12 +14,13 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .deflation import EUCLIDEAN, DeflationState, NormSpec, deflated_derivative_parts, deflated_residual
+from .deflation import EUCLIDEAN, DeflatedSystem, DeflationState, NormSpec
 from .reformulate import (
     MixedComplementarityProblem,
     NcpFunction,
     assemble_newton_derivative,
     assemble_residual,
+    evaluate,
 )
 from .solver import SolveStatus, SolverConfig, plain_derivative, solve
 
@@ -112,6 +113,31 @@ def _emit(events: Optional[list], **kwargs) -> None:
         events.append(Event(**kwargs))
 
 
+class _ReformulatedSystem:
+    """Phi(z) and an element of its generalized derivative, one F(z) per point.
+
+    ``jacobian(z)`` reuses the F(z) of the last ``residual`` call when handed
+    the same array object, and evaluates F again for any other array.
+    """
+
+    def __init__(self, problem: MixedComplementarityProblem, ncp: NcpFunction):
+        self.problem = problem
+        self.ncp = ncp
+        self._point = None
+        self._value = None
+
+    def residual(self, z: np.ndarray) -> np.ndarray:
+        self._point = None
+        value = evaluate(self.problem, z)
+        out = assemble_residual(self.problem, z, self.ncp, value)
+        self._point, self._value = z, value
+        return out
+
+    def jacobian(self, z: np.ndarray) -> np.ndarray:
+        value = self._value if z is self._point else None
+        return assemble_newton_derivative(self.problem, z, self.ncp, value)
+
+
 def polish_root(
     residual: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable,
@@ -146,20 +172,16 @@ def deflated_search_callables(
 ) -> SolutionSet:
     """Core deflated search over ``guesses`` for a residual given as callables.
 
+    ``jacobian(z)`` is only called right after ``residual(z)`` returned for
+    the same array object, so the two may share the work of one point.
     ``deflation`` must already contain the roots of ``solutions``; both are
     grown in place as new roots are found.
     """
     sols = solutions if solutions is not None else SolutionSet(norm=deflation.norm)
-
-    def deflated_res(z):
-        return deflated_residual(deflation, residual(z), z)
-
-    def deflated_jac(z):
-        return deflated_derivative_parts(deflation, residual(z), jacobian(z), z)
-
     for gi, guess in enumerate(guesses):
         while max_roots is None or len(sols) < max_roots:
-            result = solve(deflated_res, deflated_jac, guess, config)
+            system = DeflatedSystem(deflation, residual, jacobian)
+            result = solve(system.residual, system.derivative, guess, config)
             _emit(
                 events,
                 kind="deflated-solve",
@@ -218,9 +240,10 @@ def deflated_search(
     """
     state = deflation if deflation is not None else DeflationState()
     cfg = config or SolverConfig()
+    system = _ReformulatedSystem(problem, ncp)
     return deflated_search_callables(
-        residual=lambda z: assemble_residual(problem, z, ncp),
-        jacobian=lambda z: assemble_newton_derivative(problem, z, ncp),
+        residual=system.residual,
+        jacobian=system.jacobian,
         guesses=guesses,
         deflation=state,
         config=cfg,
@@ -275,9 +298,8 @@ def continue_parameter(
     current = initial
     cfg = plan.config
     for step_idx, value in enumerate(plan.values(), start=1):
-        problem = family(float(value))
-        residual = lambda z: assemble_residual(problem, z, plan.ncp)  # noqa: E731
-        jac = lambda z: assemble_newton_derivative(problem, z, plan.ncp)  # noqa: E731
+        system = _ReformulatedSystem(family(float(value)), plan.ncp)
+        residual, jac = system.residual, system.jacobian
 
         previous_points = current.vectors()
         resolved = SolutionSet(distinctness_tol=plan.distinctness_tol, norm=plan.norm)

@@ -62,10 +62,15 @@ class NormSpec:
         return self.weight @ v
 
     def norm(self, v: np.ndarray) -> float:
+        return self.weigh(v)[0]
+
+    def weigh(self, v: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(||v||, W v)`` from a single application of the weight."""
         v = np.asarray(v, dtype=float)
+        wv = self.apply_weight(v)
         if self.weight is None:
-            return float(np.linalg.norm(v))
-        return float(np.sqrt(max(v @ self.apply_weight(v), 0.0)))
+            return float(np.linalg.norm(v)), wv
+        return float(np.sqrt(max(v @ wv, 0.0))), wv
 
 
 EUCLIDEAN = NormSpec()
@@ -104,23 +109,53 @@ class DeflationState:
         self.roots.append(root)
 
 
-def _distances(state: DeflationState, z: np.ndarray) -> list[float]:
-    out = []
-    for r in state.roots:
-        d = state.norm.norm(z - r)
+@dataclass(frozen=True)
+class _Terms:
+    """Everything deflation needs at one point, from one pass over the roots.
+
+    ``weighted[i]`` is W(z - r_i), ``distances[i]`` its norm and
+    ``factors[i]`` the factor ||z - r_i||^-p + shift; ``alpha`` is their
+    product.
+    """
+
+    alpha: float
+    distances: list[float]
+    factors: list[float]
+    weighted: list[np.ndarray]
+
+
+def _deflation_terms(state: DeflationState, z: np.ndarray) -> _Terms:
+    """Apply the norm weight once per root and collect the deflation terms at z.
+
+    Raises:
+        AtDeflatedRoot: z lies within ``state.guard`` of a deflated root.
+    """
+    z = np.asarray(z, dtype=float)
+    alpha = 1.0
+    distances, factors, weighted = [], [], []
+    for root in state.roots:
+        d, wv = state.norm.weigh(z - root)
         if d <= state.guard:
             raise AtDeflatedRoot(f"point within {state.guard:.1e} of a deflated root (d={d:.3e})")
-        out.append(d)
-    return out
+        m = d ** (-state.power) + state.shift
+        alpha *= m
+        distances.append(d)
+        factors.append(m)
+        weighted.append(wv)
+    return _Terms(alpha, distances, factors, weighted)
+
+
+def _gradient(state: DeflationState, z: np.ndarray, terms: _Terms) -> np.ndarray:
+    p = state.power
+    grad = np.zeros_like(z)
+    for wv, d, m in zip(terms.weighted, terms.distances, terms.factors):
+        grad += (terms.alpha / m) * (-p) * wv / d ** (p + 2.0)
+    return grad
 
 
 def deflation_factor(state: DeflationState, z: np.ndarray) -> float:
     """alpha(z) = prod_i (||z - r_i||^-p + shift); 1.0 with no roots."""
-    z = np.asarray(z, dtype=float)
-    alpha = 1.0
-    for d in _distances(state, z):
-        alpha *= d ** (-state.power) + state.shift
-    return alpha
+    return _deflation_terms(state, z).alpha
 
 
 def deflation_gradient(state: DeflationState, z: np.ndarray) -> np.ndarray:
@@ -131,16 +166,7 @@ def deflation_gradient(state: DeflationState, z: np.ndarray) -> np.ndarray:
     where W is the norm weight (identity for the Euclidean norm).
     """
     z = np.asarray(z, dtype=float)
-    if not state.roots:
-        return np.zeros_like(z)
-    p = state.power
-    distances = _distances(state, z)
-    factors = [d ** (-p) + state.shift for d in distances]
-    alpha = float(np.prod(factors))
-    grad = np.zeros_like(z)
-    for root, d, m in zip(state.roots, distances, factors):
-        grad += (alpha / m) * (-p) * state.norm.apply_weight(z - root) / d ** (p + 2.0)
-    return grad
+    return _gradient(state, z, _deflation_terms(state, z))
 
 
 def deflated_residual(state: DeflationState, f_value: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -161,6 +187,42 @@ def deflated_derivative_parts(
     system via :func:`deflated_newton.linalg.solve_rank_one_update`.
     """
     z = np.asarray(z, dtype=float)
-    scale = deflation_factor(state, z)
-    grad = deflation_gradient(state, z)
-    return scale, jac, np.asarray(f_value, dtype=float), grad
+    terms = _deflation_terms(state, z)
+    return terms.alpha, jac, np.asarray(f_value, dtype=float), _gradient(state, z, terms)
+
+
+class DeflatedSystem:
+    """The deflated residual G = alpha F and its Newton derivative parts.
+
+    ``residual(z)`` evaluates F and the deflation terms once;
+    ``derivative(z)`` reuses both when handed the array object last passed
+    to ``residual`` (the order :func:`deflated_newton.solver.solve` follows)
+    and recomputes them for any other array.  ``jacobian(z)`` of the
+    undeflated system is called right after ``residual(z)`` at the same
+    array, so the two may share work too.  The deflation state must not
+    change between a ``residual`` call and the ``derivative`` call that
+    reuses it; build one system per solve.
+    """
+
+    def __init__(self, state: DeflationState, residual, jacobian):
+        self.state = state
+        self._residual = residual
+        self._jacobian = jacobian
+        self._point = None
+        self._values = None
+
+    def residual(self, z: np.ndarray) -> np.ndarray:
+        self._point = None
+        z = np.asarray(z, dtype=float)
+        f_value = np.asarray(self._residual(z), dtype=float)
+        terms = _deflation_terms(self.state, z)
+        self._point, self._values = z, (f_value, terms)
+        return terms.alpha * f_value
+
+    def derivative(self, z: np.ndarray):
+        """``(alpha, H_F, F, grad alpha)`` as in :func:`deflated_derivative_parts`."""
+        z = np.asarray(z, dtype=float)
+        if z is not self._point:
+            self.residual(z)
+        f_value, terms = self._values
+        return terms.alpha, self._jacobian(z), f_value, _gradient(self.state, z, terms)

@@ -171,8 +171,9 @@ def _lu_factor_banded(matrix: BandedMatrix, pivot_tol: float) -> LuFactorization
     n, hbw = matrix.n, matrix.hbw
     if not np.isfinite(matrix.data).all():
         raise ValueError("matrix entries must be finite")
-    # gbtrf wants hbw extra rows on top for pivoting fill-in
-    ab = np.zeros((3 * hbw + 1, n))
+    # gbtrf wants hbw extra rows on top for pivoting fill-in; Fortran order
+    # spares the wrapper a copy
+    ab = np.zeros((3 * hbw + 1, n), order="F")
     ab[hbw:, :] = matrix.data
     lu, ipiv, info = lapack.dgbtrf(ab, kl=hbw, ku=hbw)
     if info < 0:

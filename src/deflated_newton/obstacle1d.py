@@ -48,6 +48,7 @@ DIVERGENCE_SCALE_FACTOR = 1e4
 _GAUSS_XI, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 GAUSS_POINTS = 0.5 * (_GAUSS_XI + 1.0)
 GAUSS_WEIGHTS = 0.5 * _GAUSS_W
+_PATTERN_WEIGHTS = 1 << np.arange(4)  # active quadrature points -> pattern number
 
 
 @dataclass(frozen=True)
@@ -176,12 +177,35 @@ class BeamDiscretization:
             self.n = mesh.full_dofs
         self._red = freemap[self.elem_dofs]  # (m, 4), -1 marks pinned unknowns
 
+        # Element pair (a, b) sits at column 4a + b of an (m, 16) block array
+        # and lands at one flat band index; pairs on a pinned unknown land in
+        # a spare slot past the band.  The pairs of an element's left node
+        # are added last, so an entry shared by two elements receives the
+        # left element first, as when elements are accumulated one by one,
+        # and no entry appears twice in one add.
         rows = np.repeat(self._red[:, :, None], 4, axis=2)
         cols = np.repeat(self._red[:, None, :], 4, axis=1)
-        mask = (rows >= 0) & (cols >= 0)
-        self._band_rows = (HALF_BANDWIDTH + rows - cols)[mask]
-        self._band_cols = cols[mask]
-        self._pair_mask = mask
+        band_size = (2 * HALF_BANDWIDTH + 1) * self.n
+        flat = np.where(
+            (rows >= 0) & (cols >= 0), (HALF_BANDWIDTH + rows - cols) * self.n + cols, band_size
+        ).reshape(m, 16)
+        left = np.zeros((4, 4), dtype=bool)
+        left[:2, :2] = True
+        self._band_adds = [
+            (flat[:, pairs], pairs) for pairs in (np.flatnonzero(~left), np.flatnonzero(left))
+        ]
+
+        # The penalty block of an element is active @ P over its quadrature
+        # points, with P[q, 4a + b] = w_q N_a N_b the same for every element.
+        # An element's active set is one of 16 patterns (bit q for point q),
+        # so the blocks are tabulated once, summed over q in order.
+        wn = self.basis * self.quad_weights
+        products = (wn[:, None, :] * self.basis[None, :, :]).reshape(16, 4).T
+        pattern_bits = (np.arange(16)[:, None] >> np.arange(4)) & 1
+        self._penalty_table = np.zeros((16, 16))
+        for q in range(4):
+            self._penalty_table += pattern_bits[:, q : q + 1] * products[q]
+        self._last_trace = None
 
         wb = self.quad_weights
         ke = self.problem.bending_stiffness * (self.basis_d2 * wb) @ self.basis_d2.T
@@ -192,25 +216,26 @@ class BeamDiscretization:
         self.stiffness = self._assemble_constant(ke)
         self.geometric = self._assemble_constant(ge)
         self.mass = self._assemble_constant(me)
-        self.load_vector = self._assemble_load(fe)
+        self.load_vector = self._scatter_vector(np.broadcast_to(fe, (m, 4)))
         self._linear = 2.0 * self.stiffness - 2.0 * self.geometric
         self.operator_scale = self._linear.infinity_norm()
 
     def _assemble_constant(self, element_matrix: np.ndarray) -> BandedMatrix:
-        m = self.mesh.elements
-        out = BandedMatrix.zeros(self.n, HALF_BANDWIDTH)
-        blocks = np.broadcast_to(element_matrix, (m, 4, 4))
-        np.add.at(out.data, (self._band_rows, self._band_cols), blocks[self._pair_mask])
-        return out
+        blocks = np.broadcast_to(element_matrix.reshape(16), (self.mesh.elements, 16))
+        return self._add_blocks(BandedMatrix.zeros(self.n, HALF_BANDWIDTH), blocks)
 
-    def _assemble_load(self, element_vector: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.mesh.full_dofs)
-        np.add.at(full, self.elem_dofs, np.broadcast_to(element_vector, (self.mesh.elements, 4)))
-        return full[self.free]
+    def _add_blocks(self, base: BandedMatrix, blocks: np.ndarray, elements=slice(None)):
+        """``base`` plus the (k, 16) element ``blocks`` of ``elements``, as a new matrix."""
+        data = np.empty(base.data.size + 1)
+        data[:-1] = base.data.ravel()
+        for index, pairs in self._band_adds:
+            data[index[elements]] += blocks[:, pairs]
+        return BandedMatrix(self.n, HALF_BANDWIDTH, data[:-1].reshape(base.data.shape))
 
     def _scatter_vector(self, contrib: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.mesh.full_dofs)
-        np.add.at(full, self.elem_dofs, contrib)
+        full = np.bincount(
+            self.elem_dofs.ravel(), weights=contrib.ravel(), minlength=self.mesh.full_dofs
+        )
         return full[self.free]
 
     def full_vector(self, y: np.ndarray) -> np.ndarray:
@@ -219,8 +244,22 @@ class BeamDiscretization:
         return full
 
     def values_at_quadrature(self, y: np.ndarray) -> np.ndarray:
-        """Trace of the finite element function at all quadrature points, (m, 4)."""
-        return self.full_vector(y)[self.elem_dofs] @ self.basis
+        """Trace of the finite element function at all quadrature points, (m, 4).
+
+        The last trace is kept, read-only, so that a residual and a
+        derivative at the same point compute it once.
+        """
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.n,):
+            raise ValueError(f"y must have length {self.n}")
+        last = self._last_trace
+        if last is not None and np.array_equal(last[0], y):
+            return last[1]
+        # a trailing zero stands in for the pinned unknowns (index -1)
+        trace = np.append(y, 0.0)[self._red] @ self.basis
+        trace.flags.writeable = False
+        self._last_trace = (y.copy(), trace)
+        return trace
 
     def _penalty_terms(self, y):
         yq = self.values_at_quadrature(y)
@@ -244,17 +283,14 @@ class BeamDiscretization:
 
         Quadrature points sitting exactly on a bound count as inactive.
         """
-        y = np.asarray(y, dtype=float)
         yq = self.values_at_quadrature(y)
         alpha = self.problem.half_width
-        active = (yq > alpha) | (yq < -alpha)
-        if gamma == 0.0 or not active.any():
+        pattern = ((yq > alpha) | (yq < -alpha)) @ _PATTERN_WEIGHTS
+        hit = np.flatnonzero(pattern)
+        if gamma == 0.0 or hit.size == 0:
             return self._linear.copy()
-        weights = active * self.quad_weights
-        blocks = np.einsum("eq,aq,bq->eab", weights, self.basis, self.basis)
-        out = self._linear.copy()
-        np.add.at(out.data, (self._band_rows, self._band_cols), gamma * blocks[self._pair_mask])
-        return out
+        blocks = gamma * self._penalty_table[pattern[hit]]
+        return self._add_blocks(self._linear, blocks, hit)
 
     def energy(self, gamma: float, y: np.ndarray) -> float:
         """Discrete penalized energy (quadrature consistent with the residual)."""

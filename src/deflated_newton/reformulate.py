@@ -114,15 +114,23 @@ def evaluate(problem: MixedComplementarityProblem, z: np.ndarray) -> np.ndarray:
     return value
 
 
-def jacobian(problem: MixedComplementarityProblem, z: np.ndarray) -> np.ndarray:
-    """Jacobian of F at z, analytic if provided, else forward differences."""
+def jacobian(
+    problem: MixedComplementarityProblem,
+    z: np.ndarray,
+    value: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Jacobian of F at z, analytic if provided, else forward differences.
+
+    ``value`` is F(z) when already evaluated; forward differences reuse it
+    as their base point.
+    """
     z = np.asarray(z, dtype=float)
     if problem.derivative is not None:
         jac = np.asarray(problem.derivative(z), dtype=float)
         if jac.shape != (problem.dimension,) * 2:
             raise ValueError("derivative map returned the wrong shape")
     elif problem.fd_fallback:
-        jac = _forward_difference_jacobian(problem, z)
+        jac = _forward_difference_jacobian(problem, z, value)
     else:
         raise DerivativeUnavailable(
             f"problem {problem.name or '<anonymous>'} has no derivative and fd_fallback is off"
@@ -132,8 +140,9 @@ def jacobian(problem: MixedComplementarityProblem, z: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _forward_difference_jacobian(problem, z):
-    base = evaluate(problem, z)
+def _forward_difference_jacobian(problem, z, base=None):
+    if base is None:
+        base = evaluate(problem, z)
     n = problem.dimension
     jac = np.empty((n, n))
     sqrt_eps = math.sqrt(np.finfo(float).eps)
@@ -149,9 +158,11 @@ def assemble_residual(
     problem: MixedComplementarityProblem,
     z: np.ndarray,
     kind: NcpFunction = NcpFunction.FISCHER_BURMEISTER,
+    value: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Assemble the semismooth residual Phi(z) of the reformulated MCP.
 
+    ``value`` is F(z) when the caller has already evaluated it.
     Componentwise, with l_i, u_i the bounds and F = F(z):
 
     * free (both bounds infinite):   Phi_i = F_i
@@ -160,7 +171,8 @@ def assemble_residual(
     * both bounds finite:            Phi_i = phi(z_i - l_i, -phi(u_i - z_i, -F_i))
     """
     z = np.asarray(z, dtype=float)
-    value = evaluate(problem, z)
+    if value is None:
+        value = evaluate(problem, z)
     lower, upper = problem.lower, problem.upper
     out = np.empty(problem.dimension)
     for i in range(problem.dimension):
@@ -182,16 +194,19 @@ def assemble_newton_derivative(
     problem: MixedComplementarityProblem,
     z: np.ndarray,
     kind: NcpFunction = NcpFunction.FISCHER_BURMEISTER,
+    value: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Assemble an element H(z) of the generalized derivative of Phi.
 
     Row i combines the chain rule through ``phi`` with the Jacobian of F;
     doubly bounded components compose the chain rule twice; free components
-    copy the corresponding Jacobian row.
+    copy the corresponding Jacobian row.  ``value`` is F(z) when the caller
+    has already evaluated it.
     """
     z = np.asarray(z, dtype=float)
-    value = evaluate(problem, z)
-    jac = jacobian(problem, z)
+    if value is None:
+        value = evaluate(problem, z)
+    jac = jacobian(problem, z, value)
     lower, upper = problem.lower, problem.upper
     n = problem.dimension
     out = np.zeros((n, n))

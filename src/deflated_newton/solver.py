@@ -4,6 +4,12 @@ The solver works on callables so the same loop serves plain and deflated
 systems: ``residual(z)`` returns the (possibly deflated) residual vector and
 ``derivative(z)`` returns ``(scale, matrix, u, w)`` so that the Newton matrix
 is ``scale * matrix + outer(u, w)``; ``u = w = None`` means no rank-one part.
+
+Call order: :func:`solve` calls ``derivative(z)`` only on the array object
+most recently passed to ``residual``, after that call returned normally, and
+never modifies an array it has passed to either callable.  A pair of
+callables may therefore compute everything a point needs in ``residual`` and
+reuse it in ``derivative`` when handed the same object.
 """
 
 from __future__ import annotations
@@ -124,7 +130,7 @@ def solve(
         residual: z -> residual vector; may raise AtDeflatedRoot or
             NonFiniteResidual.
         derivative: z -> (scale, matrix, u, w) as described in the module
-            docstring.
+            docstring; called only at the point last passed to ``residual``.
         z0: starting point.
         config: solver settings; defaults to ``SolverConfig()``.
 

@@ -72,6 +72,23 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+    # invalid option values end in a one-line usage error, not a traceback
+    for argv in (
+        ["beam", "--mesh", "0"],
+        ["beam", "--q", "0.5"],
+        ["beam", "--alpha", "-1"],
+        ["continue", "--mu-steps", "0"],
+        ["solve", "kojima-shindoh", "--p", "0.5"],
+        ["solve", "kojima-shindoh", "--max-iter", "0"],
+        ["solve", "kojima-shindoh", "--atol", "-1"],
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("deflated-newton: error: "), argv
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from deflated_newton import problems
+from deflated_newton import continuation, problems
 from deflated_newton.continuation import (
     AllBranchesLost,
     ContinuationPlan,
@@ -190,3 +192,30 @@ def test_plan_validation():
     assert len(values) == 50
     assert values[-1] == 1.0
     np.testing.assert_allclose(np.diff(values), np.diff(values)[0])
+
+
+def test_one_residual_evaluation_per_point(monkeypatch):
+    """Residual, deflation and derivative at a point share one F(z)."""
+    base = problems.build("kojima-shindoh")
+    f_calls = []
+    points = []
+
+    def counted_f(z):
+        f_calls.append(z)
+        return base.residual(z)
+
+    real_solve = continuation.solve
+
+    def counting_solve(residual, derivative, z0, config=None):
+        def counted(z):
+            points.append(z)
+            return residual(z)
+
+        return real_solve(counted, derivative, z0, config)
+
+    monkeypatch.setattr(continuation, "solve", counting_solve)
+    problem = dataclasses.replace(base, residual=counted_f)
+    sols = deflated_search(problem, [problems.initial_guess("kojima-shindoh")])
+    assert len(sols) == 2
+    assert len(points) > 0
+    assert len(f_calls) == len(points)

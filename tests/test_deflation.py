@@ -4,6 +4,7 @@ import pytest
 from deflated_newton import problems
 from deflated_newton.deflation import (
     AtDeflatedRoot,
+    DeflatedSystem,
     DeflationState,
     NormSpec,
     deflated_derivative_parts,
@@ -11,7 +12,8 @@ from deflated_newton.deflation import (
     deflation_factor,
     deflation_gradient,
 )
-from deflated_newton.reformulate import NcpFunction, assemble_residual
+from deflated_newton.obstacle1d import BeamProblem, HermiteMesh1D, assemble_beam_system
+from deflated_newton.reformulate import NcpFunction, assemble_newton_derivative, assemble_residual
 
 FB = NcpFunction.FISCHER_BURMEISTER
 
@@ -220,29 +222,44 @@ def test_rank_one_term_vanishes_at_other_root():
 
 def test_deflated_derivative_matches_differences():
     prob = problems.build("gould")
-    state = DeflationState()
-    state.add_root(np.array([0.25, 0.5, 0.0, 0.0]))
-    rng = np.random.RandomState(15)
-
-    def g_residual(z):
-        return deflated_residual(state, assemble_residual(prob, z, FB), z)
-
-    for _ in range(10):
-        z = rng.uniform(0.2, 1.0, 4)
-        from deflated_newton.reformulate import assemble_newton_derivative
-
-        scale, jac, u, w = deflated_derivative_parts(
-            state, assemble_residual(prob, z, FB), assemble_newton_derivative(prob, z, FB), z
+    # Euclidean, and the L2 norm of a two-element Hermite beam (4 unknowns)
+    mass = assemble_beam_system(BeamProblem(), HermiteMesh1D(2))[3]
+    for norm in (NormSpec(), NormSpec(mass)):
+        state = DeflationState(norm=norm)
+        state.add_root(np.array([0.25, 0.5, 0.0, 0.0]))
+        system = DeflatedSystem(
+            state,
+            lambda z: assemble_residual(prob, z, FB),
+            lambda z: assemble_newton_derivative(prob, z, FB),
         )
-        assembled = scale * np.asarray(jac) + np.outer(u, w)
-        fd = np.zeros((4, 4))
-        for j in range(4):
-            h = 1e-7 * (1.0 + abs(z[j]))
-            zp, zm = z.copy(), z.copy()
-            zp[j] += h
-            zm[j] -= h
-            fd[:, j] = (g_residual(zp) - g_residual(zm)) / (2 * h)
-        assert np.linalg.norm(fd - assembled) <= 1e-5 * np.linalg.norm(assembled)
+        rng = np.random.RandomState(15)
+
+        def g_residual(z):
+            return deflated_residual(state, assemble_residual(prob, z, FB), z)
+
+        for _ in range(10):
+            z = rng.uniform(0.2, 1.0, 4)
+            scale, jac, u, w = deflated_derivative_parts(
+                state, assemble_residual(prob, z, FB), assemble_newton_derivative(prob, z, FB), z
+            )
+            assembled = scale * np.asarray(jac) + np.outer(u, w)
+            fd = np.zeros((4, 4))
+            for j in range(4):
+                h = 1e-7 * (1.0 + abs(z[j]))
+                zp, zm = z.copy(), z.copy()
+                zp[j] += h
+                zm[j] -= h
+                fd[:, j] = (g_residual(zp) - g_residual(zm)) / (2 * h)
+            assert np.linalg.norm(fd - assembled) <= 1e-5 * np.linalg.norm(assembled)
+            # the system object gives the same parts, after a residual call
+            # at the same array and for a fresh array alike
+            np.testing.assert_array_equal(system.residual(z), g_residual(z))
+            for point in (z, z.copy()):
+                s_scale, s_jac, s_u, s_w = system.derivative(point)
+                assert s_scale == scale
+                np.testing.assert_array_equal(s_jac, jac)
+                np.testing.assert_array_equal(s_u, u)
+                np.testing.assert_array_equal(s_w, w)
 
 
 def test_norm_spec_rejects_indefinite_weight():

@@ -197,3 +197,58 @@ def test_factorization_shared_across_threads():
         t.join()
     for b, x in zip(rhs, results):
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+# Property tests: Sherman-Morrison against a dense solve of A + u w^T.
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+unit = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def rank_one_systems(draw):
+    """(A as dense, A as passed to lu_factor, u, w, b) with A diagonally dominant."""
+    n = draw(st.integers(1, 8))
+    hbw = draw(st.one_of(st.none(), st.integers(0, 3)))
+    a = draw(arrays(float, (n, n), elements=unit))
+    if hbw is not None:
+        a = np.triu(np.tril(a, hbw), -hbw)
+    a += np.diag(1.0 + np.abs(a).sum(axis=1))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    u, w, b = (draw(arrays(float, n, elements=unit)) for _ in range(3))
+    matrix = a if hbw is None else banded_from_dense(a, hbw)
+    return a, matrix, scale * u, w, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_one_systems())
+def test_rank_one_update_matches_dense_solve(system):
+    a, matrix, u, w, b = system
+    fac = lu_factor(matrix)
+    denom = 1.0 + w @ np.linalg.solve(a, u)
+    assume(abs(denom) > 1e-6)
+    full = a + np.outer(u, w)
+    x = solve_rank_one_update(fac, u, w, b)
+    expected = np.linalg.solve(full, b)
+    cond = np.linalg.cond(full)
+    assert np.linalg.norm(x - expected) <= 1e-13 * cond * (1.0 + 1.0 / abs(denom)) * max(
+        1.0, np.linalg.norm(expected)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank_one_systems())
+def test_rank_one_update_flags_singular_update(system):
+    # w chosen so that w^T A^-1 u = -1: A + u w^T is singular
+    a, matrix, u, _, b = system
+    fac = lu_factor(matrix)
+    s = fac.solve(u)
+    assume(np.linalg.norm(s) > 1e-8)
+    w = -s / (s @ s)
+    smallest = np.linalg.svd(a + np.outer(u, w), compute_uv=False)[-1]
+    assert smallest <= 1e-12 * (np.linalg.norm(a, 2) + np.linalg.norm(u) * np.linalg.norm(w))
+    with pytest.raises(SingularUpdate):
+        solve_rank_one_update(fac, u, w, b)

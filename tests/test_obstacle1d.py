@@ -6,6 +6,8 @@ from scipy.linalg import cholesky_banded
 
 from deflated_newton.linalg import lu_factor
 from deflated_newton.obstacle1d import (
+    HALF_BANDWIDTH,
+    BeamDiscretization,
     BeamProblem,
     HermiteMesh1D,
     assemble_beam_system,
@@ -184,6 +186,68 @@ def test_contact_exactly_at_bound_counts_inactive():
     np.testing.assert_array_equal(
         jac.to_dense()[8 : 2 * mesh.elements - 8], linear.to_dense()[8 : 2 * mesh.elements - 8]
     )
+
+
+def reference_derivative(disc, gamma, y):
+    """Element-by-element assembly: einsum penalty blocks scattered with np.add.at."""
+    freemap = np.full(disc.mesh.full_dofs, -1)
+    freemap[disc.free] = np.arange(disc.n)
+    red = freemap[disc.elem_dofs]
+    rows = np.repeat(red[:, :, None], 4, axis=2)
+    cols = np.repeat(red[:, None, :], 4, axis=1)
+    mask = (rows >= 0) & (cols >= 0)
+    yq = disc.values_at_quadrature(y)
+    alpha = disc.problem.half_width
+    weights = ((yq > alpha) | (yq < -alpha)) * disc.quad_weights
+    blocks = np.einsum("eq,aq,bq->eab", weights, disc.basis, disc.basis)
+    out = 2.0 * disc.stiffness - 2.0 * disc.geometric
+    band_rows = (HALF_BANDWIDTH + rows - cols)[mask]
+    np.add.at(out.data, (band_rows, cols[mask]), gamma * blocks[mask])
+    return out
+
+
+@pytest.mark.parametrize("elements", [64, 128, 256, 512, 1024])
+def test_derivative_matches_elementwise_assembly(elements):
+    mesh = HermiteMesh1D(elements)
+    rng = np.random.RandomState(elements)
+    y = np.cumsum(rng.randn(mesh.dofs)) / np.sqrt(mesh.dofs)
+    yq = BeamDiscretization(BeamProblem(), mesh).values_at_quadrature(y)
+    # channel half-widths from none to all points active, plus two that put
+    # a quadrature point exactly on +alpha and on -alpha
+    widths = list(np.quantile(np.abs(yq), [0.0, 0.3, 0.7, 0.95]) * (1.0 - 1e-9))
+    widths += [yq.max(), -yq.min(), 10.0 * np.abs(yq).max()]
+    for width in widths:
+        disc = BeamDiscretization(BeamProblem(half_width=float(width)), mesh)
+        for gamma in (1e1, 1e6):
+            expected = reference_derivative(disc, gamma, y)
+            got = disc.derivative(gamma, y)
+            err = np.abs(got.data - expected.data).max() / np.abs(expected.data).max()
+            assert err <= 1e-13, f"width {width}: relative error {err:.2e}"
+    # a point on the bound is inactive: widening the channel by a hair
+    # changes nothing, narrowing it by a hair activates the point
+    for width in (yq.max(), -yq.min()):
+        def jac(w):
+            return BeamDiscretization(BeamProblem(half_width=float(w)), mesh).derivative(1e6, y)
+
+        on_bound = jac(width).data
+        np.testing.assert_array_equal(on_bound, jac(width * (1.0 + 1e-12)).data)
+        assert not np.array_equal(on_bound, jac(width * (1.0 - 1e-12)).data)
+
+
+def test_quadrature_trace_follows_changed_values():
+    # residual and derivative share the trace of one point; a point changed
+    # in place must not reuse the old trace
+    problem = BeamProblem()
+    mesh = HermiteMesh1D(16)
+    disc = BeamDiscretization(problem, mesh)
+    y = np.full(mesh.dofs, 0.5)
+    before = disc.derivative(1e3, y).data.copy()
+    y[:] = 0.0
+    after = disc.derivative(1e3, y)
+    linear = 2.0 * disc.stiffness - 2.0 * disc.geometric
+    np.testing.assert_array_equal(after.data, linear.data)
+    assert not np.array_equal(before, after.data)
+    np.testing.assert_array_equal(disc.residual(1e3, y), -disc.load_vector)
 
 
 def test_prolongation_is_exact():

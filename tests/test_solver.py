@@ -188,3 +188,82 @@ def test_config_validation():
         SolverConfig(line_search="cubic")
     with pytest.raises(ValueError):
         SolverConfig(singular_action="pinv")
+
+
+class CallOrderProbe:
+    """Residual/derivative pair recording the call order ``solve`` follows.
+
+    ``derivative`` notes every call whose argument is not the array object
+    last passed to ``residual`` with a normal return; every array handed to
+    either callable is kept with a copy, to check that none is modified.
+    """
+
+    def __init__(self, residual, jacobian):
+        self._residual = residual
+        self._jacobian = jacobian
+        self.last = None
+        self.seen = []
+        self.residual_calls = 0
+        self.derivative_calls = 0
+        self.out_of_order = 0
+
+    def residual(self, z):
+        self.seen.append((z, z.copy()))
+        self.residual_calls += 1
+        self.last = None
+        value = self._residual(z)
+        self.last = z
+        return value
+
+    def derivative(self, z):
+        self.seen.append((z, z.copy()))
+        self.derivative_calls += 1
+        if z is not self.last:
+            self.out_of_order += 1
+        return 1.0, self._jacobian(z), None, None
+
+    def check(self):
+        assert self.derivative_calls > 0
+        assert self.out_of_order == 0
+        assert all(np.array_equal(z, copy) for z, copy in self.seen)
+
+
+def test_call_order_undamped():
+    prob = problems.build("kojima-shindoh")
+    probe = CallOrderProbe(
+        lambda z: assemble_residual(prob, z, FB), lambda z: assemble_newton_derivative(prob, z, FB)
+    )
+    result = solve(probe.residual, probe.derivative, np.full(4, 0.7))
+    assert result.converged
+    probe.check()
+
+
+def test_call_order_backtracking_with_rejected_trials():
+    # full Newton steps on arctan overshoot from |z| > 1.39: the first trial
+    # from z = 3 lands near -9.5 and raises like a deflated root, the second
+    # near -3.2 raises the merit, the third is accepted
+    raised = []
+
+    def residual(z):
+        if z[0] < -5.0:
+            raised.append(z[0])
+            raise AtDeflatedRoot("trial inside a guard ball")
+        return np.arctan(z)
+
+    probe = CallOrderProbe(residual, lambda z: np.array([[1.0 / (1.0 + z[0] ** 2)]]))
+    config = SolverConfig(line_search="backtracking")
+    result = solve(probe.residual, probe.derivative, np.array([3.0]), config)
+    assert result.converged
+    assert raised
+    assert probe.residual_calls > result.iterations + 1 + len(raised)  # rejected on merit too
+    probe.check()
+
+
+def test_call_order_least_squares_fallback():
+    probe = CallOrderProbe(
+        lambda z: np.array([0.0, z[1] - 2.0]), lambda z: np.array([[0.0, 0.0], [0.0, 1.0]])
+    )
+    config = SolverConfig(singular_action="least-squares", max_iter=10)
+    result = solve(probe.residual, probe.derivative, np.array([1.0, 0.0]), config)
+    assert result.converged and result.iterations >= 1
+    probe.check()
