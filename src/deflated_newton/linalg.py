@@ -193,14 +193,23 @@ def solve_rank_one_update(
 ) -> np.ndarray:
     """Solve ``(A + u w^T) x = b`` given a factorization of ``A``.
 
-    Uses the Sherman-Morrison identity with two solves against ``fac``.
+    Uses the Sherman-Morrison identity with two solves against ``fac``; for
+    banded factors both go through one back-substitution with two
+    right-hand sides, which gives the same bits as two separate solves.
     Raises :class:`SingularUpdate` when ``|1 + w^T A^-1 u|`` is below
     ``denom_tol``, i.e. the updated matrix is numerically singular.
     """
-    x = fac.solve(b)
     if u is None:
-        return x
-    s = fac.solve(u)
+        return fac.solve(b)
+    if fac.banded:
+        # the transpose of a C-ordered (2, n) array is Fortran-ordered, as
+        # gbtrs wants its right-hand sides
+        x, s = fac.solve(np.array([b, u], dtype=float).T).T
+    else:
+        # dense getrs with two right-hand sides rounds differently from two
+        # single solves, and root discovery on some problems depends on that
+        x = fac.solve(b)
+        s = fac.solve(u)
     denom = 1.0 + float(w @ s)
     if abs(denom) < denom_tol:
         raise SingularUpdate(f"update denominator {denom:.3e} below {denom_tol:.1e}")

@@ -45,6 +45,17 @@ HALF_BANDWIDTH = 3  # cubic Hermite couples the 4 unknowns of 2 adjacent nodes
 ATOL_SCALE_FACTOR = 30.0
 DIVERGENCE_SCALE_FACTOR = 1e4
 
+# A deflated solve on the beam that has found nothing new reaches its best
+# residual within about ten iterations and then drifts away, so it is
+# stopped once 25 iterations pass without halving its best residual.  On the
+# default path no converged solve goes more than 7 iterations without such a
+# halving, and polishing (5 iterations) and branch re-solves (at most 4)
+# cannot reach the window.  Other schedules have rarer, longer wanders (48
+# iterations at gamma_max = 1e4); such a root is then found at a later
+# penalty step.  The stop is not global: one Aggarwal search solve converges
+# after 652 iterations without halving its best residual.
+STALL_WINDOW = 25
+
 _GAUSS_XI, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 GAUSS_POINTS = 0.5 * (_GAUSS_XI + 1.0)
 GAUSS_WEIGHTS = 0.5 * _GAUSS_W
@@ -380,7 +391,15 @@ def gamma_schedule(gamma0: float, gamma_max: float, q: Optional[float] = None, s
 
     Default ratio is (gamma_max / gamma0)^(1/steps); a custom ratio q > 1
     runs until gamma_max, with the final value clipped to hit it exactly.
+    Raises ValueError unless gamma0 > 0 and gamma0, gamma_max and q are
+    finite, so a bad schedule fails before any mesh is built.
     """
+    if not (math.isfinite(gamma0) and gamma0 > 0.0):
+        raise ValueError("initial penalty gamma0 must be positive and finite")
+    if not math.isfinite(gamma_max):
+        raise ValueError("final penalty gamma_max must be finite")
+    if q is not None and not math.isfinite(q):
+        raise ValueError("penalty growth ratio must be finite")
     if gamma_max <= gamma0:
         return []
     if q is None:
@@ -398,12 +417,17 @@ def gamma_schedule(gamma0: float, gamma_max: float, q: Optional[float] = None, s
 
 
 def beam_solver_config(disc: BeamDiscretization, base: Optional[SolverConfig] = None) -> SolverConfig:
-    """Anchor the solver tolerances to the assembled operator scale."""
+    """Anchor the solver tolerances to the assembled operator scale.
+
+    Also stops stalled solves after :data:`STALL_WINDOW` iterations unless
+    ``base`` sets its own ``stall_window``.
+    """
     cfg = base or SolverConfig()
     eps = float(np.finfo(float).eps)
     atol = max(cfg.atol, ATOL_SCALE_FACTOR * eps * disc.operator_scale)
     divergence = max(cfg.divergence_tol, DIVERGENCE_SCALE_FACTOR * disc.operator_scale)
-    return cfg.with_(atol=atol, divergence_tol=divergence)
+    window = STALL_WINDOW if cfg.stall_window is None else cfg.stall_window
+    return cfg.with_(atol=atol, divergence_tol=divergence, stall_window=window)
 
 
 @dataclass
@@ -447,7 +471,9 @@ def path_follow(
     Raises:
         AllBranchesLost: no solution at the initial penalty, or every branch
             failed to re-converge at some step.
+        ValueError: the penalty schedule is invalid (see :func:`gamma_schedule`).
     """
+    schedule = gamma_schedule(gamma0, gamma_max, q, steps)
     mesh = HermiteMesh1D(initial_elements, problem.length)
     while mesh.h > 1.0 / math.sqrt(gamma0):
         mesh = mesh.refined()
@@ -475,7 +501,7 @@ def path_follow(
         raise AllBranchesLost(f"no solution found at the initial penalty {gamma0}")
 
     gamma = gamma0
-    for step_idx, g in enumerate(gamma_schedule(gamma0, gamma_max, q, steps), start=1):
+    for step_idx, g in enumerate(schedule, start=1):
         while mesh.h > (1.0 + 1e-12) / math.sqrt(g):
             prolonged = [prolong(mesh, rec.z) for rec in solutions]
             pool = [prolong(mesh, guess) for guess in pool]
@@ -523,9 +549,10 @@ def path_follow(
         deflated_search_callables(
             residual=residual,
             jacobian=jac,
-            # previous branch points first (cheap: they mostly re-hit their
-            # own deflated continuation), then the original guess pool so
-            # equilibria that only appear at larger penalties are picked up
+            # previous branch points first (the inactive branch's point
+            # re-hits its own deflated root at once; the others run until
+            # they stall), then the original guess pool so equilibria that
+            # only appear at larger penalties are picked up
             guesses=previous_points + pool,
             deflation=deflation,
             config=cfg,

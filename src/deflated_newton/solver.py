@@ -39,6 +39,7 @@ class SolveStatus(Enum):
     DIVERGED = "diverged"
     DEFLATED_ROOT_HIT = "deflated-root-hit"
     LINE_SEARCH_FAILED = "line-search-failed"
+    STALLED = "stalled"
 
 
 LINE_SEARCH_NONE = "none"
@@ -56,6 +57,11 @@ class SolverConfig:
     ``singular_action`` selects what to do when the Newton matrix is flagged
     singular: fail with SINGULAR_JACOBIAN, or take a minimum-norm
     least-squares step (useful for degenerate starting points).
+
+    With ``stall_window`` set, a solve also stops, as STALLED, once that many
+    iterations have passed since the residual norm last fell to half of its
+    best value so far (the best is only moved on such a halving).  ``None``
+    never stops a solve for lack of progress.
     """
 
     atol: float = 1e-10
@@ -67,12 +73,15 @@ class SolverConfig:
     ls_sufficient_decrease: float = 1e-4
     ls_min_step: float = 1e-10
     singular_action: str = SINGULAR_ERROR
+    stall_window: Optional[int] = None
 
     def __post_init__(self):
         if min(self.atol, self.rtol, self.divergence_tol) <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if self.stall_window is not None and self.stall_window < 1:
+            raise ValueError("stall_window must be at least 1")
         if self.line_search not in (LINE_SEARCH_NONE, LINE_SEARCH_BACKTRACKING):
             raise ValueError(f"unknown line search mode {self.line_search!r}")
         if self.singular_action not in (SINGULAR_ERROR, SINGULAR_LEAST_SQUARES):
@@ -152,6 +161,7 @@ def solve(
     history = [rnorm]
     threshold = max(cfg.atol, cfg.rtol * rnorm) if math.isfinite(rnorm) else cfg.atol
     iterations = 0
+    best, best_at = rnorm, 0
 
     while True:
         if math.isfinite(rnorm) and rnorm <= threshold:
@@ -160,6 +170,10 @@ def solve(
             return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
         if iterations >= cfg.max_iter:
             return SolveResult(SolveStatus.MAX_ITERATIONS, z, iterations, history)
+        if rnorm <= 0.5 * best:
+            best, best_at = rnorm, iterations
+        if cfg.stall_window is not None and iterations - best_at >= cfg.stall_window:
+            return SolveResult(SolveStatus.STALLED, z, iterations, history)
 
         try:
             scale, matrix, u, w = derivative(z)

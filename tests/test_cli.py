@@ -77,6 +77,11 @@ def test_usage_error_exit_code(capsys):
         ["beam", "--mesh", "0"],
         ["beam", "--q", "0.5"],
         ["beam", "--alpha", "-1"],
+        ["beam", "--gamma0", "0"],
+        ["beam", "--gamma0", "-1"],
+        ["beam", "--gamma0", "nan"],
+        ["beam", "--gamma-max", "inf"],
+        ["beam", "--q", "nan"],
         ["continue", "--mu-steps", "0"],
         ["solve", "kojima-shindoh", "--p", "0.5"],
         ["solve", "kojima-shindoh", "--max-iter", "0"],

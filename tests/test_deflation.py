@@ -284,3 +284,49 @@ def test_weighted_norm_value():
     weight = np.diag([4.0, 9.0])
     norm = NormSpec(weight)
     assert norm.norm(np.array([1.0, 1.0])) == pytest.approx(np.sqrt(13.0))
+
+
+# Property test: the deflation gradient against central differences.
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+coordinate = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def deflation_points(draw):
+    """(state, z) with z at distance >= 0.5 from every deflated root."""
+    n = draw(st.integers(1, 6))
+    norm = NormSpec()
+    if draw(st.booleans()):
+        a = draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+        norm = NormSpec(a @ a.T + n * np.eye(n))
+    state = DeflationState(
+        power=draw(st.floats(1.0, 3.0)), shift=draw(st.sampled_from([0.0, 1.0])), norm=norm
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        root = draw(arrays(float, n, elements=coordinate))
+        assume(all(norm.norm(root - known) > 1e-3 for known in state.roots))
+        state.add_root(root)
+    z = draw(arrays(float, n, elements=coordinate))
+    assume(all(norm.norm(z - root) >= 0.5 for root in state.roots))
+    return state, z
+
+
+@settings(max_examples=200, deadline=None)
+@given(deflation_points())
+def test_gradient_matches_central_differences_property(point):
+    state, z = point
+    grad = deflation_gradient(state, z)
+    fd = np.empty(z.size)
+    for j in range(z.size):
+        h = 1e-5 * (1.0 + abs(z[j]))
+        zp, zm = z.copy(), z.copy()
+        zp[j] += h
+        zm[j] -= h
+        fd[j] = (deflation_factor(state, zp) - deflation_factor(state, zm)) / (2 * h)
+    # truncation O(h^2) and rounding O(eps / h), both relative to the factor
+    scale = deflation_factor(state, z) + np.linalg.norm(grad)
+    assert np.linalg.norm(fd - grad) <= 1e-6 * scale

@@ -163,6 +163,24 @@ def test_banded_rank_one_update():
     assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
+@pytest.mark.parametrize("banded", [True, False])
+@pytest.mark.parametrize("n", [128, 2048])
+def test_rank_one_update_is_two_single_solves_bitwise(n, banded):
+    # banded factors solve both Sherman-Morrison systems in one call; the
+    # bits must be those of two separate solves, as with dense factors
+    rng = np.random.RandomState(n)
+    hbw = 3
+    for _ in range(5):
+        data = rng.randn(2 * hbw + 1, n)
+        data[hbw] += 4.0
+        matrix = BandedMatrix(n, hbw, data)
+        fac = lu_factor(matrix if banded else matrix.to_dense())
+        u, w, b = rng.randn(3, n)
+        x, s = fac.solve(b), fac.solve(u)
+        expected = x - s * (float(w @ x) / (1.0 + float(w @ s)))
+        np.testing.assert_array_equal(solve_rank_one_update(fac, u, w, b), expected)
+
+
 def test_banded_singular_flag():
     banded = BandedMatrix.zeros(4, 1)
     assert lu_factor(banded).singular

@@ -6,7 +6,9 @@ from scipy.linalg import cholesky_banded
 
 from deflated_newton.linalg import lu_factor
 from deflated_newton.obstacle1d import (
+    GAUSS_POINTS,
     HALF_BANDWIDTH,
+    STALL_WINDOW,
     BeamDiscretization,
     BeamProblem,
     HermiteMesh1D,
@@ -21,6 +23,7 @@ from deflated_newton.obstacle1d import (
     prolong,
 )
 from deflated_newton.obstacle1d import _discretization
+from deflated_newton.solver import SolverConfig
 
 
 def hermite_eval(mesh, y_reduced, points):
@@ -264,6 +267,33 @@ def test_prolongation_is_exact():
     assert problem.length == mesh.length
 
 
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+
+@st.composite
+def coarse_functions(draw):
+    """(problem, mesh, reduced unknowns) on a uniform mesh."""
+    length = draw(st.sampled_from([1.0, 0.3, 2.5]))
+    mesh = HermiteMesh1D(draw(st.integers(1, 40)), length)
+    y = draw(arrays(float, mesh.dofs, elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    return BeamProblem(length=length), mesh, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(coarse_functions())
+def test_prolongation_trace_is_the_coarse_cubic(case):
+    problem, mesh, y = case
+    fine = mesh.refined()
+    trace = _discretization(problem, fine).values_at_quadrature(prolong(mesh, y))
+    points = (np.arange(fine.elements)[:, None] + GAUSS_POINTS[None, :]) * fine.h
+    coarse = hermite_eval(mesh, y, points.ravel())
+    # each value sums four products of entries below max|y| times bounded basis values
+    bound = 64 * np.finfo(float).eps * max(1.0, np.abs(y).max())
+    np.testing.assert_allclose(trace.ravel(), coarse, rtol=0.0, atol=bound)
+
+
 def test_gamma_schedule_default_and_custom():
     default = gamma_schedule(10.0, 1e6)
     assert len(default) == 9
@@ -275,6 +305,63 @@ def test_gamma_schedule_default_and_custom():
     with pytest.raises(ValueError):
         gamma_schedule(10.0, 1e6, q=0.5)
     assert gamma_schedule(10.0, 5.0) == []
+
+
+@pytest.mark.parametrize(
+    "gamma0, gamma_max, q",
+    [
+        (0.0, 1e6, None),
+        (-1.0, 1e6, None),
+        (math.nan, 1e6, None),
+        (math.inf, 1e6, None),
+        (10.0, math.inf, None),
+        (10.0, math.nan, None),
+        (10.0, 1e6, math.nan),
+        (10.0, 1e6, math.inf),
+    ],
+)
+def test_invalid_schedule_fails_before_any_solve(gamma0, gamma_max, q):
+    with pytest.raises(ValueError):
+        gamma_schedule(gamma0, gamma_max, q)
+    events = []
+    with pytest.raises(ValueError):
+        path_follow(BeamProblem(), gamma0=gamma0, gamma_max=gamma_max, q=q, events=events)
+    assert events == []
+
+
+def test_beam_solver_config_stall_window():
+    disc = _discretization(BeamProblem(), HermiteMesh1D(64))
+    assert SolverConfig().stall_window is None
+    assert beam_solver_config(disc).stall_window == STALL_WINDOW
+    assert beam_solver_config(disc, SolverConfig(stall_window=7)).stall_window == 7
+
+
+def test_stall_window_keeps_the_short_path_roots():
+    # a window as long as the iteration cap never fires before the cap does
+    never = SolverConfig(stall_window=SolverConfig().max_iter)
+    with_window, without = [], []
+    on = path_follow(BeamProblem(), gamma_max=1e4, events=with_window)
+    off = path_follow(BeamProblem(), gamma_max=1e4, config=never, events=without)
+    assert [ev for ev in with_window if ev.status == "stalled"]
+    assert not [ev for ev in without if ev.status == "stalled"]
+    assert len(on.solutions) == len(off.solutions) == 3
+    # every equilibrium is kept; a root found at the same penalty both ways
+    # is the same double precision vector (on this schedule one deflated
+    # solve at gamma = 21.5 goes 48 iterations without halving its best
+    # residual before it converges, so the window finds that root a step
+    # later)
+    for rec in off.solutions:
+        assert not on.solutions.is_distinct(rec.z)
+    same_history = [
+        (a.z, b.z) for a, b in zip(on.solutions, off.solutions) if a.parameter == b.parameter
+    ]
+    assert len(same_history) >= 2
+    for a, b in same_history:
+        np.testing.assert_array_equal(a, b)
+    iterations = lambda events: sum(  # noqa: E731
+        ev.iterations for ev in events if ev.kind == "deflated-solve"
+    )
+    assert 2 * iterations(with_window) < iterations(without)
 
 
 def test_path_finds_three_equilibria(beam_path):

@@ -179,6 +179,66 @@ def test_deflated_root_hit_mid_iteration():
     assert len(result.residual_history) == result.iterations + 1
 
 
+# Newton matrices for F(z) = z in the plane, by the step each one takes
+QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+STEP_MATRICES = {
+    "r": np.linalg.inv(np.eye(2) - QUARTER_TURN),  # z -> quarter turn of z, same norm
+    "q": np.eye(2) / 0.75,  # z -> z / 4
+    "s": np.eye(2) / 0.01,  # z -> 0.99 z
+    "n": np.eye(2),  # z -> 0, the root
+}
+
+
+def scripted_derivative(script):
+    """Derivative whose k-th call returns the matrix of the k-th script letter."""
+    steps = iter(script)
+    return lambda z: (1.0, STEP_MATRICES[next(steps)], None, None)
+
+
+@pytest.mark.parametrize("window", [1, 5, 25])
+def test_stall_window_stops_a_solve_that_never_halves(window):
+    z0 = np.array([1.0, 0.5])
+    script = "r" * (window + 10)
+    result = solve(lambda z: z, scripted_derivative(script), z0, SolverConfig(stall_window=window))
+    assert result.status is SolveStatus.STALLED
+    assert result.iterations == window
+    history = result.residual_history
+    assert len(history) == window + 1 and min(history) > 0.5 * history[0]
+    # without a window the same solve runs to the iteration cap
+    capped = SolverConfig(max_iter=window + 10)
+    result = solve(lambda z: z, scripted_derivative(script), z0, capped)
+    assert result.status is SolveStatus.MAX_ITERATIONS
+
+
+@pytest.mark.parametrize(
+    "script, status, iterations",
+    [
+        ("r" * 9 + "n", SolveStatus.CONVERGED, 10),
+        # the quartering step moves the best residual, so the count restarts
+        ("r" * 9 + "q" + "r" * 9 + "n", SolveStatus.CONVERGED, 20),
+        ("r" * 10 + "n", SolveStatus.STALLED, 10),
+        # a steady decrease that never halves the best residual is no progress
+        ("s" * 10 + "n", SolveStatus.STALLED, 10),
+    ],
+)
+def test_stall_window_counts_iterations_since_the_last_halving(script, status, iterations):
+    z0 = np.array([1.0, 0.5])
+    result = solve(lambda z: z, scripted_derivative(script), z0, SolverConfig(stall_window=10))
+    assert result.status is status and result.iterations == iterations
+    if status is SolveStatus.CONVERGED:
+        unbounded = solve(lambda z: z, scripted_derivative(script), z0, SolverConfig())
+        assert unbounded.status is status and unbounded.iterations == iterations
+        np.testing.assert_array_equal(unbounded.solution, result.solution)
+        assert unbounded.residual_history == result.residual_history
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_stall_window_validation(window):
+    with pytest.raises(ValueError, match="stall_window"):
+        SolverConfig(stall_window=window)
+    assert SolverConfig(stall_window=1).stall_window == 1
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(atol=0.0)
