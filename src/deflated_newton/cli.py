@@ -26,7 +26,14 @@ from .continuation import (
     deflated_search,
 )
 from .deflation import DeflationState
-from .obstacle1d import BeamProblem, HermiteMesh1D, _discretization, gamma_schedule, path_follow
+from .obstacle1d import (
+    BeamProblem,
+    HermiteMesh1D,
+    _discretization,
+    final_elements,
+    gamma_schedule,
+    path_follow,
+)
 from .reformulate import NcpFunction, assemble_residual
 from .solver import (
     LINE_SEARCH_BACKTRACKING,
@@ -346,8 +353,9 @@ def _run_beam(args, parser) -> int:
         problem = BeamProblem(load=args.load, half_width=args.alpha)
         config = _solver_config(args)
         # built here only so that bad values fail before any solve
-        HermiteMesh1D(args.mesh, problem.length)
+        mesh = HermiteMesh1D(args.mesh, problem.length)
         gamma_schedule(args.gamma0, args.gamma_max, args.q)
+        final_elements(mesh, args.gamma0, args.gamma_max)
         DeflationState(power=args.p, shift=args.shift)
     except ValueError as err:
         parser.error(str(err))

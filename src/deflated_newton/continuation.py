@@ -158,6 +158,19 @@ def polish_root(
     return result.solution, result.iterations
 
 
+def checked_guesses(guesses: Sequence[np.ndarray], n: int) -> list[np.ndarray]:
+    """The guesses as float arrays, each checked to have length ``n``.
+
+    Raises:
+        ValueError: naming the first guess of another shape.
+    """
+    pool = [np.asarray(guess, dtype=float) for guess in guesses]
+    for gi, guess in enumerate(pool):
+        if guess.shape != (n,):
+            raise ValueError(f"guess {gi} has shape {guess.shape}; expected length {n}")
+    return pool
+
+
 def deflated_search_callables(
     residual: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable,
@@ -237,7 +250,12 @@ def deflated_search(
 
     Returns:
         A :class:`SolutionSet`; empty when no guess converged.
+
+    Raises:
+        ValueError: a guess does not have the problem's dimension; raised
+            before any solve.
     """
+    guesses = checked_guesses(guesses, problem.dimension)
     state = deflation if deflation is not None else DeflationState()
     cfg = config or SolverConfig()
     system = _ReformulatedSystem(problem, ncp)

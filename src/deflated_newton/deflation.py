@@ -14,6 +14,7 @@ rank-one term, which the solver exploits via Sherman-Morrison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -69,8 +70,8 @@ class NormSpec:
         v = np.asarray(v, dtype=float)
         wv = self.apply_weight(v)
         if self.weight is None:
-            return float(np.linalg.norm(v)), wv
-        return float(np.sqrt(max(v @ wv, 0.0))), wv
+            return math.sqrt(v @ v), wv
+        return math.sqrt(max(v @ wv, 0.0)), wv
 
 
 EUCLIDEAN = NormSpec()

@@ -3,15 +3,18 @@
 Factorizations are LU with partial pivoting (LAPACK ``getrf``/``gbtrf``), and
 rank-one updated systems ``(A + u w^T) x = b`` are solved with the
 Sherman-Morrison formula so that deflation never requires refactorizing.
+
+Both kinds call the LAPACK wrappers directly: at the n = 4..10 of the
+complementarity benchmarks, ``scipy.linalg.lu_factor``/``lu_solve`` spend
+several times the cost of the LAPACK call in argument handling, and the
+factors, pivots and solutions are the same bits either way.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
 
 DEFAULT_PIVOT_TOL = 1e-14
@@ -132,12 +135,15 @@ class LuFactorization:
         if self.singular:
             raise SingularMatrix("factorization is singular; cannot solve")
         b = np.asarray(b, dtype=float)
+        if b.ndim == 0 or b.shape[0] != self.n:
+            raise ValueError(f"right-hand side has shape {b.shape}, expected length {self.n}")
         if self.banded:
             x, info = lapack.dgbtrs(self.factors, self.hbw, self.hbw, b, self.pivots)
-            if info != 0:
-                raise SingularMatrix(f"banded back-substitution failed (info={info})")
-            return x
-        return sla.lu_solve((self.factors, self.pivots), b, check_finite=False)
+        else:
+            x, info = lapack.dgetrs(self.factors, self.pivots, b)
+        if info != 0:
+            raise SingularMatrix(f"back-substitution failed (info={info})")
+        return x
 
 
 def lu_factor(matrix, pivot_tol: float = DEFAULT_PIVOT_TOL) -> LuFactorization:
@@ -158,13 +164,17 @@ def lu_factor(matrix, pivot_tol: float = DEFAULT_PIVOT_TOL) -> LuFactorization:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns on exact zero pivots
-        lu, piv = sla.lu_factor(a, check_finite=False)
-    diag = np.abs(np.diag(lu))
+    n = a.shape[0]
+    if n == 0:
+        # getrf rejects an empty matrix (info = -4) and reports it on stderr
+        return LuFactorization(0, a, np.zeros(0, dtype=np.int32), True)
+    scale = float(np.abs(a).max())
+    lu, piv, info = lapack.dgetrf(a)
+    if info < 0:
+        raise ValueError(f"getrf failed on argument {-info}")
+    diag = np.abs(lu.diagonal())
     singular = scale == 0.0 or bool((diag < pivot_tol * scale).any())
-    return LuFactorization(a.shape[0], lu, piv, singular)
+    return LuFactorization(n, lu, piv, singular)
 
 
 def _lu_factor_banded(matrix: BandedMatrix, pivot_tol: float) -> LuFactorization:

@@ -28,6 +28,7 @@ from .continuation import (
     RootRecord,
     SolutionSet,
     _emit,
+    checked_guesses,
     deflated_search_callables,
     polish_root,
 )
@@ -55,6 +56,14 @@ DIVERGENCE_SCALE_FACTOR = 1e4
 # penalty step.  The stop is not global: one Aggarwal search solve converges
 # after 652 iterations without halving its best residual.
 STALL_WINDOW = 25
+
+# Largest final mesh :func:`path_follow` builds.  The mesh rule asks for
+# about sqrt(gamma_max) elements, so without a cap a huge gamma_max (1e300
+# asks for about 1e150) refines until memory runs out.  The `beam` command
+# peaked at 262 MB of resident memory on a 65536-element path (gamma_max =
+# 4.2e9), about 3.1 kB per element over the 60 MB of the bare interpreter,
+# so the cap keeps a path to a few hundred MB.
+MAX_ELEMENTS = 2**16
 
 _GAUSS_XI, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 GAUSS_POINTS = 0.5 * (_GAUSS_XI + 1.0)
@@ -416,6 +425,31 @@ def gamma_schedule(gamma0: float, gamma_max: float, q: Optional[float] = None, s
         values.append(g)
 
 
+def final_elements(mesh: HermiteMesh1D, gamma0: float, gamma_max: float) -> int:
+    """Element count of the last mesh of a penalty path that starts on ``mesh``.
+
+    Applies the refinement rule of :func:`path_follow` to the element count
+    alone, so no mesh is built.  Call it with a schedule that
+    :func:`gamma_schedule` accepts.
+
+    Raises:
+        ValueError: the path would need more than :data:`MAX_ELEMENTS` elements.
+    """
+    elements = mesh.elements
+    targets = [(gamma0, 1.0)]
+    if gamma_max > gamma0:
+        targets.append((gamma_max, 1.0 + 1e-12))
+    for gamma, slack in targets:
+        while elements <= MAX_ELEMENTS and mesh.length / elements > slack / math.sqrt(gamma):
+            elements *= 2
+    if elements > MAX_ELEMENTS:
+        raise ValueError(
+            f"a penalty path from {mesh.elements} elements to gamma = "
+            f"{max(gamma0, gamma_max):g} needs more than {MAX_ELEMENTS} elements (the cap)"
+        )
+    return elements
+
+
 def beam_solver_config(disc: BeamDiscretization, base: Optional[SolverConfig] = None) -> SolverConfig:
     """Anchor the solver tolerances to the assembled operator scale.
 
@@ -471,10 +505,14 @@ def path_follow(
     Raises:
         AllBranchesLost: no solution at the initial penalty, or every branch
             failed to re-converge at some step.
-        ValueError: the penalty schedule is invalid (see :func:`gamma_schedule`).
+        ValueError: the penalty schedule is invalid (see :func:`gamma_schedule`),
+            the final mesh would exceed :data:`MAX_ELEMENTS` elements (see
+            :func:`final_elements`) or a guess does not have the length of
+            the initial mesh's unknowns.
     """
     schedule = gamma_schedule(gamma0, gamma_max, q, steps)
     mesh = HermiteMesh1D(initial_elements, problem.length)
+    final_elements(mesh, gamma0, gamma_max)
     while mesh.h > 1.0 / math.sqrt(gamma0):
         mesh = mesh.refined()
 
@@ -483,7 +521,7 @@ def path_follow(
     norm = NormSpec(disc.mass)
     deflation = DeflationState(power=power, shift=shift, norm=norm)
     solutions = SolutionSet(norm=norm)
-    pool = [np.zeros(disc.n)] if guesses is None else [np.asarray(g, float) for g in guesses]
+    pool = [np.zeros(disc.n)] if guesses is None else checked_guesses(guesses, disc.n)
 
     deflated_search_callables(
         residual=lambda z: disc.residual(gamma0, z),

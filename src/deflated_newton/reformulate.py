@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -154,6 +154,21 @@ def _forward_difference_jacobian(problem, z, base=None):
     return jac
 
 
+def _components(
+    problem: MixedComplementarityProblem, z: np.ndarray, value
+) -> Iterator[tuple[float, float, float, float]]:
+    """``(z_i, F_i, l_i, u_i)`` for each component, as Python floats.
+
+    At the benchmark sizes (n <= 10) the per-component branches cost more in
+    numpy scalar indexing than in arithmetic, and float arithmetic gives the
+    same bits.
+    """
+    return zip(
+        z.tolist(), np.asarray(value, dtype=float).tolist(),
+        problem.lower.tolist(), problem.upper.tolist(),
+    )
+
+
 def assemble_residual(
     problem: MixedComplementarityProblem,
     z: np.ndarray,
@@ -173,21 +188,20 @@ def assemble_residual(
     z = np.asarray(z, dtype=float)
     if value is None:
         value = evaluate(problem, z)
-    lower, upper = problem.lower, problem.upper
-    out = np.empty(problem.dimension)
-    for i in range(problem.dimension):
-        lo_finite = math.isfinite(lower[i])
-        up_finite = math.isfinite(upper[i])
+    out = []
+    for zi, fi, lo, up in _components(problem, z, value):
+        lo_finite = math.isfinite(lo)
+        up_finite = math.isfinite(up)
         if not lo_finite and not up_finite:
-            out[i] = value[i]
+            out.append(fi)
         elif lo_finite and not up_finite:
-            out[i] = phi(kind, z[i] - lower[i], value[i])
+            out.append(phi(kind, zi - lo, fi))
         elif up_finite and not lo_finite:
-            out[i] = -phi(kind, upper[i] - z[i], -value[i])
+            out.append(-phi(kind, up - zi, -fi))
         else:
-            inner = -phi(kind, upper[i] - z[i], -value[i])
-            out[i] = phi(kind, z[i] - lower[i], inner)
-    return out
+            inner = -phi(kind, up - zi, -fi)
+            out.append(phi(kind, zi - lo, inner))
+    return np.array(out, dtype=float)
 
 
 def assemble_newton_derivative(
@@ -207,28 +221,31 @@ def assemble_newton_derivative(
     if value is None:
         value = evaluate(problem, z)
     jac = jacobian(problem, z, value)
-    lower, upper = problem.lower, problem.upper
     n = problem.dimension
-    out = np.zeros((n, n))
-    for i in range(n):
-        lo_finite = math.isfinite(lower[i])
-        up_finite = math.isfinite(upper[i])
+    # row i is d_b[i] * jac[i, :] plus d_a[i] on the diagonal; free rows take
+    # d_b = 1 and d_a = -0.0, the exact identities of the multiply and the
+    # add, so they stay bit-for-bit copies of the Jacobian rows (-0.0 too)
+    row_scale, diag_add = [], []
+    for zi, fi, lo, up in _components(problem, z, value):
+        lo_finite = math.isfinite(lo)
+        up_finite = math.isfinite(up)
         if not lo_finite and not up_finite:
-            out[i, :] = jac[i, :]
-            continue
-        if lo_finite and not up_finite:
-            d_a, d_b = phi_derivative(kind, z[i] - lower[i], value[i])
+            d_a, d_b = -0.0, 1.0
+        elif lo_finite and not up_finite:
+            d_a, d_b = phi_derivative(kind, zi - lo, fi)
         elif up_finite and not lo_finite:
             # Phi_i = -phi(u_i - z_i, -F_i): both inner signs cancel the outer one
-            d_a, d_b = phi_derivative(kind, upper[i] - z[i], -value[i])
+            d_a, d_b = phi_derivative(kind, up - zi, -fi)
         else:
-            a2 = upper[i] - z[i]
-            b2 = -value[i]
+            a2 = up - zi
+            b2 = -fi
             d_a2, d_b2 = phi_derivative(kind, a2, b2)
             inner = -phi(kind, a2, b2)
-            d_a1, d_b1 = phi_derivative(kind, z[i] - lower[i], inner)
+            d_a1, d_b1 = phi_derivative(kind, zi - lo, inner)
             d_a = d_a1 + d_b1 * d_a2
             d_b = d_b1 * d_b2
-        out[i, :] = d_b * jac[i, :]
-        out[i, i] += d_a
+        row_scale.append(d_b)
+        diag_add.append(d_a)
+    out = jac * np.array(row_scale)[:, None]
+    out.flat[:: n + 1] += diag_add
     return out

@@ -157,7 +157,7 @@ def solve(
     except NonFiniteResidual:
         return SolveResult(SolveStatus.DIVERGED, z, 0, [math.inf])
 
-    rnorm = float(np.linalg.norm(r))
+    rnorm = math.sqrt(r @ r)
     history = [rnorm]
     threshold = max(cfg.atol, cfg.rtol * rnorm) if math.isfinite(rnorm) else cfg.atol
     iterations = 0
@@ -221,7 +221,7 @@ def solve(
                 return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
 
         z, r = z_new, r_new
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(r @ r)
         iterations += 1
         history.append(rnorm)
 

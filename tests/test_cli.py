@@ -82,6 +82,8 @@ def test_usage_error_exit_code(capsys):
         ["beam", "--gamma0", "nan"],
         ["beam", "--gamma-max", "inf"],
         ["beam", "--q", "nan"],
+        ["beam", "--gamma-max", "1e20"],
+        ["beam", "--gamma-max", "1e300"],
         ["continue", "--mu-steps", "0"],
         ["solve", "kojima-shindoh", "--p", "0.5"],
         ["solve", "kojima-shindoh", "--max-iter", "0"],

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -174,6 +175,32 @@ def test_empty_result_for_hopeless_guess():
     )
     sols = deflated_search(prob, [np.array([3.0])], config=SolverConfig(max_iter=30))
     assert len(sols) == 0
+
+
+def test_wrong_length_guess_fails_before_any_solve(monkeypatch):
+    prob = problems.build("kojima-shindoh")
+    calls = []
+    monkeypatch.setattr(continuation, "solve", lambda *args: calls.append(args))
+    good = problems.initial_guess("kojima-shindoh")
+    for guesses, index, shape in (
+        ([good, np.zeros(3)], 1, "(3,)"),
+        ([np.zeros(5)], 0, "(5,)"),
+        ([good, good, np.zeros((4, 1))], 2, "(4, 1)"),
+        ([np.float64(0.7)], 0, "()"),
+    ):
+        events = []
+        message = f"guess {index} has shape {re.escape(shape)}; expected length 4"
+        with pytest.raises(ValueError, match=message):
+            deflated_search(prob, guesses, events=events)
+        assert events == [] and calls == []
+
+
+def test_nan_guess_ends_as_diverged_solve():
+    prob = problems.build("kojima-shindoh")
+    events = []
+    sols = deflated_search(prob, [np.full(4, np.nan)], events=events)
+    assert len(sols) == 0
+    assert [(ev.kind, ev.status) for ev in events] == [("deflated-solve", "diverged")]
 
 
 def test_solution_set_rejects_duplicates():

@@ -1,7 +1,9 @@
 import threading
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from deflated_newton.linalg import (
     BandedMatrix,
@@ -270,3 +272,58 @@ def test_rank_one_update_flags_singular_update(system):
     assert smallest <= 1e-12 * (np.linalg.norm(a, 2) + np.linalg.norm(u) * np.linalg.norm(w))
     with pytest.raises(SingularUpdate):
         solve_rank_one_update(fac, u, w, b)
+
+
+# Property tests: the dense factorization calls LAPACK getrf/getrs directly
+# and must give the bits of scipy.linalg.lu_factor/lu_solve.
+
+
+@st.composite
+def dense_systems(draw):
+    """(A, b) with n = 1..12; A is general, exactly singular or all zero."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["general", "zero-column", "repeated-row", "zero"]))
+    a = draw(arrays(float, (n, n), elements=st.floats(-1e3, 1e3, allow_nan=False)))
+    if kind == "zero-column":
+        a[:, draw(st.integers(0, n - 1))] = 0.0
+    elif kind == "repeated-row" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        a[j] = a[i]
+    elif kind == "zero":
+        a[:] = 0.0
+    return a, draw(arrays(float, n, elements=unit))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_systems())
+def test_dense_lu_matches_scipy_bitwise(system):
+    a, b = system
+    fac = lu_factor(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)  # exact zero pivots
+        lu, piv = sla.lu_factor(a, check_finite=False)
+    assert fac.factors.tobytes() == lu.tobytes()
+    assert fac.pivots.tobytes() == piv.tobytes()
+    if not np.abs(a).any():
+        assert fac.singular
+    if not fac.singular:
+        x = sla.lu_solve((lu, piv), b, check_finite=False)
+        assert fac.solve(b).tobytes() == x.tobytes()
+        cols = np.stack([b, -2.0 * b], axis=1)
+        assert fac.solve(cols).tobytes() == sla.lu_solve((lu, piv), cols).tobytes()
+
+
+def test_empty_matrix_is_singular_and_silent(capfd):
+    fac = lu_factor(np.zeros((0, 0)))
+    assert fac.singular
+    captured = capfd.readouterr()
+    assert captured.out == "" and captured.err == ""
+
+
+@pytest.mark.parametrize("banded", [False, True])
+def test_wrong_rhs_length_raises(banded):
+    a = np.diag([2.0, 3.0, 4.0])
+    fac = lu_factor(banded_from_dense(a, 1) if banded else a)
+    for b in (np.ones(2), np.ones(4), np.ones((2, 1)), np.float64(1.0)):
+        with pytest.raises(ValueError):
+            fac.solve(b)

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky_banded
 
+from deflated_newton import obstacle1d
+from deflated_newton.continuation import AllBranchesLost
 from deflated_newton.linalg import lu_factor
 from deflated_newton.obstacle1d import (
     GAUSS_POINTS,
     HALF_BANDWIDTH,
+    MAX_ELEMENTS,
     STALL_WINDOW,
     BeamDiscretization,
     BeamProblem,
     HermiteMesh1D,
     assemble_beam_system,
     beam_solver_config,
+    final_elements,
     gamma_schedule,
     hermite_basis,
     moreau_yosida_derivative,
@@ -327,6 +331,49 @@ def test_invalid_schedule_fails_before_any_solve(gamma0, gamma_max, q):
     with pytest.raises(ValueError):
         path_follow(BeamProblem(), gamma0=gamma0, gamma_max=gamma_max, q=q, events=events)
     assert events == []
+
+
+@pytest.mark.parametrize("gamma_max", [1e20, 1e300])
+def test_refinement_beyond_the_cap_fails_before_any_mesh(monkeypatch, gamma_max):
+    def no_mesh(*args):
+        raise AssertionError("a discretization was built")
+
+    monkeypatch.setattr(obstacle1d, "_discretization", no_mesh)
+    with pytest.raises(ValueError, match=f"more than {MAX_ELEMENTS} elements"):
+        final_elements(HermiteMesh1D(64), 10.0, gamma_max)
+    events = []
+    with pytest.raises(ValueError, match=f"more than {MAX_ELEMENTS} elements"):
+        path_follow(BeamProblem(), gamma_max=gamma_max, events=events)
+    assert events == []
+
+
+def test_final_elements_follows_the_mesh_rule(beam_path):
+    problem, state, events = beam_path
+    assert final_elements(HermiteMesh1D(64), 10.0, 1e6) == state.mesh.elements == 1024
+    # the cap itself is reachable: h = 2^-16 meets h <= 1/sqrt(gamma) at 2^32
+    assert final_elements(HermiteMesh1D(64), 10.0, 2.0**32) == MAX_ELEMENTS
+    with pytest.raises(ValueError):
+        final_elements(HermiteMesh1D(64), 10.0, 2.0**32 * 1.01)
+    # only gamma0 counts when the schedule is empty, and only gamma_max otherwise
+    assert final_elements(HermiteMesh1D(64), 1e6, 10.0) == 1024
+    assert final_elements(HermiteMesh1D(8), 10.0, 1e2) == 16
+    for gamma_max, q, mesh in ((1e4, None, 64), (3e5, 10.0, 32), (50.0, None, 8)):
+        short = path_follow(BeamProblem(), gamma_max=gamma_max, q=q, initial_elements=mesh)
+        assert short.mesh.elements == final_elements(HermiteMesh1D(mesh), 10.0, gamma_max)
+
+
+def test_wrong_length_guess_fails_before_any_solve():
+    events = []
+    with pytest.raises(ValueError, match=r"guess 1 has shape \(64,\); expected length 128"):
+        path_follow(BeamProblem(), guesses=[np.zeros(128), np.zeros(64)], events=events)
+    assert events == []
+
+
+def test_nan_guess_ends_as_diverged_solve():
+    events = []
+    with pytest.raises(AllBranchesLost):
+        path_follow(BeamProblem(), guesses=[np.full(128, np.nan)], gamma_max=1e3, events=events)
+    assert [(ev.kind, ev.status) for ev in events] == [("deflated-solve", "diverged")]
 
 
 def test_beam_solver_config_stall_window():

@@ -11,6 +11,8 @@ from deflated_newton.reformulate import (
     NonFiniteResidual,
     assemble_newton_derivative,
     assemble_residual,
+    evaluate,
+    jacobian,
     phi,
     phi_derivative,
 )
@@ -222,3 +224,200 @@ def test_bounds_validation():
             lower=np.array([1.0, 0.0]),
             upper=np.array([0.0, 1.0]),
         )
+
+
+# The assembly runs its per-component branches on Python floats; the
+# per-component numpy loops it replaced are kept here as the reference, and
+# the two must agree bit for bit, signed zeros and kinks included.
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+INF = math.inf
+BOUND_CLASSES = ("free", "lower", "upper", "box")
+
+
+def reference_residual(problem, z, kind):
+    value = evaluate(problem, z)
+    lower, upper = problem.lower, problem.upper
+    out = np.empty(problem.dimension)
+    for i in range(problem.dimension):
+        lo_finite = math.isfinite(lower[i])
+        up_finite = math.isfinite(upper[i])
+        if not lo_finite and not up_finite:
+            out[i] = value[i]
+        elif lo_finite and not up_finite:
+            out[i] = phi(kind, z[i] - lower[i], value[i])
+        elif up_finite and not lo_finite:
+            out[i] = -phi(kind, upper[i] - z[i], -value[i])
+        else:
+            inner = -phi(kind, upper[i] - z[i], -value[i])
+            out[i] = phi(kind, z[i] - lower[i], inner)
+    return out
+
+
+def reference_derivative(problem, z, kind):
+    value = evaluate(problem, z)
+    jac = jacobian(problem, z, value)
+    lower, upper = problem.lower, problem.upper
+    n = problem.dimension
+    out = np.zeros((n, n))
+    for i in range(n):
+        lo_finite = math.isfinite(lower[i])
+        up_finite = math.isfinite(upper[i])
+        if not lo_finite and not up_finite:
+            out[i, :] = jac[i, :]
+            continue
+        if lo_finite and not up_finite:
+            d_a, d_b = phi_derivative(kind, z[i] - lower[i], value[i])
+        elif up_finite and not lo_finite:
+            d_a, d_b = phi_derivative(kind, upper[i] - z[i], -value[i])
+        else:
+            a2 = upper[i] - z[i]
+            b2 = -value[i]
+            d_a2, d_b2 = phi_derivative(kind, a2, b2)
+            inner = -phi(kind, a2, b2)
+            d_a1, d_b1 = phi_derivative(kind, z[i] - lower[i], inner)
+            d_a = d_a1 + d_b1 * d_a2
+            d_b = d_b1 * d_b2
+        out[i, :] = d_b * jac[i, :]
+        out[i, i] += d_a
+    return out
+
+
+def frozen_problem(lower, upper, f, jac):
+    """An MCP whose F is the constant ``f`` with Jacobian ``jac``."""
+    f, jac = np.array(f, dtype=float), np.array(jac, dtype=float)
+    return MixedComplementarityProblem(
+        len(f), lambda z: f.copy(), lambda z: jac.copy(), lower=lower, upper=upper
+    )
+
+
+def assert_assembly_matches_reference(problem, z):
+    for kind in (FB, MP):
+        assert assemble_residual(problem, z, kind).tobytes() == (
+            reference_residual(problem, z, kind).tobytes()
+        )
+        assert assemble_newton_derivative(problem, z, kind).tobytes() == (
+            reference_derivative(problem, z, kind).tobytes()
+        )
+
+
+def test_assembly_matches_reference_at_kinks():
+    # one component per row: (lower, upper, z, F(z))
+    rows = [
+        (-INF, INF, 0.3, -0.0),  # free, -0.0 value
+        (-INF, INF, -0.0, 0.0),
+        (0.0, INF, 0.0, 0.0),  # FB origin, min tie
+        (0.0, INF, -0.0, -0.0),
+        (-0.0, INF, 0.0, -0.0),
+        (1.0, INF, 1.5, 0.5),  # min tie away from the origin
+        (-INF, 0.0, 0.0, 0.0),
+        (-INF, -0.0, 0.0, -0.0),
+        (-INF, 2.0, 1.0, -1.0),  # min tie: u - z == -F
+        (0.0, 1.0, 0.0, 0.0),  # outer FB origin (inner phi(1, 0) = 0)
+        (0.0, 1.0, 1.0, 0.0),  # inner FB origin
+        (0.0, 1.0, 1.0, -0.0),
+        (-0.0, 0.0, -0.0, 0.0),  # degenerate box
+        (0.0, 1.0, 0.5, 0.5),  # outer min tie (inner = 0.5 = z - l)
+    ]
+    lower, upper, z, f = (np.array(col) for col in zip(*rows))
+    n = len(rows)
+    jac = np.random.RandomState(11).uniform(-2.0, 2.0, (n, n))
+    jac[np.random.RandomState(12).rand(n, n) < 0.3] = -0.0
+    np.fill_diagonal(jac, -0.0)
+    assert_assembly_matches_reference(frozen_problem(lower, upper, f, jac), z)
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0])
+values = st.one_of(SPECIAL, st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def bounded_points(draw):
+    """(problem with constant F, z) over all bound classes, often on kinks."""
+    n = draw(st.integers(1, 6))
+    lower, upper, z, f = [], [], [], []
+    for _ in range(n):
+        cls = draw(st.sampled_from(BOUND_CLASSES))
+        lo = draw(values) if cls in ("lower", "box") else -INF
+        up = draw(values) if cls == "upper" else INF
+        if cls == "box":
+            up = lo + abs(draw(values))
+        finite = [b for b in (lo, up) if math.isfinite(b)]
+        zi = draw(st.one_of(st.sampled_from(finite), values)) if finite else draw(values)
+        ties = [zi - lo if math.isfinite(lo) else 0.0, zi - up if math.isfinite(up) else 0.0]
+        lower.append(lo)
+        upper.append(up)
+        z.append(zi)
+        f.append(draw(st.one_of(values, st.sampled_from(ties))))
+    jac = draw(arrays(float, (n, n), elements=values))
+    return frozen_problem(np.array(lower), np.array(upper), f, jac), np.array(z)
+
+
+@settings(max_examples=400, deadline=None)
+@given(bounded_points())
+def test_assembly_matches_reference_bitwise(case):
+    problem, z = case
+    assert_assembly_matches_reference(problem, z)
+
+
+def kink_distance(kind, lo, up, z, f):
+    """Distance of the phi arguments of one component from the kinks of ``kind``.
+
+    Fischer-Burmeister is measured by min(|a|, |b|), the min function by
+    |b - a|; a free component has no kink.
+    """
+    pairs = []
+    if math.isfinite(lo) and not math.isfinite(up):
+        pairs.append((z - lo, f))
+    elif math.isfinite(up) and not math.isfinite(lo):
+        pairs.append((up - z, -f))
+    elif math.isfinite(lo):
+        pairs.append((up - z, -f))
+        pairs.append((z - lo, -phi(kind, up - z, -f)))
+    if kind is FB:
+        return min((min(abs(a), abs(b)) for a, b in pairs), default=INF)
+    return min((abs(b - a) for a, b in pairs), default=INF)
+
+
+AWAY = 0.05
+offsets = st.floats(0.25, 3.0).flatmap(lambda m: st.sampled_from([m, -m]))
+
+
+@st.composite
+def smooth_points(draw):
+    """(problem with a nonlinear F, z, kind) with every phi argument AWAY from a kink."""
+    kind = draw(st.sampled_from([FB, MP]))
+    n = draw(st.integers(1, 5))
+    z = draw(arrays(float, n, elements=st.floats(-3.0, 3.0)))
+    f = np.array([draw(offsets) for _ in range(n)])
+    lower, upper = np.full(n, -INF), np.full(n, INF)
+    for i in range(n):
+        cls = draw(st.sampled_from(BOUND_CLASSES))
+        if cls in ("lower", "box"):
+            lower[i] = z[i] - draw(offsets)
+        if cls in ("upper", "box"):
+            upper[i] = z[i] + draw(offsets)
+        assume(lower[i] <= upper[i])
+        assume(kink_distance(kind, lower[i], upper[i], z[i], f[i]) >= AWAY)
+    m = draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    # F(y) = f + M (y - z) + 0.1 sin(y - z): value f at z, Jacobian M + 0.1 diag(cos)
+    problem = MixedComplementarityProblem(
+        n,
+        lambda y: f + m @ (y - z) + 0.1 * np.sin(y - z),
+        lambda y: m + np.diag(0.1 * np.cos(y - z)),
+        lower=lower,
+        upper=upper,
+    )
+    return problem, z, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(smooth_points())
+def test_derivative_matches_central_differences_away_from_kinks(case):
+    problem, z, kind = case
+    jac = assemble_newton_derivative(problem, z, kind)
+    fd = central_difference(lambda y: assemble_residual(problem, y, kind), z)
+    assert np.abs(fd - jac).max() <= 1e-6 * max(1.0, np.abs(jac).max())
