@@ -10,6 +10,7 @@ is reproducible byte for byte under ``--deterministic``.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from typing import Optional
@@ -58,6 +59,12 @@ def _format_number(x: float) -> str:
     return out
 
 
+def _json_string(text) -> str:
+    # json.dumps escapes quotes, backslashes and control characters as
+    # RFC 8259 requires; ensure_ascii=False keeps other characters as they are
+    return json.dumps(str(text), ensure_ascii=False)
+
+
 def _write_json(obj, out, indent: int = 0) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -66,13 +73,18 @@ def _write_json(obj, out, indent: int = 0) -> None:
             return
         out.write("{\n")
         for i, (key, value) in enumerate(obj.items()):
-            out.write(f'{pad}  "{key}": ')
+            out.write(f"{pad}  {_json_string(key)}: ")
             _write_json(value, out, indent + 1)
             out.write(",\n" if i + 1 < len(obj) else "\n")
         out.write(pad + "}")
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             out.write("[]")
+            return
+        if all(isinstance(value, float) for value in obj):
+            # solution vectors and node tables: one write per list
+            sep = ",\n" + pad + "  "
+            out.write("[\n" + pad + "  " + sep.join(map(_format_number, obj)) + "\n" + pad + "]")
             return
         out.write("[\n")
         for i, value in enumerate(obj):
@@ -81,8 +93,7 @@ def _write_json(obj, out, indent: int = 0) -> None:
             out.write(",\n" if i + 1 < len(obj) else "\n")
         out.write(pad + "]")
     elif isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out.write(f'"{escaped}"')
+        out.write(_json_string(obj))
     elif isinstance(obj, bool):
         out.write("true" if obj else "false")
     elif obj is None:

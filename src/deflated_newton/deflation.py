@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cholesky_banded
 
-from .linalg import BandedMatrix
+from .linalg import BandedMatrix, lapack
 
 DEFAULT_GUARD = 1e-10
 
@@ -42,18 +41,24 @@ class NormSpec:
         if w is None:
             return
         if isinstance(w, BandedMatrix):
+            _require_finite(w.data)
             if not w.is_symmetric():
                 raise ValueError("weight matrix must be symmetric")
             # upper triangle in solve_banded layout is exactly the top rows
-            cholesky_banded(w.data[: w.hbw + 1], lower=False)
+            _, info = lapack.dpbtrf(w.data[: w.hbw + 1], lower=0)
         else:
             w = np.asarray(w, dtype=float)
             if w.ndim != 2 or w.shape[0] != w.shape[1]:
                 raise ValueError("weight matrix must be square")
+            _require_finite(w)
             if not np.allclose(w, w.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(w).max())):
                 raise ValueError("weight matrix must be symmetric")
-            cho_factor(w)  # raises LinAlgError if not positive definite
+            _, info = lapack.dpotrf(w)
             object.__setattr__(self, "weight", w)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"weight matrix is not positive definite (Cholesky info={info})"
+            )
 
     def apply_weight(self, v: np.ndarray) -> np.ndarray:
         if self.weight is None:
@@ -75,6 +80,11 @@ class NormSpec:
 
 
 EUCLIDEAN = NormSpec()
+
+
+def _require_finite(weight: np.ndarray) -> None:
+    if not np.isfinite(weight).all():
+        raise ValueError("weight matrix entries must be finite")
 
 
 @dataclass

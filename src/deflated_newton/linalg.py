@@ -8,14 +8,54 @@ Both kinds call the LAPACK wrappers directly: at the n = 4..10 of the
 complementarity benchmarks, ``scipy.linalg.lu_factor``/``lu_solve`` spend
 several times the cost of the LAPACK call in argument handling, and the
 factors, pivots and solutions are the same bits either way.
+
+The wrappers come from scipy's compiled ``scipy.linalg._flapack`` module,
+loaded without running the ``scipy.linalg`` package: the extension itself
+loads in milliseconds, while nearly all of the cost of ``import
+scipy.linalg`` goes to Python modules this package never uses.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_lapack():
+    """scipy's LAPACK wrappers, without importing ``scipy.linalg``.
+
+    The extension is found in scipy's ``linalg`` directory (locating scipy
+    does not import it) and registered in ``sys.modules`` under its own
+    name, so a later ``import scipy.linalg`` reuses this module object and
+    ``scipy.linalg.lapack.dgetrf`` is the very function used here.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    scipy_spec = importlib.util.find_spec("scipy")
+    locations = (scipy_spec and scipy_spec.submodule_search_locations) or []
+    spec = importlib.machinery.PathFinder.find_spec(
+        _FLAPACK, [os.path.join(path, "linalg") for path in locations]
+    )
+    if spec is None:
+        from scipy.linalg import lapack
+
+        return lapack
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
+
+
+lapack = _load_lapack()
 
 DEFAULT_PIVOT_TOL = 1e-14
 DEFAULT_DENOM_TOL = 1e-14
@@ -162,13 +202,11 @@ def lu_factor(matrix, pivot_tol: float = DEFAULT_PIVOT_TOL) -> LuFactorization:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
     n = a.shape[0]
     if n == 0:
         # getrf rejects an empty matrix (info = -4) and reports it on stderr
         return LuFactorization(0, a, np.zeros(0, dtype=np.int32), True)
-    scale = float(np.abs(a).max())
+    scale = _finite_scale(a)
     lu, piv, info = lapack.dgetrf(a)
     if info < 0:
         raise ValueError(f"getrf failed on argument {-info}")
@@ -177,10 +215,17 @@ def lu_factor(matrix, pivot_tol: float = DEFAULT_PIVOT_TOL) -> LuFactorization:
     return LuFactorization(n, lu, piv, singular)
 
 
+def _finite_scale(data: np.ndarray) -> float:
+    """``max|A|`` for the pivot test; NaN or inf there means a bad entry."""
+    scale = float(np.abs(data).max())
+    if not math.isfinite(scale):
+        raise ValueError("matrix entries must be finite")
+    return scale
+
+
 def _lu_factor_banded(matrix: BandedMatrix, pivot_tol: float) -> LuFactorization:
     n, hbw = matrix.n, matrix.hbw
-    if not np.isfinite(matrix.data).all():
-        raise ValueError("matrix entries must be finite")
+    scale = _finite_scale(matrix.data) if n else 0.0
     # gbtrf wants hbw extra rows on top for pivoting fill-in; Fortran order
     # spares the wrapper a copy
     ab = np.zeros((3 * hbw + 1, n), order="F")
@@ -188,7 +233,6 @@ def _lu_factor_banded(matrix: BandedMatrix, pivot_tol: float) -> LuFactorization
     lu, ipiv, info = lapack.dgbtrf(ab, kl=hbw, ku=hbw)
     if info < 0:
         raise ValueError(f"gbtrf failed on argument {-info}")
-    scale = float(np.abs(matrix.data).max()) if n else 0.0
     diag = np.abs(lu[2 * hbw, :])
     singular = info > 0 or scale == 0.0 or bool((diag < pivot_tol * scale).any())
     return LuFactorization(n, lu, ipiv, singular, banded=True, hbw=hbw)

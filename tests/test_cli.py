@@ -1,9 +1,11 @@
+import io
 import json
+import math
 
 import numpy as np
 import pytest
 
-from deflated_newton.cli import main
+from deflated_newton.cli import _format_number, _write_json, main
 
 
 def run_cli(capsys, *argv):
@@ -149,3 +151,123 @@ def test_continue_command_small(capsys):
     assert code == 0
     assert len(doc["roots"]) >= 1
     assert set(doc) == {"problem", "settings", "roots", "events"}
+
+
+# Property test: the JSON writer against json.loads, and against the
+# recursive writer it replaced, kept here as the reference.
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+def reference_write_json(obj, out, indent: int = 0) -> None:
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            out.write("{}")
+            return
+        out.write("{\n")
+        for i, (key, value) in enumerate(obj.items()):
+            out.write(f'{pad}  "{key}": ')
+            reference_write_json(value, out, indent + 1)
+            out.write(",\n" if i + 1 < len(obj) else "\n")
+        out.write(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if len(obj) == 0:
+            out.write("[]")
+            return
+        out.write("[\n")
+        for i, value in enumerate(obj):
+            out.write(pad + "  ")
+            reference_write_json(value, out, indent + 1)
+            out.write(",\n" if i + 1 < len(obj) else "\n")
+        out.write(pad + "]")
+    elif isinstance(obj, str):
+        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
+        out.write(f'"{escaped}"')
+    elif isinstance(obj, bool):
+        out.write("true" if obj else "false")
+    elif obj is None:
+        out.write("null")
+    elif isinstance(obj, (int, np.integer)):
+        out.write(str(int(obj)))
+    else:
+        out.write(_format_number(float(obj)))
+
+
+floats = st.one_of(st.floats(), st.floats().map(np.float64))
+scalars = st.one_of(floats, st.integers(-(2**70), 2**70), st.booleans(), st.none(), st.text())
+documents = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(floats, max_size=8),  # all-float lists take the one-write path
+        st.dictionaries(st.text(), children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+def expected(obj):
+    """What json.loads must return for a written document."""
+    if isinstance(obj, dict):
+        return {key: expected(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [expected(value) for value in obj]
+    if isinstance(obj, float):
+        return ("Infinity" if obj > 0 else "-Infinity") if math.isinf(obj) else float(obj)
+    return obj
+
+
+def assert_same(parsed, want) -> None:
+    assert type(parsed) is type(want), (parsed, want)
+    if isinstance(want, dict):
+        assert list(parsed) == list(want)
+        for key in want:
+            assert_same(parsed[key], want[key])
+    elif isinstance(want, list):
+        assert len(parsed) == len(want)
+        for got, item in zip(parsed, want):
+            assert_same(got, item)
+    elif isinstance(want, float) and math.isnan(want):
+        assert math.isnan(parsed)
+    elif isinstance(want, float):
+        assert parsed == want and math.copysign(1.0, parsed) == math.copysign(1.0, want)
+    else:
+        assert parsed == want
+
+
+def old_writer_was_valid(obj) -> bool:
+    """No control character anywhere, and no quote or backslash in a key:
+    the documents the recursive writer already wrote as valid JSON."""
+    if isinstance(obj, dict):
+        return all(
+            old_writer_was_valid(key) and not {'"', "\\"} & set(key) and old_writer_was_valid(value)
+            for key, value in obj.items()
+        )
+    if isinstance(obj, (list, tuple)):
+        return all(old_writer_was_valid(value) for value in obj)
+    if isinstance(obj, str):
+        return all(ord(ch) >= 0x20 for ch in obj)
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_json_writer_round_trips(doc):
+    out = io.StringIO()
+    _write_json(doc, out)
+    assert_same(json.loads(out.getvalue()), expected(doc))
+    if old_writer_was_valid(doc):
+        reference = io.StringIO()
+        reference_write_json(doc, reference)
+        assert out.getvalue() == reference.getvalue()
+
+
+def test_json_writer_escapes_control_characters():
+    out = io.StringIO()
+    _write_json({"a\tb": ["line\nbreak", "\x00\x1f", 'q"\\']}, out)
+    text = out.getvalue()
+    assert all(ord(ch) >= 0x20 for ch in text.replace("\n", ""))
+    assert json.loads(text) == {"a\tb": ["line\nbreak", "\x00\x1f", 'q"\\']}

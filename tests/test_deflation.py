@@ -12,6 +12,7 @@ from deflated_newton.deflation import (
     deflation_factor,
     deflation_gradient,
 )
+from deflated_newton.linalg import BandedMatrix
 from deflated_newton.obstacle1d import BeamProblem, HermiteMesh1D, assemble_beam_system
 from deflated_newton.reformulate import NcpFunction, assemble_newton_derivative, assemble_residual
 
@@ -262,11 +263,46 @@ def test_deflated_derivative_matches_differences():
                 np.testing.assert_array_equal(s_w, w)
 
 
+def tridiagonal_band(dense: np.ndarray) -> BandedMatrix:
+    upper, lower = np.diag(dense, 1), np.diag(dense, -1)
+    data = np.array([np.r_[0.0, upper], np.diag(dense), np.r_[lower, 0.0]])
+    return BandedMatrix(dense.shape[0], 1, data)
+
+
 def test_norm_spec_rejects_indefinite_weight():
     with pytest.raises(Exception):
         NormSpec(np.diag([1.0, -1.0]))
     with pytest.raises(ValueError):
         NormSpec(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    tridiagonal = np.diag([4.0, 4.0, 4.0]) + np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)
+    # both kinds of weight raise the same errors; NaN and inf entries sit
+    # symmetrically, so they reach the Cholesky check
+    cases = [(tridiagonal, None)]
+    for i, j, value in ((0, 1, np.nan), (1, 1, np.nan), (2, 2, np.inf)):
+        bad = tridiagonal.copy()
+        bad[i, j] = bad[j, i] = value
+        cases.append((bad, ValueError))
+    cases.append((np.diag([1.0, -1.0, 1.0]), np.linalg.LinAlgError))
+    cases.append((tridiagonal - 5.0 * np.eye(3), np.linalg.LinAlgError))
+    nonsymmetric = tridiagonal.copy()
+    nonsymmetric[0, 1] = 2.0
+    cases.append((nonsymmetric, ValueError))
+    for dense, error in cases:
+        for weight in (dense, tridiagonal_band(dense)):
+            if error is None:
+                NormSpec(weight)
+            else:
+                with pytest.raises(error):
+                    NormSpec(weight)
+
+
+def test_norm_spec_rejects_nonfinite_banded_weight_below_the_diagonal():
+    # the Cholesky check reads only the upper band rows, so a NaN below the
+    # diagonal must be caught before it
+    weight = tridiagonal_band(np.diag([4.0, 4.0, 4.0]))
+    weight.data[2, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        NormSpec(weight)
 
 
 def test_state_validation():

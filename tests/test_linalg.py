@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import deflated_newton
 from deflated_newton.linalg import (
     BandedMatrix,
     SingularMatrix,
@@ -71,10 +77,15 @@ def test_pivot_threshold_is_configurable():
 
 
 def test_nonfinite_entries_rejected():
-    a = np.eye(2)
-    a[0, 1] = np.nan
-    with pytest.raises(ValueError):
-        lu_factor(a)
+    # the finiteness check is the pivot scale max|A|; a NaN must not slip
+    # past the max, on the diagonal or off it, in either kind of matrix
+    for value in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 1), (1, 1), (2, 1)):
+            a = np.diag([4.0, 5.0, 6.0]) + np.diag([1.0, 1.0], 1)
+            a[i, j] = value
+            for matrix in (a, banded_from_dense(a, 1)):
+                with pytest.raises(ValueError, match="finite"):
+                    lu_factor(matrix)
 
 
 def test_rank_one_zero_update_is_plain_solve():
@@ -327,3 +338,91 @@ def test_wrong_rhs_length_raises(banded):
     for b in (np.ones(2), np.ones(4), np.ones((2, 1)), np.float64(1.0)):
         with pytest.raises(ValueError):
             fac.solve(b)
+
+
+# The LAPACK wrappers are loaded from scipy's compiled module without
+# importing scipy.linalg; each check runs in a fresh interpreter, since this
+# test process has long imported scipy.linalg.
+
+ROUTINES = ("dgetrf", "dgetrs", "dgbtrf", "dgbtrs", "dpotrf", "dpbtrf")
+SRC = str(Path(deflated_newton.__file__).resolve().parent.parent)
+
+
+def run_python(code: str, tmp_path) -> str:
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_runs_never_import_scipy_linalg(tmp_path):
+    out = run_python(
+        """
+        import sys
+        from deflated_newton.cli import main
+        assert main(["solve", "kojima-shindoh", "--deterministic", "--out", "solve.json"]) == 0
+        assert main(["beam", "--gamma-max", "1e3", "--deterministic", "--out", "beam.json"]) == 0
+        print(sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "numpy.f2py"))))
+        """,
+        tmp_path,
+    )
+    assert out.strip() == "['scipy.linalg._flapack']"
+
+
+@pytest.mark.parametrize("first", ["deflated_newton.linalg", "scipy.linalg"])
+def test_loader_shares_scipy_lapack_functions(first, tmp_path):
+    out = run_python(
+        f"""
+        import {first}
+        import scipy.linalg
+        import deflated_newton.linalg
+        ours, theirs = deflated_newton.linalg.lapack, scipy.linalg.lapack
+        print([getattr(ours, name) is getattr(theirs, name) for name in {ROUTINES!r}])
+        """,
+        tmp_path,
+    )
+    assert out.strip() == str([True] * len(ROUTINES))
+
+
+SOLVE_BITS = textwrap.dedent(
+    """
+    import numpy as np
+    from deflated_newton.linalg import BandedMatrix, lu_factor
+    rng = np.random.RandomState(0)
+    dense = rng.randn(9, 9) + 9.0 * np.eye(9)
+    data = rng.randn(5, 40)
+    data[2] += 8.0
+    for matrix in (dense, BandedMatrix(40, 2, data)):
+        fac = lu_factor(matrix)
+        print(fac.factors.tobytes().hex(), fac.solve(rng.randn(fac.n)).tobytes().hex())
+    """
+)
+
+
+def test_loader_falls_back_to_scipy_linalg(tmp_path):
+    # the patched finder fails only the loader's own lookup: once the
+    # scipy.linalg package is being imported, its import finds the module
+    patch = textwrap.dedent(
+        """
+        import sys
+        from importlib.machinery import PathFinder
+        find_spec = PathFinder.find_spec
+
+        def patched(name, path=None, target=None):
+            if name == "scipy.linalg._flapack" and "scipy.linalg" not in sys.modules:
+                return None
+            return find_spec(name, path, target)
+
+        PathFinder.find_spec = patched
+        import deflated_newton.linalg
+        assert "scipy.linalg" in sys.modules
+        import scipy.linalg
+        assert deflated_newton.linalg.lapack is scipy.linalg.lapack
+        """
+    )
+    fallback = run_python(patch + SOLVE_BITS, tmp_path)
+    assert fallback == run_python(SOLVE_BITS, tmp_path)
+    assert len(fallback.splitlines()) == 2
