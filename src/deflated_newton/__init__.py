@@ -38,11 +38,7 @@ from .obstacle1d import (
     BeamProblem,
     HermiteMesh1D,
     PathState,
-    assemble_beam_system,
     gamma_schedule,
-    moreau_yosida_derivative,
-    moreau_yosida_energy,
-    moreau_yosida_residual,
     path_follow,
     prolong,
 )
@@ -85,7 +81,6 @@ __all__ = [
     "SolveStatus",
     "SolverConfig",
     "UnknownBenchmark",
-    "assemble_beam_system",
     "assemble_newton_derivative",
     "assemble_residual",
     "build",
@@ -100,9 +95,6 @@ __all__ = [
     "initial_guess",
     "list_benchmarks",
     "lu_factor",
-    "moreau_yosida_derivative",
-    "moreau_yosida_energy",
-    "moreau_yosida_residual",
     "path_follow",
     "phi",
     "phi_derivative",

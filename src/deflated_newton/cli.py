@@ -239,11 +239,7 @@ def _run_list(args) -> int:
                 "parameterized": rec.parameterized,
             }
         )
-    doc = {"problem": "registry", "benchmarks": entries}
-    if not args.deterministic:
-        doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    _emit_document(doc, args.out)
-    return EXIT_OK
+    return _finish({"problem": "registry", "benchmarks": entries}, args, len(entries))
 
 
 def _run_solve(args, parser) -> int:
@@ -330,15 +326,18 @@ def _run_continue(args, parser) -> int:
         max_roots=args.max_roots,
         events=events,
     )
-    final = initial
+    # residuals are reported where the returned set lives: mu_end after a
+    # full continuation, mu_start when it stopped early
+    final, mu_final = initial, args.mu_start
     if len(initial) > 0:
         try:
             final = continue_parameter(
                 lambda mu: problems.build(bench, mu=mu), plan, initial, events=events
             )
+            mu_final = args.mu_end
         except AllBranchesLost as err:
             events.append(Event(kind="all-branches-lost", detail=str(err)))
-    last = problems.build(bench, mu=args.mu_end)
+    last = problems.build(bench, mu=mu_final)
     doc = {
         "problem": bench.value,
         "settings": {

@@ -9,7 +9,8 @@ deflated search from the previous branch points to pick up newcomers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -85,12 +86,6 @@ class SolutionSet:
         if not self.is_distinct(z):
             raise ValueError("root is not distinct from the set")
         record = RootRecord(z, iterations, parameter, self.radius(z))
-        self.records.append(record)
-        return record
-
-    def add_record(self, record: RootRecord) -> RootRecord:
-        if not self.is_distinct(record.z):
-            raise ValueError("root is not distinct from the set")
         self.records.append(record)
         return record
 
@@ -289,9 +284,75 @@ class ContinuationPlan:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("continuation needs at least one step")
+        # a finite start and end can still be too far apart to step between
+        if not all(map(math.isfinite, (self.start, self.end, self.end - self.start))):
+            raise ValueError("continuation range must be finite")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.end, self.steps + 1)[1:]
+
+
+def advance_branches(
+    residual: Callable[[np.ndarray], np.ndarray],
+    jacobian: Callable,
+    branches: SolutionSet,
+    deflation: DeflationState,
+    distinctness_tol: float,
+    config: SolverConfig,
+    parameter: float,
+    step: int,
+    extra_guesses: Sequence[np.ndarray] = (),
+    max_roots: Optional[int] = None,
+    events: Optional[list] = None,
+    detail: str = "",
+    name: str = "parameter",
+) -> SolutionSet:
+    """One step of deflated continuation (Farrell, Beentjes & Birkisson 2016).
+
+    Each branch is re-solved (undeflated) from its point and polished, or
+    dropped with an event when that fails or it collides with an already
+    re-solved branch.  A deflated search from the branch points, then from
+    ``extra_guesses``, looks for newcomers.  Re-solved branches keep their
+    discovery metadata; newcomers record ``parameter``.  ``deflation`` gives
+    the operator and the norm; its roots are replaced by the re-solved
+    branches.
+
+    Raises:
+        AllBranchesLost: no branch re-converges ("... at {name} {parameter}").
+    """
+    resolved = SolutionSet(distinctness_tol=distinctness_tol, norm=deflation.norm)
+    for bi, record in enumerate(branches):
+        result = solve(residual, plain_derivative(jacobian), record.z, config)
+        moved = None
+        if result.status is SolveStatus.CONVERGED:
+            moved = polish_root(residual, jacobian, result.solution, config)
+        if moved is None:
+            why = "unverified" if result.status is SolveStatus.CONVERGED else result.status.value
+            _emit(events, kind="branch-lost", step=step, parameter=parameter, branch=bi,
+                  status=why)
+            continue
+        z_new, extra = moved
+        if not resolved.is_distinct(z_new):
+            _emit(events, kind="branch-collision", step=step, parameter=parameter, branch=bi)
+            continue
+        resolved.add(z_new, iterations=record.iterations, parameter=record.parameter)
+        _emit(events, kind="branch-resolved", step=step, parameter=parameter, branch=bi,
+              iterations=result.iterations + extra, detail=detail)
+    if len(resolved) == 0:
+        raise AllBranchesLost(f"all branches failed at {name} {parameter}")
+
+    return deflated_search_callables(
+        residual=residual,
+        jacobian=jacobian,
+        guesses=branches.vectors() + list(extra_guesses),
+        deflation=replace(deflation, roots=resolved.vectors()),
+        config=config,
+        solutions=resolved,
+        parameter=parameter,
+        max_roots=max_roots,
+        events=events,
+        step=step,
+    )
 
 
 def continue_parameter(
@@ -302,11 +363,8 @@ def continue_parameter(
 ) -> SolutionSet:
     """Continue all branches of ``initial`` from plan.start to plan.end.
 
-    At every step each branch is re-solved (undeflated) from its previous
-    point; branches that fail to re-converge, or collide with an already
-    re-solved branch, are dropped with an event.  A deflated search from the
-    previous branch points then looks for newcomers.  Re-solved branches keep
-    their discovery metadata; newcomers record the current parameter value.
+    Every step is one :func:`advance_branches` in the plan's norm and
+    distinctness tolerance.
 
     Raises:
         AllBranchesLost: when no branch re-converges at some step.
@@ -314,54 +372,12 @@ def continue_parameter(
     if len(initial) == 0:
         raise ValueError("continuation requires a nonempty initial solution set")
     current = initial
-    cfg = plan.config
+    deflation = DeflationState(power=plan.power, shift=plan.shift, norm=plan.norm)
     for step_idx, value in enumerate(plan.values(), start=1):
         system = _ReformulatedSystem(family(float(value)), plan.ncp)
-        residual, jac = system.residual, system.jacobian
-
-        previous_points = current.vectors()
-        resolved = SolutionSet(distinctness_tol=plan.distinctness_tol, norm=plan.norm)
-        for bi, record in enumerate(current):
-            result = solve(residual, plain_derivative(jac), record.z, cfg)
-            moved = None
-            if result.status is SolveStatus.CONVERGED:
-                moved = polish_root(residual, jac, result.solution, cfg)
-            if moved is None:
-                why = "unverified" if result.status is SolveStatus.CONVERGED else result.status.value
-                _emit(events, kind="branch-lost", step=step_idx, parameter=float(value),
-                      branch=bi, status=why)
-                continue
-            z_new, extra = moved
-            if not resolved.is_distinct(z_new):
-                _emit(events, kind="branch-collision", step=step_idx, parameter=float(value),
-                      branch=bi)
-                continue
-            resolved.add_record(
-                RootRecord(
-                    z=z_new,
-                    iterations=record.iterations,
-                    parameter=record.parameter,
-                    distinctness_radius=resolved.radius(z_new),
-                )
-            )
-            _emit(events, kind="branch-resolved", step=step_idx, parameter=float(value),
-                  branch=bi, iterations=result.iterations + extra)
-        if len(resolved) == 0:
-            raise AllBranchesLost(f"all branches failed at parameter {value}")
-
-        deflation = DeflationState(
-            power=plan.power, shift=plan.shift, norm=plan.norm, roots=resolved.vectors()
+        current = advance_branches(
+            system.residual, system.jacobian, current,
+            deflation=deflation, distinctness_tol=plan.distinctness_tol, config=plan.config,
+            parameter=float(value), step=step_idx, events=events,
         )
-        deflated_search_callables(
-            residual=residual,
-            jacobian=jac,
-            guesses=previous_points,
-            deflation=deflation,
-            config=cfg,
-            solutions=resolved,
-            parameter=float(value),
-            events=events,
-            step=step_idx,
-        )
-        current = resolved
     return current

@@ -102,10 +102,10 @@ class DeflationState:
     roots: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.power < 1.0:
-            raise ValueError(f"deflation power must be >= 1, got {self.power}")
-        if self.shift < 0.0:
-            raise ValueError(f"deflation shift must be >= 0, got {self.shift}")
+        if not 1.0 <= self.power < math.inf:
+            raise ValueError(f"deflation power must be finite and >= 1, got {self.power}")
+        if not 0.0 <= self.shift < math.inf:
+            raise ValueError(f"deflation shift must be finite and >= 0, got {self.shift}")
         roots, self.roots = list(self.roots), []
         for r in roots:
             self.add_root(r)

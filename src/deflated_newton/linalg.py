@@ -135,11 +135,6 @@ class BandedMatrix:
                 return False
         return True
 
-    def __add__(self, other: "BandedMatrix") -> "BandedMatrix":
-        if not isinstance(other, BandedMatrix) or other.hbw != self.hbw:
-            return NotImplemented
-        return BandedMatrix(self.n, self.hbw, self.data + other.data)
-
     def __sub__(self, other: "BandedMatrix") -> "BandedMatrix":
         if not isinstance(other, BandedMatrix) or other.hbw != self.hbw:
             return NotImplemented
@@ -149,9 +144,6 @@ class BandedMatrix:
         return BandedMatrix(self.n, self.hbw, self.data * float(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "BandedMatrix":
-        return BandedMatrix(self.n, self.hbw, -self.data)
 
 
 @dataclass

@@ -25,16 +25,19 @@ import numpy as np
 
 from .continuation import (
     AllBranchesLost,
-    RootRecord,
     SolutionSet,
     _emit,
+    advance_branches,
     checked_guesses,
     deflated_search_callables,
-    polish_root,
 )
 from .deflation import DeflationState, NormSpec
 from .linalg import BandedMatrix
-from .solver import SolveStatus, SolverConfig, plain_derivative, solve
+from .solver import SolverConfig
+
+# unused here, but the benchmark's layer trace patches both names on this module
+from .continuation import polish_root  # noqa: F401
+from .solver import solve  # noqa: F401
 
 HALF_BANDWIDTH = 3  # cubic Hermite couples the 4 unknowns of 2 adjacent nodes
 
@@ -83,6 +86,12 @@ class BeamProblem:
     half_width: float = 0.4
 
     def __post_init__(self):
+        values = (
+            self.bending_stiffness, self.load, self.density, self.gravity, self.length,
+            self.half_width,
+        )
+        if not all(map(math.isfinite, values)):
+            raise ValueError("beam data must be finite")
         if self.bending_stiffness <= 0 or self.length <= 0 or self.half_width <= 0:
             raise ValueError("stiffness, length and channel half-width must be positive")
 
@@ -105,8 +114,8 @@ class HermiteMesh1D:
     def __post_init__(self):
         if self.elements < 1:
             raise ValueError("mesh needs at least one element")
-        if self.length <= 0:
-            raise ValueError("mesh length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ValueError("mesh length must be positive and finite")
 
     @property
     def h(self) -> float:
@@ -339,32 +348,6 @@ def _discretization(problem: BeamProblem, mesh: HermiteMesh1D) -> BeamDiscretiza
     return BeamDiscretization(problem, mesh)
 
 
-def assemble_beam_system(problem: BeamProblem, mesh: HermiteMesh1D, reduced: bool = True):
-    """Assemble (stiffness, geometric, load, mass) for the beam energy.
-
-    The energy reads J(y) = y'Ky - y'Gy - f'y, so the unconstrained
-    equilibrium solves (2K - 2G) y = f.  With ``reduced`` the pinned end
-    values are eliminated; otherwise the full nodal system is returned.
-    """
-    disc = _discretization(problem, mesh) if reduced else BeamDiscretization(problem, mesh, False)
-    return disc.stiffness, disc.geometric, disc.load_vector, disc.mass
-
-
-def moreau_yosida_residual(problem: BeamProblem, mesh: HermiteMesh1D, gamma: float, y) -> np.ndarray:
-    """Residual of the penalized problem: J'(y) plus one-sided penalty terms."""
-    return _discretization(problem, mesh).residual(gamma, y)
-
-
-def moreau_yosida_derivative(problem: BeamProblem, mesh: HermiteMesh1D, gamma: float, y) -> BandedMatrix:
-    """Generalized derivative of :func:`moreau_yosida_residual` at y."""
-    return _discretization(problem, mesh).derivative(gamma, y)
-
-
-def moreau_yosida_energy(problem: BeamProblem, mesh: HermiteMesh1D, gamma: float, y) -> float:
-    """Penalized discrete energy whose gradient is the residual above."""
-    return _discretization(problem, mesh).energy(gamma, y)
-
-
 def prolong(mesh: HermiteMesh1D, y: np.ndarray) -> np.ndarray:
     """Transfer reduced unknowns to the uniformly refined mesh.
 
@@ -495,8 +478,8 @@ def path_follow(
     (default: the flat beam), deflating in the L2 norm induced by the mass
     matrix.  The penalty then grows geometrically; before each re-solve the
     mesh is refined until h <= 1/sqrt(gamma) and all branches are prolonged.
-    Each branch is re-solved from its prolonged point, and a deflated search
-    from the previous points looks for newcomers.
+    Each step is one :func:`~deflated_newton.continuation.advance_branches`
+    from the prolonged points, with the guess pool as extra guesses.
 
     Returns:
         PathState with the solution set at gamma_max; record parameters hold
@@ -549,58 +532,22 @@ def path_follow(
             norm = NormSpec(disc.mass)
             refined_set = SolutionSet(distinctness_tol=solutions.distinctness_tol, norm=norm)
             for rec, z in zip(solutions, prolonged):
-                refined_set.add_record(
-                    RootRecord(z, rec.iterations, rec.parameter, refined_set.radius(z))
-                )
+                refined_set.add(z, iterations=rec.iterations, parameter=rec.parameter)
             solutions = refined_set
             _emit(events, kind="refine", step=step_idx, parameter=g,
                   detail=f"elements={mesh.elements}")
 
-        previous_points = solutions.vectors()
-        residual = lambda z, g=g, disc=disc: disc.residual(g, z)  # noqa: E731
-        jac = lambda z, g=g, disc=disc: disc.derivative(g, z)  # noqa: E731
-
-        resolved = SolutionSet(distinctness_tol=solutions.distinctness_tol, norm=norm)
-        for bi, rec in enumerate(solutions):
-            result = solve(residual, plain_derivative(jac), rec.z, cfg)
-            moved = None
-            if result.status is SolveStatus.CONVERGED:
-                moved = polish_root(residual, jac, result.solution, cfg)
-            if moved is None:
-                why = "unverified" if result.status is SolveStatus.CONVERGED else result.status.value
-                _emit(events, kind="branch-lost", step=step_idx, parameter=g, branch=bi,
-                      status=why)
-                continue
-            z_new, extra = moved
-            if not resolved.is_distinct(z_new):
-                _emit(events, kind="branch-collision", step=step_idx, parameter=g, branch=bi)
-                continue
-            resolved.add_record(
-                RootRecord(z_new, rec.iterations, rec.parameter, resolved.radius(z_new))
-            )
-            _emit(events, kind="branch-resolved", step=step_idx, parameter=g, branch=bi,
-                  iterations=result.iterations + extra, detail=f"elements={mesh.elements}")
-        if len(resolved) == 0:
-            raise AllBranchesLost(f"all branches failed at penalty {g}")
-
-        deflation = DeflationState(power=power, shift=shift, norm=norm, roots=resolved.vectors())
-        deflated_search_callables(
-            residual=residual,
-            jacobian=jac,
-            # previous branch points first (the inactive branch's point
-            # re-hits its own deflated root at once; the others run until
-            # they stall), then the original guess pool so equilibria that
-            # only appear at larger penalties are picked up
-            guesses=previous_points + pool,
-            deflation=deflation,
-            config=cfg,
-            solutions=resolved,
-            parameter=g,
-            max_roots=max_roots,
-            events=events,
-            step=step_idx,
+        # after the previous branch points (the inactive branch's point
+        # re-hits its own deflated root at once; the others run until they
+        # stall) the original guess pool is searched again, so equilibria
+        # that only appear at larger penalties are picked up
+        solutions = advance_branches(
+            lambda z: disc.residual(g, z), lambda z: disc.derivative(g, z), solutions,
+            deflation=DeflationState(power=power, shift=shift, norm=norm),
+            distinctness_tol=solutions.distinctness_tol, config=cfg, parameter=g,
+            step=step_idx, extra_guesses=pool, max_roots=max_roots, events=events,
+            detail=f"elements={mesh.elements}", name="penalty",
         )
-        solutions = resolved
         gamma = g
 
     return PathState(gamma, gamma_max, mesh, solutions, disc.mass)

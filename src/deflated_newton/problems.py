@@ -9,9 +9,10 @@ parameter (Aggarwal), and a ten-variable risk-averse market equilibrium MCP
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,10 +35,10 @@ class Benchmark(Enum):
 class BenchmarkDefaults:
     """Recommended solver settings for a benchmark."""
 
-    ncp: NcpFunction
-    power: float
-    shift: float
-    line_search: bool
+    ncp: NcpFunction = NcpFunction.FISCHER_BURMEISTER
+    power: float = 2.0
+    shift: float = 1.0
+    line_search: bool = False
     singular_action: str = SINGULAR_ERROR
     parameterized: bool = False
     max_iter: int = 100
@@ -185,41 +186,51 @@ def _gerard_jac(z):
     return jac
 
 
-_DEFAULTS = {
-    Benchmark.KOJIMA_SHINDOH: BenchmarkDefaults(
-        ncp=NcpFunction.FISCHER_BURMEISTER, power=2.0, shift=1.0, line_search=False
+@dataclass(frozen=True)
+class _Entry:
+    """One registry row: solver defaults, initial guess and problem data.
+
+    ``functions(mu)`` returns ``(F, jacobian)``; only a parameterized entry
+    reads ``mu``.  The dimension is the length of ``guess``.
+    """
+
+    defaults: BenchmarkDefaults
+    guess: np.ndarray
+    functions: Callable[[Optional[float]], tuple]
+    lower: Optional[np.ndarray] = None
+
+
+_REGISTRY = {
+    Benchmark.KOJIMA_SHINDOH: _Entry(
+        BenchmarkDefaults(),
+        guess=np.full(4, 0.7),
+        functions=lambda mu: (_kojima_shindoh_f, _kojima_shindoh_jac),
     ),
-    Benchmark.GOULD: BenchmarkDefaults(
-        ncp=NcpFunction.FISCHER_BURMEISTER, power=2.0, shift=1.0, line_search=False
+    Benchmark.GOULD: _Entry(
+        BenchmarkDefaults(),
+        guess=np.array([0.2, 0.2, 0.0, 0.0]),
+        functions=lambda mu: (_gould_f, lambda z: _GOULD_JAC),
     ),
-    Benchmark.AGGARWAL: BenchmarkDefaults(
-        ncp=NcpFunction.FISCHER_BURMEISTER, power=2.0, shift=1.0, line_search=False,
-        parameterized=True,
+    Benchmark.AGGARWAL: _Entry(
         # the game is symmetric under swapping the players, the zero guess is
         # symmetric, and two of the equilibria are not: escaping the symmetric
         # subspace rides on rounding noise and needs a generous iteration cap
-        max_iter=2000,
+        BenchmarkDefaults(parameterized=True, max_iter=2000),
+        guess=np.zeros(4),
+        functions=lambda mu: (_aggarwal_f(mu), _aggarwal_jac(mu)),
     ),
-    Benchmark.GERARD: BenchmarkDefaults(
-        ncp=NcpFunction.MIN_MAX, power=1.0, shift=1.0, line_search=True,
+    Benchmark.GERARD: _Entry(
         # the all-zero start makes several rows of the Newton matrix vanish,
         # so singular systems are solved in the minimum-norm sense there
-        singular_action=SINGULAR_LEAST_SQUARES,
+        BenchmarkDefaults(
+            ncp=NcpFunction.MIN_MAX, power=1.0, line_search=True,
+            singular_action=SINGULAR_LEAST_SQUARES,
+        ),
+        guess=np.zeros(10),
+        functions=lambda mu: (_gerard_f, _gerard_jac),
+        # the certainty-equivalent variable is unconstrained
+        lower=np.append(np.zeros(9), -np.inf),
     ),
-}
-
-_INITIAL_GUESSES = {
-    Benchmark.KOJIMA_SHINDOH: np.full(4, 0.7),
-    Benchmark.GOULD: np.array([0.2, 0.2, 0.0, 0.0]),
-    Benchmark.AGGARWAL: np.zeros(4),
-    Benchmark.GERARD: np.zeros(10),
-}
-
-_DIMENSIONS = {
-    Benchmark.KOJIMA_SHINDOH: 4,
-    Benchmark.GOULD: 4,
-    Benchmark.AGGARWAL: 4,
-    Benchmark.GERARD: 10,
 }
 
 
@@ -237,48 +248,44 @@ def build(benchmark, mu: Optional[float] = None) -> MixedComplementarityProblem:
 
     Args:
         benchmark: a :class:`Benchmark` or its string name.
-        mu: continuation parameter, only meaningful for the Aggarwal game
-            (defaults to 1, the original problem).
+        mu: continuation parameter, only meaningful for a parameterized
+            benchmark (defaults to 1, the original problem).
 
     Raises:
         UnknownBenchmark: for names outside the registry.
-        ValueError: if ``mu`` is passed for a non-parameterized benchmark.
+        ValueError: if ``mu`` is passed for a non-parameterized benchmark or
+            is not finite.
     """
     bench = resolve(benchmark)
-    if mu is not None and bench is not Benchmark.AGGARWAL:
+    entry = _REGISTRY[bench]
+    parameter = None
+    if entry.defaults.parameterized:
+        parameter = 1.0 if mu is None else float(mu)
+        if not math.isfinite(parameter):
+            raise ValueError(f"mu must be finite, got {parameter}")
+    elif mu is not None:
         raise ValueError(f"{bench.value} takes no parameter")
-    if bench is Benchmark.KOJIMA_SHINDOH:
-        return MixedComplementarityProblem(
-            dimension=4, residual=_kojima_shindoh_f, derivative=_kojima_shindoh_jac,
-            name=bench.value,
-        )
-    if bench is Benchmark.GOULD:
-        return MixedComplementarityProblem(
-            dimension=4, residual=_gould_f, derivative=lambda z: _GOULD_JAC, name=bench.value
-        )
-    if bench is Benchmark.AGGARWAL:
-        value = 1.0 if mu is None else float(mu)
-        return MixedComplementarityProblem(
-            dimension=4, residual=_aggarwal_f(value), derivative=_aggarwal_jac(value),
-            parameter=value, name=bench.value,
-        )
-    lower = np.zeros(10)
-    lower[9] = -np.inf  # the certainty-equivalent variable is unconstrained
+    residual, derivative = entry.functions(parameter)
     return MixedComplementarityProblem(
-        dimension=10, residual=_gerard_f, derivative=_gerard_jac, lower=lower, name=bench.value
+        dimension=entry.guess.size,
+        residual=residual,
+        derivative=derivative,
+        lower=None if entry.lower is None else entry.lower.copy(),
+        parameter=parameter,
+        name=bench.value,
     )
 
 
 def defaults(benchmark) -> BenchmarkDefaults:
-    return _DEFAULTS[resolve(benchmark)]
+    return _REGISTRY[resolve(benchmark)].defaults
 
 
 def initial_guess(benchmark) -> np.ndarray:
-    return _INITIAL_GUESSES[resolve(benchmark)].copy()
+    return _REGISTRY[resolve(benchmark)].guess.copy()
 
 
 def dimension(benchmark) -> int:
-    return _DIMENSIONS[resolve(benchmark)]
+    return _REGISTRY[resolve(benchmark)].guess.size
 
 
 def list_benchmarks() -> list[str]:

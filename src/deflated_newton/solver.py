@@ -76,8 +76,8 @@ class SolverConfig:
     stall_window: Optional[int] = None
 
     def __post_init__(self):
-        if min(self.atol, self.rtol, self.divergence_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not all(0.0 < tol < math.inf for tol in (self.atol, self.rtol, self.divergence_tol)):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.stall_window is not None and self.stall_window < 1:

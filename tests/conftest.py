@@ -19,7 +19,7 @@ from deflated_newton import (
 )
 from deflated_newton import problems
 from deflated_newton.linalg import BandedMatrix, lu_factor
-from deflated_newton.obstacle1d import assemble_beam_system
+from deflated_newton.obstacle1d import BeamDiscretization
 
 EPS = float(np.finfo(float).eps)
 
@@ -158,5 +158,5 @@ def exact_reference(matrix: BandedMatrix, rhs, max_steps: int = 10) -> ExactRefe
 def inactive_branch_reference(beam_path):
     """Exact solution of the unconstrained system (2K - 2G) y = f on the final beam mesh."""
     problem, state, _ = beam_path
-    stiffness, geometric, load, _ = assemble_beam_system(problem, state.mesh)
-    return exact_reference(2.0 * stiffness - 2.0 * geometric, load)
+    disc = BeamDiscretization(problem, state.mesh)
+    return exact_reference(2.0 * disc.stiffness - 2.0 * disc.geometric, disc.load_vector)

@@ -90,6 +90,17 @@ def test_usage_error_exit_code(capsys):
         ["solve", "kojima-shindoh", "--p", "0.5"],
         ["solve", "kojima-shindoh", "--max-iter", "0"],
         ["solve", "kojima-shindoh", "--atol", "-1"],
+        ["solve", "kojima-shindoh", "--atol", "nan"],
+        ["solve", "kojima-shindoh", "--rtol", "nan"],
+        ["solve", "gould", "--p", "nan"],
+        ["solve", "aggarwal", "--mu", "nan"],
+        ["solve", "aggarwal", "--mu", "inf"],
+        ["beam", "--p", "inf"],
+        ["beam", "--alpha", "nan"],
+        ["beam", "--load", "nan"],
+        ["continue", "--mu-start", "nan"],
+        ["continue", "--mu-end", "inf"],
+        ["continue", "--mu-start=-1e308", "--mu-end", "1e308"],
     ):
         capsys.readouterr()
         with pytest.raises(SystemExit) as err:
@@ -151,6 +162,20 @@ def test_continue_command_small(capsys):
     assert code == 0
     assert len(doc["roots"]) >= 1
     assert set(doc) == {"problem", "settings", "roots", "events"}
+
+
+def test_continue_reports_residuals_where_its_roots_live(capsys):
+    # every branch is lost at the first step, so the mu_start roots are
+    # reported, with their residuals at mu_start
+    code, out = run_cli(
+        capsys, "continue", "aggarwal", "--mu-end", "1e308", "--mu-steps", "2", "--deterministic"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert [ev["kind"] for ev in doc["events"]].count("all-branches-lost") == 1
+    assert len(doc["roots"]) == 3
+    for root in doc["roots"]:
+        assert root["residual_norm"] <= doc["settings"]["atol"]
 
 
 # Property test: the JSON writer against json.loads, and against the

@@ -148,6 +148,48 @@ def test_all_branches_lost():
         continue_parameter(family, plan, initial)
 
 
+def test_branch_step_event_stream():
+    """Every kind of branch-step event, in order, on a one-unknown family.
+
+    At mu = 1, F = z^2 - 1: the branch at 0 has a singular Jacobian, the
+    branch at 1 re-solves in place, the branch at 2 converges onto 1, and a
+    deflated search from 2 lands on -1 in one step.  At mu = 2,
+    F = (z - 1)^2 + 1 has no real root, so both branches are lost.
+    """
+
+    def family(mu):
+        if mu == 1.0:
+            residual = lambda z: np.array([z[0] ** 2 - 1.0])  # noqa: E731
+            derivative = lambda z: np.array([[2.0 * z[0]]])  # noqa: E731
+        else:
+            residual = lambda z: np.array([(z[0] - 1.0) ** 2 + 1.0])  # noqa: E731
+            derivative = lambda z: np.array([[2.0 * (z[0] - 1.0)]])  # noqa: E731
+        return MixedComplementarityProblem(
+            dimension=1, residual=residual, derivative=derivative,
+            lower=np.array([-np.inf]), parameter=mu,
+        )
+
+    initial = SolutionSet()
+    for z in (0.0, 1.0, 2.0):
+        initial.add(np.array([z]), iterations=0, parameter=0.0)
+    plan = ContinuationPlan(start=0.0, end=2.0, steps=2, config=SolverConfig(max_iter=10))
+    events = []
+    with pytest.raises(AllBranchesLost, match=r"^all branches failed at parameter 2\.0$"):
+        continue_parameter(family, plan, initial, events=events)
+    assert [(e.kind, e.step, e.parameter, e.branch, e.status, e.detail) for e in events] == [
+        ("branch-lost", 1, 1.0, 0, "singular-jacobian", ""),
+        ("branch-resolved", 1, 1.0, 1, None, ""),
+        ("branch-collision", 1, 1.0, 2, None, ""),
+        ("deflated-solve", 1, 1.0, 0, "singular-jacobian", ""),
+        ("deflated-solve", 1, 1.0, 1, "deflated-root-hit", ""),
+        ("deflated-solve", 1, 1.0, 2, "converged", ""),
+        ("root-found", 1, 1.0, 2, None, ""),
+        ("deflated-solve", 1, 1.0, 2, "max-iterations", ""),
+        ("branch-lost", 2, 2.0, 0, "singular-jacobian", ""),
+        ("branch-lost", 2, 2.0, 1, "max-iterations", ""),
+    ]
+
+
 def test_gerard_roots_satisfy_mixed_complementarity(gerard_solutions):
     prob = problems.build("gerard")
     assert len(gerard_solutions) == 3
@@ -214,6 +256,9 @@ def test_solution_set_rejects_duplicates():
 def test_plan_validation():
     with pytest.raises(ValueError):
         ContinuationPlan(start=0.0, end=1.0, steps=0)
+    for start, end in ((np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="continuation range must be finite"):
+            ContinuationPlan(start=start, end=end, steps=2)
     plan = ContinuationPlan(start=1e-3, end=1.0, steps=50)
     values = plan.values()
     assert len(values) == 50

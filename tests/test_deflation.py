@@ -13,7 +13,7 @@ from deflated_newton.deflation import (
     deflation_gradient,
 )
 from deflated_newton.linalg import BandedMatrix
-from deflated_newton.obstacle1d import BeamProblem, HermiteMesh1D, assemble_beam_system
+from deflated_newton.obstacle1d import BeamDiscretization, BeamProblem, HermiteMesh1D
 from deflated_newton.reformulate import NcpFunction, assemble_newton_derivative, assemble_residual
 
 FB = NcpFunction.FISCHER_BURMEISTER
@@ -224,7 +224,7 @@ def test_rank_one_term_vanishes_at_other_root():
 def test_deflated_derivative_matches_differences():
     prob = problems.build("gould")
     # Euclidean, and the L2 norm of a two-element Hermite beam (4 unknowns)
-    mass = assemble_beam_system(BeamProblem(), HermiteMesh1D(2))[3]
+    mass = BeamDiscretization(BeamProblem(), HermiteMesh1D(2)).mass
     for norm in (NormSpec(), NormSpec(mass)):
         state = DeflationState(norm=norm)
         state.add_root(np.array([0.25, 0.5, 0.0, 0.0]))
@@ -310,6 +310,9 @@ def test_state_validation():
         DeflationState(power=0.5)
     with pytest.raises(ValueError):
         DeflationState(shift=-1.0)
+    for bad in ({"power": np.nan}, {"power": np.inf}, {"shift": np.nan}, {"shift": np.inf}):
+        with pytest.raises(ValueError, match="must be finite"):
+            DeflationState(**bad)
     state = DeflationState()
     state.add_root(np.zeros(2))
     with pytest.raises(ValueError):

@@ -204,10 +204,8 @@ def test_banded_arithmetic():
     a = random_banded_dense(rng, 9, 2)
     b = random_banded_dense(rng, 9, 2)
     ba, bb = banded_from_dense(a, 2), banded_from_dense(b, 2)
-    np.testing.assert_allclose((ba + bb).to_dense(), a + b)
     np.testing.assert_allclose((ba - bb).to_dense(), a - b)
     np.testing.assert_allclose((2.5 * ba).to_dense(), 2.5 * a)
-    np.testing.assert_allclose((-ba).to_dense(), -a)
 
 
 def test_factorization_shared_across_threads():

@@ -15,14 +15,10 @@ from deflated_newton.obstacle1d import (
     BeamDiscretization,
     BeamProblem,
     HermiteMesh1D,
-    assemble_beam_system,
     beam_solver_config,
     final_elements,
     gamma_schedule,
     hermite_basis,
-    moreau_yosida_derivative,
-    moreau_yosida_energy,
-    moreau_yosida_residual,
     path_follow,
     prolong,
 )
@@ -48,7 +44,8 @@ def test_element_matrices_match_closed_forms():
     problem = BeamProblem(bending_stiffness=2.0, load=3.0, density=1.5, gravity=2.0)
     mesh = HermiteMesh1D(1, length=0.25)
     h = mesh.h
-    stiffness, geometric, load, mass = assemble_beam_system(problem, mesh, reduced=False)
+    disc = BeamDiscretization(problem, mesh, reduced=False)
+    stiffness, geometric, load, mass = disc.stiffness, disc.geometric, disc.load_vector, disc.mass
     b, p = problem.bending_stiffness, problem.load
     ke = (b / h**3) * np.array(
         [
@@ -84,7 +81,7 @@ def test_element_matrices_match_closed_forms():
 def test_stiffness_positive_definite_on_pinned_space():
     problem = BeamProblem()
     mesh = HermiteMesh1D(16)
-    stiffness, _, _, _ = assemble_beam_system(problem, mesh)
+    stiffness = BeamDiscretization(problem, mesh).stiffness
     # Cholesky succeeds only for a symmetric positive definite matrix
     cholesky_banded(stiffness.data[: stiffness.hbw + 1], lower=False)
 
@@ -94,8 +91,8 @@ def test_pure_bending_matches_simply_supported_closed_form():
     # supported beam with effective rigidity 2B: midspan 5 w L^4 / (768 B)
     problem = BeamProblem(load=0.0)
     mesh = HermiteMesh1D(64)
-    stiffness, _, load, _ = assemble_beam_system(problem, mesh)
-    y = lu_factor(2.0 * stiffness).solve(load)
+    disc = BeamDiscretization(problem, mesh)
+    y = lu_factor(2.0 * disc.stiffness).solve(disc.load_vector)
     midspan = y[2 * 32 - 1]
     exact = 5.0 / 768.0
     assert abs(midspan - exact) <= 1e-4 * exact
@@ -104,7 +101,7 @@ def test_pure_bending_matches_simply_supported_closed_form():
 def test_mass_partition_of_unity():
     problem = BeamProblem()
     mesh = HermiteMesh1D(13, length=2.5)
-    _, _, _, mass = assemble_beam_system(problem, mesh, reduced=False)
+    mass = BeamDiscretization(problem, mesh, reduced=False).mass
     ones = np.zeros(mesh.full_dofs)
     ones[0::2] = 1.0  # value unknowns only
     assert ones @ mass.matvec(ones) == pytest.approx(mesh.length, abs=1e-13)
@@ -113,39 +110,37 @@ def test_mass_partition_of_unity():
 def test_residual_at_flat_beam_is_minus_load():
     problem = BeamProblem()
     mesh = HermiteMesh1D(32)
-    _, _, load, _ = assemble_beam_system(problem, mesh)
-    res = moreau_yosida_residual(problem, mesh, 50.0, np.zeros(mesh.dofs))
-    np.testing.assert_allclose(res, -load, rtol=0, atol=1e-15)
+    disc = BeamDiscretization(problem, mesh)
+    res = disc.residual(50.0, np.zeros(mesh.dofs))
+    np.testing.assert_allclose(res, -disc.load_vector, rtol=0, atol=1e-15)
 
 
 def test_zero_penalty_is_plain_beam_residual():
     problem = BeamProblem()
     mesh = HermiteMesh1D(16)
-    stiffness, geometric, load, _ = assemble_beam_system(problem, mesh)
+    disc = BeamDiscretization(problem, mesh)
     rng = np.random.RandomState(0)
     y = rng.randn(mesh.dofs)
-    expected = 2.0 * stiffness.matvec(y) - 2.0 * geometric.matvec(y) - load
-    np.testing.assert_allclose(moreau_yosida_residual(problem, mesh, 0.0, y), expected, atol=1e-12)
+    expected = 2.0 * disc.stiffness.matvec(y) - 2.0 * disc.geometric.matvec(y) - disc.load_vector
+    np.testing.assert_allclose(disc.residual(0.0, y), expected, atol=1e-12)
 
 
 def test_residual_is_gradient_of_energy():
     problem = BeamProblem()
     mesh = HermiteMesh1D(8)
     gamma = 75.0
+    disc = BeamDiscretization(problem, mesh)
     rng = np.random.RandomState(1)
     for _ in range(4):
         y = rng.randn(mesh.dofs) * 0.5
-        res = moreau_yosida_residual(problem, mesh, gamma, y)
+        res = disc.residual(gamma, y)
         fd = np.zeros_like(y)
         for j in range(y.size):
             h = 1e-6 * (1.0 + abs(y[j]))
             yp, ym = y.copy(), y.copy()
             yp[j] += h
             ym[j] -= h
-            fd[j] = (
-                moreau_yosida_energy(problem, mesh, gamma, yp)
-                - moreau_yosida_energy(problem, mesh, gamma, ym)
-            ) / (2 * h)
+            fd[j] = (disc.energy(gamma, yp) - disc.energy(gamma, ym)) / (2 * h)
         assert np.linalg.norm(fd - res) <= 1e-5 * max(1.0, np.linalg.norm(res))
 
 
@@ -153,15 +148,15 @@ def test_derivative_matches_directional_differences():
     problem = BeamProblem()
     mesh = HermiteMesh1D(8)
     gamma = 75.0
+    disc = BeamDiscretization(problem, mesh)
     rng = np.random.RandomState(2)
     for _ in range(4):
         y = rng.randn(mesh.dofs) * 0.5
-        jac = moreau_yosida_derivative(problem, mesh, gamma, y)
+        jac = disc.derivative(gamma, y)
         direction = rng.randn(mesh.dofs)
         h = 1e-7
         fd = (
-            moreau_yosida_residual(problem, mesh, gamma, y + h * direction)
-            - moreau_yosida_residual(problem, mesh, gamma, y - h * direction)
+            disc.residual(gamma, y + h * direction) - disc.residual(gamma, y - h * direction)
         ) / (2 * h)
         assert np.linalg.norm(fd - jac.matvec(direction)) <= 1e-5 * np.linalg.norm(fd)
 
@@ -169,10 +164,10 @@ def test_derivative_matches_directional_differences():
 def test_derivative_without_contact_is_linear_part():
     problem = BeamProblem()
     mesh = HermiteMesh1D(16)
-    stiffness, geometric, _, _ = assemble_beam_system(problem, mesh)
+    disc = BeamDiscretization(problem, mesh)
     y = np.zeros(mesh.dofs)
-    jac = moreau_yosida_derivative(problem, mesh, 1e6, y)
-    expected = 2.0 * stiffness - 2.0 * geometric
+    jac = disc.derivative(1e6, y)
+    expected = 2.0 * disc.stiffness - 2.0 * disc.geometric
     np.testing.assert_array_equal(jac.to_dense(), expected.to_dense())
 
 
@@ -188,7 +183,7 @@ def test_contact_exactly_at_bound_counts_inactive():
     interior = slice(2, mesh.elements - 2)
     values = disc.values_at_quadrature(y)[interior]
     assert np.abs(values - problem.half_width).max() <= 1e-15
-    jac = moreau_yosida_derivative(problem, mesh, 1e6, y)
+    jac = disc.derivative(1e6, y)
     linear = 2.0 * disc.stiffness - 2.0 * disc.geometric
     # rows touching only interior elements carry no penalty term
     np.testing.assert_array_equal(
@@ -431,6 +426,20 @@ def test_mesh_rule_enforced(beam_path):
             assert problem.length / elements <= (1.0 + 1e-12) / math.sqrt(ev.parameter)
 
 
+def test_branch_resolved_events_name_the_current_mesh(beam_path):
+    _, state, events = beam_path
+    elements = 64  # h = 1/64 already meets the rule at gamma0 = 10
+    resolved = 0
+    for ev in events:
+        if ev.kind == "refine":
+            elements = int(ev.detail.split("=")[1])
+        elif ev.kind == "branch-resolved":
+            assert ev.detail == f"elements={elements}"
+            resolved += 1
+    assert elements == state.mesh.elements
+    assert resolved >= 3 * len(state.solutions)
+
+
 def test_violation_bound_invariant(beam_path):
     """Each contact zone at the final penalty violates the bound by at most
     the point-contact penetration of the quadratic penalty, to 2 %.
@@ -561,7 +570,7 @@ def test_banded_solve_matches_dense_on_active_jacobian():
     y_full[0::2] = 0.9 * np.sin(np.pi * x)
     y_full[1::2] = 0.9 * np.pi * np.cos(np.pi * x)
     y = y_full[mesh.free_indices()]
-    jac = moreau_yosida_derivative(problem, mesh, 1000.0, y)
+    jac = disc.derivative(1000.0, y)
     assert disc.active_fraction(y) > 0.0
     rng = np.random.RandomState(4)
     b = rng.randn(mesh.dofs)
@@ -585,6 +594,13 @@ def test_mesh_and_problem_validation():
         HermiteMesh1D(0)
     with pytest.raises(ValueError):
         BeamProblem(bending_stiffness=-1.0)
+    for field in ("bending_stiffness", "load", "density", "gravity", "length", "half_width"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                BeamProblem(**{field: value})
+    for length in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            HermiteMesh1D(4, length=length)
     mesh = HermiteMesh1D(10, length=2.0)
     assert mesh.h == pytest.approx(0.2)
     assert mesh.dofs == 20

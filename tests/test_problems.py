@@ -80,6 +80,28 @@ def test_mu_rejected_outside_aggarwal():
         problems.build("gould", mu=0.5)
 
 
+@pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
+def test_non_finite_mu_rejected(mu):
+    with pytest.raises(ValueError, match="mu must be finite"):
+        problems.build("aggarwal", mu=mu)
+
+
+@pytest.mark.parametrize("name", problems.list_benchmarks())
+def test_registry_is_consistent(name):
+    guess = problems.initial_guess(name)
+    assert problems.dimension(name) == problems.build(name).dimension == len(guess)
+    if problems.defaults(name).parameterized:
+        assert problems.build(name, mu=0.5).parameter == 0.5
+    else:
+        with pytest.raises(ValueError, match="takes no parameter"):
+            problems.build(name, mu=0.5)
+    # the registry hands out copies
+    guess[:] = 123.0
+    problems.build(name).lower[:] = 123.0
+    assert not (problems.initial_guess(name) == 123.0).any()
+    assert not (problems.build(name).lower == 123.0).any()
+
+
 def test_unknown_benchmark():
     with pytest.raises(UnknownBenchmark):
         problems.build("lemke")

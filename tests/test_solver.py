@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,10 @@ def test_stall_window_validation(window):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(atol=0.0)
+    for field in ("atol", "rtol", "divergence_tol"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                SolverConfig(**{field: value})
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
