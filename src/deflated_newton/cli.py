@@ -104,14 +104,22 @@ def _write_json(obj, out, indent: int = 0) -> None:
         out.write(_format_number(float(obj)))
 
 
-def _emit_document(doc: dict, path: Optional[str]) -> None:
+def _open_output(path: str, option: str, parser: argparse.ArgumentParser):
+    """``open(path, "w")``, or a usage error naming ``option`` if that fails."""
+    try:
+        return open(path, "w")
+    except OSError as err:
+        parser.error(f"cannot write {option} {path}: {err.strerror or err}")
+
+
+def _emit_document(doc: dict, path: Optional[str], parser: argparse.ArgumentParser) -> None:
     if path is None:
         _write_json(doc, sys.stdout)
         sys.stdout.write("\n")
-    else:
-        with open(path, "w") as handle:
-            _write_json(doc, handle)
-            handle.write("\n")
+        return
+    with _open_output(path, "--out", parser) as handle:
+        _write_json(doc, handle)
+        handle.write("\n")
 
 
 def _event_dicts(events) -> list[dict]:
@@ -154,54 +162,69 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _list_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    parser.add_argument("--deterministic", action="store_true",
+                        help="omit the timestamp so identical runs produce identical bytes")
+
+
+def _solve_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("benchmark", help="benchmark name, see `list`")
+    parser.add_argument("--ncp", choices=["fb", "mp"], default=None,
+                        help="NCP function (default: benchmark recommendation)")
+    parser.add_argument("--p", type=float, default=None, help="deflation power")
+    parser.add_argument("--shift", type=float, default=None, choices=[0.0, 1.0],
+                        help="deflation shift")
+    ls_group = parser.add_mutually_exclusive_group()
+    ls_group.add_argument("--line-search", dest="line_search", action="store_true", default=None)
+    ls_group.add_argument("--no-line-search", dest="line_search", action="store_false")
+    parser.add_argument("--mu", type=float, default=None,
+                        help="parameter value (parameterized benchmarks only)")
+    _add_common_flags(parser)
+
+
+def _continue_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("benchmark", nargs="?", default="aggarwal",
+                        help="parameterized benchmark (default: aggarwal)")
+    parser.add_argument("--mu-start", type=float, default=1e-3)
+    parser.add_argument("--mu-end", type=float, default=1.0)
+    parser.add_argument("--mu-steps", type=int, default=50)
+    parser.add_argument("--p", type=float, default=None, help="deflation power")
+    parser.add_argument("--shift", type=float, default=None, choices=[0.0, 1.0])
+    _add_common_flags(parser)
+
+
+def _beam_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--gamma0", type=float, default=10.0, help="initial penalty")
+    parser.add_argument("--gamma-max", type=float, default=1e6, help="final penalty")
+    parser.add_argument("--q", type=float, default=None, help="penalty growth ratio")
+    parser.add_argument("--mesh", type=int, default=64, help="initial element count")
+    parser.add_argument("--p", type=float, default=2.0, help="deflation power")
+    parser.add_argument("--shift", type=float, default=1.0, choices=[0.0, 1.0])
+    parser.add_argument("--load", type=float, default=10.4, help="compressive load")
+    parser.add_argument("--alpha", type=float, default=0.4, help="channel half-width")
+    parser.add_argument("--dump", default=None,
+                        help="prefix for plain-text (x, value, slope) solution dumps")
+    _add_common_flags(parser)
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser; with ``command``, only that subcommand gets arguments.
+
+    Every subcommand is registered either way, so usage lines and errors
+    read the same, and a command line that starts with ``command`` parses
+    to the same namespace.  Adding arguments is most of the parser's cost,
+    paid in every CLI process.
+    """
     parser = argparse.ArgumentParser(
         prog="deflated-newton",
         description="Find distinct solutions of complementarity problems by deflation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    list_p = sub.add_parser("list", help="list available benchmark problems")
-    list_p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-    list_p.add_argument("--deterministic", action="store_true",
-                        help="omit the timestamp so identical runs produce identical bytes")
-
-    solve_p = sub.add_parser("solve", help="deflated search on one benchmark")
-    solve_p.add_argument("benchmark", help="benchmark name, see `list`")
-    solve_p.add_argument("--ncp", choices=["fb", "mp"], default=None,
-                         help="NCP function (default: benchmark recommendation)")
-    solve_p.add_argument("--p", type=float, default=None, help="deflation power")
-    solve_p.add_argument("--shift", type=float, default=None, choices=[0.0, 1.0],
-                         help="deflation shift")
-    ls_group = solve_p.add_mutually_exclusive_group()
-    ls_group.add_argument("--line-search", dest="line_search", action="store_true", default=None)
-    ls_group.add_argument("--no-line-search", dest="line_search", action="store_false")
-    solve_p.add_argument("--mu", type=float, default=None,
-                         help="parameter value (parameterized benchmarks only)")
-    _add_common_flags(solve_p)
-
-    cont_p = sub.add_parser("continue", help="parameter continuation with deflation")
-    cont_p.add_argument("benchmark", nargs="?", default="aggarwal",
-                        help="parameterized benchmark (default: aggarwal)")
-    cont_p.add_argument("--mu-start", type=float, default=1e-3)
-    cont_p.add_argument("--mu-end", type=float, default=1.0)
-    cont_p.add_argument("--mu-steps", type=int, default=50)
-    cont_p.add_argument("--p", type=float, default=None, help="deflation power")
-    cont_p.add_argument("--shift", type=float, default=None, choices=[0.0, 1.0])
-    _add_common_flags(cont_p)
-
-    beam_p = sub.add_parser("beam", help="obstacle-constrained beam path-following")
-    beam_p.add_argument("--gamma0", type=float, default=10.0, help="initial penalty")
-    beam_p.add_argument("--gamma-max", type=float, default=1e6, help="final penalty")
-    beam_p.add_argument("--q", type=float, default=None, help="penalty growth ratio")
-    beam_p.add_argument("--mesh", type=int, default=64, help="initial element count")
-    beam_p.add_argument("--p", type=float, default=2.0, help="deflation power")
-    beam_p.add_argument("--shift", type=float, default=1.0, choices=[0.0, 1.0])
-    beam_p.add_argument("--load", type=float, default=10.4, help="compressive load")
-    beam_p.add_argument("--alpha", type=float, default=0.4, help="channel half-width")
-    beam_p.add_argument("--dump", default=None,
-                        help="prefix for plain-text (x, value, slope) solution dumps")
-    _add_common_flags(beam_p)
+    for name, (help_line, add_arguments, _) in _COMMANDS.items():
+        command_parser = sub.add_parser(name, help=help_line)
+        if command is None or command == name:
+            add_arguments(command_parser)
     return parser
 
 
@@ -217,14 +240,14 @@ def _solver_config(args, defaults: Optional[SolverConfig] = None) -> SolverConfi
     return cfg.with_(**changes) if changes else cfg
 
 
-def _finish(doc: dict, args, n_roots: int) -> int:
+def _finish(doc: dict, args, parser, n_roots: int) -> int:
     if not args.deterministic:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    _emit_document(doc, args.out)
+    _emit_document(doc, args.out, parser)
     return EXIT_OK if n_roots > 0 else EXIT_NO_ROOTS
 
 
-def _run_list(args) -> int:
+def _run_list(args, parser) -> int:
     entries = []
     for name in problems.list_benchmarks():
         rec = problems.defaults(name)
@@ -239,7 +262,7 @@ def _run_list(args) -> int:
                 "parameterized": rec.parameterized,
             }
         )
-    return _finish({"problem": "registry", "benchmarks": entries}, args, len(entries))
+    return _finish({"problem": "registry", "benchmarks": entries}, args, parser, len(entries))
 
 
 def _run_solve(args, parser) -> int:
@@ -290,7 +313,7 @@ def _run_solve(args, parser) -> int:
         ),
         "events": _event_dicts(events),
     }
-    return _finish(doc, args, len(solutions))
+    return _finish(doc, args, parser, len(solutions))
 
 
 def _run_continue(args, parser) -> int:
@@ -355,7 +378,7 @@ def _run_continue(args, parser) -> int:
         ),
         "events": _event_dicts(events),
     }
-    return _finish(doc, args, len(final))
+    return _finish(doc, args, parser, len(final))
 
 
 def _run_beam(args, parser) -> int:
@@ -403,7 +426,7 @@ def _run_beam(args, parser) -> int:
     if args.dump is not None:
         for i, rec in enumerate(state.solutions):
             table = disc.node_table(rec.z)
-            with open(f"{args.dump}{i}.txt", "w") as handle:
+            with _open_output(f"{args.dump}{i}.txt", "--dump", parser) as handle:
                 handle.write("# x value slope\n")
                 for x, value, slope in table:
                     handle.write(f"{x:.17g} {value:.17g} {slope:.17g}\n")
@@ -423,22 +446,27 @@ def _run_beam(args, parser) -> int:
         "roots": roots,
         "events": _event_dicts(events),
     }
-    return _finish(doc, args, len(state.solutions))
+    return _finish(doc, args, parser, len(state.solutions))
+
+
+# command -> (help line, function adding its arguments, function running it)
+_COMMANDS = {
+    "list": ("list available benchmark problems", _list_arguments, _run_list),
+    "solve": ("deflated search on one benchmark", _solve_arguments, _run_solve),
+    "continue": ("parameter continuation with deflation", _continue_arguments, _run_continue),
+    "beam": ("obstacle-constrained beam path-following", _beam_arguments, _run_beam),
+}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # --help, no command and an unknown command get the full parser
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
-    if args.command == "list":
-        return _run_list(args)
-    if args.command == "solve":
-        return _run_solve(args, parser)
-    if args.command == "continue":
-        return _run_continue(args, parser)
-    if args.command == "beam":
-        return _run_beam(args, parser)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+    if getattr(args, "max_roots", None) is not None and args.max_roots < 1:
+        parser.error(f"--max-roots must be at least 1, got {args.max_roots}")
+    _, _, run = _COMMANDS[args.command]
+    return run(args, parser)
 
 
 if __name__ == "__main__":

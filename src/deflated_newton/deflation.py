@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -68,14 +68,17 @@ class NormSpec:
         return self.weight @ v
 
     def norm(self, v: np.ndarray) -> float:
-        return self.weigh(v)[0]
+        return self.weigh(np.asarray(v, dtype=float))[0]
 
     def weigh(self, v: np.ndarray) -> tuple[float, np.ndarray]:
-        """``(||v||, W v)`` from a single application of the weight."""
+        """``(||v||, W v)`` from a single application of the weight.
+
+        ``v`` is a float array; for the Euclidean norm ``W v`` is ``v`` itself.
+        """
+        if self.weight is None:
+            return math.sqrt(v @ v), v
         v = np.asarray(v, dtype=float)
         wv = self.apply_weight(v)
-        if self.weight is None:
-            return math.sqrt(v @ v), wv
         return math.sqrt(max(v @ wv, 0.0)), wv
 
 
@@ -120,8 +123,7 @@ class DeflationState:
         self.roots.append(root)
 
 
-@dataclass(frozen=True)
-class _Terms:
+class _Terms(NamedTuple):
     """Everything deflation needs at one point, from one pass over the roots.
 
     ``weighted[i]`` is W(z - r_i), ``distances[i]`` its norm and
@@ -141,7 +143,6 @@ def _deflation_terms(state: DeflationState, z: np.ndarray) -> _Terms:
     Raises:
         AtDeflatedRoot: z lies within ``state.guard`` of a deflated root.
     """
-    z = np.asarray(z, dtype=float)
     alpha = 1.0
     distances, factors, weighted = [], [], []
     for root in state.roots:
@@ -158,7 +159,7 @@ def _deflation_terms(state: DeflationState, z: np.ndarray) -> _Terms:
 
 def _gradient(state: DeflationState, z: np.ndarray, terms: _Terms) -> np.ndarray:
     p = state.power
-    grad = np.zeros_like(z)
+    grad = np.zeros(z.shape)
     for wv, d, m in zip(terms.weighted, terms.distances, terms.factors):
         grad += (terms.alpha / m) * (-p) * wv / d ** (p + 2.0)
     return grad
@@ -166,7 +167,7 @@ def _gradient(state: DeflationState, z: np.ndarray, terms: _Terms) -> np.ndarray
 
 def deflation_factor(state: DeflationState, z: np.ndarray) -> float:
     """alpha(z) = prod_i (||z - r_i||^-p + shift); 1.0 with no roots."""
-    return _deflation_terms(state, z).alpha
+    return _deflation_terms(state, np.asarray(z, dtype=float)).alpha
 
 
 def deflation_gradient(state: DeflationState, z: np.ndarray) -> np.ndarray:
@@ -208,11 +209,12 @@ class DeflatedSystem:
     ``residual(z)`` evaluates F and the deflation terms once;
     ``derivative(z)`` reuses both when handed the array object last passed
     to ``residual`` (the order :func:`deflated_newton.solver.solve` follows)
-    and recomputes them for any other array.  ``jacobian(z)`` of the
-    undeflated system is called right after ``residual(z)`` at the same
-    array, so the two may share work too.  The deflation state must not
-    change between a ``residual`` call and the ``derivative`` call that
-    reuses it; build one system per solve.
+    and recomputes them for any other array.  Points are float arrays, as
+    the solver passes them.  ``jacobian(z)`` of the undeflated system is
+    called right after ``residual(z)`` at the same array, so the two may
+    share work too.  The deflation state must not change between a
+    ``residual`` call and the ``derivative`` call that reuses it; build one
+    system per solve.
     """
 
     def __init__(self, state: DeflationState, residual, jacobian):
@@ -224,7 +226,6 @@ class DeflatedSystem:
 
     def residual(self, z: np.ndarray) -> np.ndarray:
         self._point = None
-        z = np.asarray(z, dtype=float)
         f_value = np.asarray(self._residual(z), dtype=float)
         terms = _deflation_terms(self.state, z)
         self._point, self._values = z, (f_value, terms)
@@ -232,7 +233,6 @@ class DeflatedSystem:
 
     def derivative(self, z: np.ndarray):
         """``(alpha, H_F, F, grad alpha)`` as in :func:`deflated_derivative_parts`."""
-        z = np.asarray(z, dtype=float)
         if z is not self._point:
             self.residual(z)
         f_value, terms = self._values

@@ -60,6 +60,13 @@ lapack = _load_lapack()
 DEFAULT_PIVOT_TOL = 1e-14
 DEFAULT_DENOM_TOL = 1e-14
 
+_all_true = np.logical_and.reduce
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()``, without numpy's Python wrapper around ``all``."""
+    return bool(_all_true(np.isfinite(a), axis=None))
+
 
 class SingularMatrix(Exception):
     """A solve was requested on a factorization flagged as singular."""
@@ -202,8 +209,9 @@ def lu_factor(matrix, pivot_tol: float = DEFAULT_PIVOT_TOL) -> LuFactorization:
     lu, piv, info = lapack.dgetrf(a)
     if info < 0:
         raise ValueError(f"getrf failed on argument {-info}")
-    diag = np.abs(lu.diagonal())
-    singular = scale == 0.0 or bool((diag < pivot_tol * scale).any())
+    # any |U_ii| < threshold, on floats: a NaN pivot passes, as with numpy's <
+    threshold = pivot_tol * scale
+    singular = scale == 0.0 or any(map(threshold.__gt__, map(abs, lu.diagonal().tolist())))
     return LuFactorization(n, lu, piv, singular)
 
 

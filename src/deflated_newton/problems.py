@@ -44,8 +44,17 @@ class BenchmarkDefaults:
     max_iter: int = 100
 
 
+# The benchmark maps unpack z with ``tolist()`` and compute on Python floats:
+# the same IEEE operations as numpy scalars, without their per-operation
+# overhead.  ``x**2`` stays a power, not ``x*x``: both sides call ``pow``,
+# which differs from the product in the last bit for some x.  A float power
+# that overflows raises OverflowError where numpy returned inf;
+# ``reformulate.evaluate`` and ``reformulate.jacobian`` report it as
+# NonFiniteResidual.
+
+
 def _kojima_shindoh_f(z):
-    z1, z2, z3, z4 = z
+    z1, z2, z3, z4 = z.tolist()
     return np.array(
         [
             3 * z1**2 + 2 * z1 * z2 + 2 * z2**2 + z3 + 3 * z4 - 6,
@@ -57,7 +66,7 @@ def _kojima_shindoh_f(z):
 
 
 def _kojima_shindoh_jac(z):
-    z1, z2 = z[0], z[1]
+    z1, z2, _, _ = z.tolist()
     return np.array(
         [
             [6 * z1 + 2 * z2, 2 * z1 + 4 * z2, 1.0, 3.0],
@@ -69,7 +78,7 @@ def _kojima_shindoh_jac(z):
 
 
 def _gould_f(z):
-    x1, x2, lam1, lam2 = z
+    x1, x2, lam1, lam2 = z.tolist()
     # KKT system of min -2(x1 - 1/4)^2 + 2(x2 - 1/2)^2 subject to
     # 3 x1 + x2 <= 3/2 and x1 + x2 <= 1 (x >= 0 handled by the NCP bounds).
     return np.array(
@@ -99,15 +108,17 @@ def _aggarwal_f(mu):
     def f(z):
         x = z[:2]
         y = z[2:]
-        return np.concatenate([mu * (_AGGARWAL_A @ y) - 1.0, mu * (_AGGARWAL_B.T @ x) - 1.0])
+        # mu scales on floats, so a huge mu overflows to inf without a warning
+        products = (_AGGARWAL_A @ y).tolist() + (_AGGARWAL_B.T @ x).tolist()
+        return np.array([mu * v - 1.0 for v in products])
 
     return f
 
 
 def _aggarwal_jac(mu):
     jac = np.zeros((4, 4))
-    jac[:2, 2:] = mu * _AGGARWAL_A
-    jac[2:, :2] = mu * _AGGARWAL_B.T
+    jac[:2, 2:] = [[mu * v for v in row] for row in _AGGARWAL_A.tolist()]
+    jac[2:, :2] = [[mu * v for v in row] for row in _AGGARWAL_B.T.tolist()]
 
     def deriv(z):
         return jac
@@ -116,7 +127,7 @@ def _aggarwal_jac(mu):
 
 
 def _gerard_f(z):
-    x0, x11, x12, y1, y2, pi1, pi2, u4, u5, theta = z
+    x0, x11, x12, y1, y2, pi1, pi2, u4, u5, theta = z.tolist()
     a1 = pi1 - 11.5 * x0
     a2 = pi2 - 11.5 * x0
     s1 = pi1 * (x0 + x11) - 5.75 * x0**2 - 0.5 * x11**2
@@ -138,52 +149,36 @@ def _gerard_f(z):
 
 
 def _gerard_jac(z):
-    x0, x11, x12, y1, y2, pi1, pi2, u4, u5, theta = z
+    x0, x11, x12, _, _, pi1, pi2, u4, u5, _ = z.tolist()
     a1 = pi1 - 11.5 * x0
     a2 = pi2 - 11.5 * x0
-    jac = np.zeros((10, 10))
-    # row 0: producer's expected marginal profit in the capacity good
-    jac[0, 0] = 11.5 * (u4 + u5)
-    jac[0, 5] = -(0.75 * u4 + 0.25 * u5)
-    jac[0, 6] = -(0.25 * u4 + 0.75 * u5)
-    jac[0, 7] = -(0.75 * a1 + 0.25 * a2)
-    jac[0, 8] = -(0.25 * a1 + 0.75 * a2)
-    # row 1
-    jac[1, 1] = 0.75 * u4 + 0.25 * u5
-    jac[1, 5] = -(0.75 * u4 + 0.25 * u5)
-    jac[1, 7] = -0.75 * (pi1 - x11)
-    jac[1, 8] = -0.25 * (pi1 - x11)
-    # row 2
-    jac[2, 2] = 3.5 * (0.25 * u4 + 0.75 * u5)
-    jac[2, 6] = -(0.25 * u4 + 0.75 * u5)
-    jac[2, 7] = -0.25 * (pi2 - 3.5 * x12)
-    jac[2, 8] = -0.75 * (pi2 - 3.5 * x12)
-    # rows 3, 4: inverse demand
-    jac[3, 3] = 2.0
-    jac[3, 5] = 1.0
-    jac[4, 4] = 10.0
-    jac[4, 6] = 1.0
-    # rows 5, 6: market clearing
-    jac[5, 0] = 1.0
-    jac[5, 1] = 1.0
-    jac[5, 3] = -1.0
-    jac[6, 0] = 1.0
-    jac[6, 2] = 1.0
-    jac[6, 4] = -1.0
-    # rows 7, 8: risk-adjusted profit vs. certainty equivalent
-    ds1 = (pi1 - 11.5 * x0, pi1 - x11, 0.0, x0 + x11, 0.0)
-    ds2 = (pi2 - 11.5 * x0, 0.0, pi2 - 3.5 * x12, 0.0, x0 + x12)
-    for row, (w1, w2) in ((7, (0.75, 0.25)), (8, (0.25, 0.75))):
-        jac[row, 0] = w1 * ds1[0] + w2 * ds2[0]
-        jac[row, 1] = w1 * ds1[1]
-        jac[row, 2] = w2 * ds2[2]
-        jac[row, 5] = w1 * ds1[3]
-        jac[row, 6] = w2 * ds2[4]
-        jac[row, 9] = -1.0
-    # row 9: probabilities sum to one
-    jac[9, 7] = 1.0
-    jac[9, 8] = 1.0
-    return jac
+    # rows 7, 8 (risk-adjusted profit vs. certainty equivalent) weigh the
+    # scenario profits s1, s2 by (0.75, 0.25) and (0.25, 0.75); dsk_v is dsk/dv
+    ds1_x0, ds1_x11, ds1_pi1 = pi1 - 11.5 * x0, pi1 - x11, x0 + x11
+    ds2_x0, ds2_x12, ds2_pi2 = pi2 - 11.5 * x0, pi2 - 3.5 * x12, x0 + x12
+    return np.array(
+        [
+            # row 0: producer's expected marginal profit in the capacity good
+            [11.5 * (u4 + u5), 0.0, 0.0, 0.0, 0.0, -(0.75 * u4 + 0.25 * u5),
+             -(0.25 * u4 + 0.75 * u5), -(0.75 * a1 + 0.25 * a2), -(0.25 * a1 + 0.75 * a2), 0.0],
+            [0.0, 0.75 * u4 + 0.25 * u5, 0.0, 0.0, 0.0, -(0.75 * u4 + 0.25 * u5),
+             0.0, -0.75 * (pi1 - x11), -0.25 * (pi1 - x11), 0.0],
+            [0.0, 0.0, 3.5 * (0.25 * u4 + 0.75 * u5), 0.0, 0.0, 0.0,
+             -(0.25 * u4 + 0.75 * u5), -0.25 * (pi2 - 3.5 * x12), -0.75 * (pi2 - 3.5 * x12), 0.0],
+            # rows 3, 4: inverse demand
+            [0.0, 0.0, 0.0, 2.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 10.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+            # rows 5, 6: market clearing
+            [1.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [1.0, 0.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.75 * ds1_x0 + 0.25 * ds2_x0, 0.75 * ds1_x11, 0.25 * ds2_x12, 0.0, 0.0,
+             0.75 * ds1_pi1, 0.25 * ds2_pi2, 0.0, 0.0, -1.0],
+            [0.25 * ds1_x0 + 0.75 * ds2_x0, 0.25 * ds1_x11, 0.75 * ds2_x12, 0.0, 0.0,
+             0.25 * ds1_pi1, 0.75 * ds2_pi2, 0.0, 0.0, -1.0],
+            # row 9: probabilities sum to one
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0],
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -270,7 +265,7 @@ def build(benchmark, mu: Optional[float] = None) -> MixedComplementarityProblem:
         dimension=entry.guess.size,
         residual=residual,
         derivative=derivative,
-        lower=None if entry.lower is None else entry.lower.copy(),
+        lower=entry.lower,
         parameter=parameter,
         name=bench.value,
     )

@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
+
+from .linalg import all_finite
 
 
 class NonFiniteResidual(Exception):
@@ -32,14 +34,21 @@ class NcpFunction(Enum):
     MIN_MAX = "mp"
 
 
+# a module name: reading an Enum member off its class is slow in the hot loops
+_FISCHER_BURMEISTER = NcpFunction.FISCHER_BURMEISTER
+
 # Generalized-derivative element chosen at the Fischer-Burmeister kink (0, 0):
 # the limit along the direction (1, 1)/sqrt(2).
 _FB_ORIGIN = 1.0 / math.sqrt(2.0) - 1.0
 
+# How a component is bounded: neither bound finite, only the lower, only the
+# upper, or both.
+_FREE, _LOWER, _UPPER, _BOX = range(4)
+
 
 def phi(kind: NcpFunction, a: float, b: float) -> float:
     """Evaluate the NCP function ``kind`` at (a, b)."""
-    if kind is NcpFunction.FISCHER_BURMEISTER:
+    if kind is _FISCHER_BURMEISTER:
         return math.hypot(a, b) - a - b
     # b - max(0, b - a), identically min(a, b); branch selection keeps the
     # value exact where the subtraction form would cancel
@@ -53,7 +62,7 @@ def phi_derivative(kind: NcpFunction, a: float, b: float) -> tuple[float, float]
     selection documented in ``_FB_ORIGIN`` is returned.  The min function
     takes the (0, 1) branch on ties b - a = 0.
     """
-    if kind is NcpFunction.FISCHER_BURMEISTER:
+    if kind is _FISCHER_BURMEISTER:
         r = math.hypot(a, b)
         if r == 0.0:
             return (_FB_ORIGIN, _FB_ORIGIN)
@@ -76,6 +85,9 @@ class MixedComplementarityProblem:
         upper: upper bounds (default all +inf).
         parameter: value of the problem's scalar parameter, if any.
         name: identifier used in logs and CLI output.
+
+    The bounds are copied into read-only arrays and each component is
+    classified (free, lower, upper or box) once, at construction.
     """
 
     dimension: int
@@ -89,16 +101,29 @@ class MixedComplementarityProblem:
 
     def __post_init__(self):
         n = self.dimension
-        lower = np.zeros(n) if self.lower is None else np.asarray(self.lower, dtype=float)
-        upper = np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float)
+        lower = np.zeros(n) if self.lower is None else np.array(self.lower, dtype=float)
+        upper = np.full(n, np.inf) if self.upper is None else np.array(self.upper, dtype=float)
         if lower.shape != (n,) or upper.shape != (n,):
             raise ValueError("bounds must have the problem dimension")
         if (lower > upper).any():
             raise ValueError("lower bounds must not exceed upper bounds")
         if (lower == np.inf).any() or (upper == -np.inf).any():
             raise ValueError("bounds leave no feasible value at some index")
+        # own read-only copies: the classification below must stay valid
+        lower.flags.writeable = upper.flags.writeable = False
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        # (kind, l_i, u_i) per component, as Python floats: at the benchmark
+        # sizes (n <= 10) the per-component branches cost more in numpy
+        # scalar indexing than in arithmetic, and floats give the same bits
+        bounds = []
+        for lo, up in zip(lower.tolist(), upper.tolist()):
+            if math.isfinite(lo):
+                kind = _BOX if math.isfinite(up) else _LOWER
+            else:
+                kind = _UPPER if math.isfinite(up) else _FREE
+            bounds.append((kind, lo, up))
+        object.__setattr__(self, "_bounds", tuple(bounds))
 
 
 def evaluate(problem: MixedComplementarityProblem, z: np.ndarray) -> np.ndarray:
@@ -106,10 +131,13 @@ def evaluate(problem: MixedComplementarityProblem, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (problem.dimension,):
         raise ValueError(f"z must have length {problem.dimension}")
-    value = np.asarray(problem.residual(z), dtype=float)
+    try:
+        value = np.asarray(problem.residual(z), dtype=float)
+    except OverflowError:  # a float power beyond the double range
+        raise NonFiniteResidual(f"F(z) overflows at z={z!r}") from None
     if value.shape != (problem.dimension,):
         raise ValueError("residual map returned the wrong length")
-    if not np.isfinite(value).all():
+    if not all(map(math.isfinite, value.tolist())):
         raise NonFiniteResidual(f"F(z) contains non-finite entries at z={z!r}")
     return value
 
@@ -126,7 +154,10 @@ def jacobian(
     """
     z = np.asarray(z, dtype=float)
     if problem.derivative is not None:
-        jac = np.asarray(problem.derivative(z), dtype=float)
+        try:
+            jac = np.asarray(problem.derivative(z), dtype=float)
+        except OverflowError:
+            raise NonFiniteResidual(f"F'(z) overflows at z={z!r}") from None
         if jac.shape != (problem.dimension,) * 2:
             raise ValueError("derivative map returned the wrong shape")
     elif problem.fd_fallback:
@@ -135,7 +166,7 @@ def jacobian(
         raise DerivativeUnavailable(
             f"problem {problem.name or '<anonymous>'} has no derivative and fd_fallback is off"
         )
-    if not np.isfinite(jac).all():
+    if not all_finite(jac):
         raise NonFiniteResidual(f"F'(z) contains non-finite entries at z={z!r}")
     return jac
 
@@ -152,21 +183,6 @@ def _forward_difference_jacobian(problem, z, base=None):
         zp[j] += step
         jac[:, j] = (evaluate(problem, zp) - base) / step
     return jac
-
-
-def _components(
-    problem: MixedComplementarityProblem, z: np.ndarray, value
-) -> Iterator[tuple[float, float, float, float]]:
-    """``(z_i, F_i, l_i, u_i)`` for each component, as Python floats.
-
-    At the benchmark sizes (n <= 10) the per-component branches cost more in
-    numpy scalar indexing than in arithmetic, and float arithmetic gives the
-    same bits.
-    """
-    return zip(
-        z.tolist(), np.asarray(value, dtype=float).tolist(),
-        problem.lower.tolist(), problem.upper.tolist(),
-    )
 
 
 def assemble_residual(
@@ -189,14 +205,13 @@ def assemble_residual(
     if value is None:
         value = evaluate(problem, z)
     out = []
-    for zi, fi, lo, up in _components(problem, z, value):
-        lo_finite = math.isfinite(lo)
-        up_finite = math.isfinite(up)
-        if not lo_finite and not up_finite:
-            out.append(fi)
-        elif lo_finite and not up_finite:
+    values = np.asarray(value, dtype=float).tolist()
+    for zi, fi, (bound, lo, up) in zip(z.tolist(), values, problem._bounds):
+        if bound == _LOWER:
             out.append(phi(kind, zi - lo, fi))
-        elif up_finite and not lo_finite:
+        elif bound == _FREE:
+            out.append(fi)
+        elif bound == _UPPER:
             out.append(-phi(kind, up - zi, -fi))
         else:
             inner = -phi(kind, up - zi, -fi)
@@ -226,14 +241,13 @@ def assemble_newton_derivative(
     # d_b = 1 and d_a = -0.0, the exact identities of the multiply and the
     # add, so they stay bit-for-bit copies of the Jacobian rows (-0.0 too)
     row_scale, diag_add = [], []
-    for zi, fi, lo, up in _components(problem, z, value):
-        lo_finite = math.isfinite(lo)
-        up_finite = math.isfinite(up)
-        if not lo_finite and not up_finite:
-            d_a, d_b = -0.0, 1.0
-        elif lo_finite and not up_finite:
+    values = np.asarray(value, dtype=float).tolist()
+    for zi, fi, (bound, lo, up) in zip(z.tolist(), values, problem._bounds):
+        if bound == _LOWER:
             d_a, d_b = phi_derivative(kind, zi - lo, fi)
-        elif up_finite and not lo_finite:
+        elif bound == _FREE:
+            d_a, d_b = -0.0, 1.0
+        elif bound == _UPPER:
             # Phi_i = -phi(u_i - z_i, -F_i): both inner signs cancel the outer one
             d_a, d_b = phi_derivative(kind, up - zi, -fi)
         else:

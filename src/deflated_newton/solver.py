@@ -26,6 +26,7 @@ from .linalg import (
     BandedMatrix,
     SingularMatrix,
     SingularUpdate,
+    all_finite,
     lu_factor,
     solve_rank_one_update,
 )
@@ -203,7 +204,7 @@ def solve(
                     step = _least_squares_step(scale, matrix, u, w, r)
                 else:
                     return SolveResult(SolveStatus.SINGULAR_JACOBIAN, z, iterations, history)
-        if not np.isfinite(step).all():
+        if not all_finite(step):
             return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
 
         if cfg.line_search == LINE_SEARCH_BACKTRACKING:
@@ -240,7 +241,7 @@ def _backtrack(residual, z, step, rnorm, cfg):
         r_trial = None
         try:
             r_candidate = np.asarray(residual(trial), dtype=float)
-            if np.isfinite(r_candidate).all():
+            if all_finite(r_candidate):
                 r_trial = r_candidate
         except (AtDeflatedRoot, NonFiniteResidual):
             r_trial = None

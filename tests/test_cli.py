@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from deflated_newton.cli import _format_number, _write_json, main
+from deflated_newton.cli import _build_parser, _format_number, _write_json, main
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +101,10 @@ def test_usage_error_exit_code(capsys):
         ["continue", "--mu-start", "nan"],
         ["continue", "--mu-end", "inf"],
         ["continue", "--mu-start=-1e308", "--mu-end", "1e308"],
+        ["solve", "gould", "--max-roots", "0"],
+        ["solve", "gould", "--max-roots", "-1"],
+        ["continue", "--max-roots", "0"],
+        ["beam", "--max-roots", "0"],
     ):
         capsys.readouterr()
         with pytest.raises(SystemExit) as err:
@@ -109,6 +113,56 @@ def test_usage_error_exit_code(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith("deflated-newton: error: "), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["list", "--out", "{missing}/x.json"],
+        ["beam", "--gamma-max", "1e3", "--dump", "{missing}/sol"],
+    ],
+    ids=["out", "dump"],
+)
+def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    with pytest.raises(SystemExit) as err:
+        main([arg.format(missing=missing) for arg in argv])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("deflated-newton: error: cannot write")
+    assert not missing.exists()
+
+
+COMMAND_LINES = [
+    ["list", "--deterministic", "--out", "x.json"],
+    ["solve", "gould", "--ncp", "mp", "--no-line-search", "--max-roots", "2"],
+    ["solve", "aggarwal", "--mu", "0.5", "--p", "1", "--shift", "0"],
+    ["continue", "--mu-steps", "3", "--max-iter", "50"],
+    ["continue", "aggarwal", "--mu-start", "0.1", "--deterministic"],
+    ["beam", "--mesh", "32", "--q", "4", "--dump", "prefix"],
+    ["beam"],
+]
+
+
+def parse_outcome(parser, argv, capsys):
+    """``(namespace or exit code, stdout, stderr)`` of one parse."""
+    try:
+        outcome = parser.parse_args(argv)
+    except SystemExit as stop:
+        outcome = stop.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", COMMAND_LINES, ids=" ".join)
+def test_command_parser_matches_the_full_parser(argv, capsys):
+    command = argv[0]
+    for line in (argv, [command, "--help"], [command, "--no-such-flag"], argv + ["extra"]):
+        trimmed = parse_outcome(_build_parser(command), line, capsys)
+        assert trimmed == parse_outcome(_build_parser(), line, capsys), line
+    # usage errors still exit 2
+    assert parse_outcome(_build_parser(command), [command, "--no-such-flag"], capsys)[0] == 2
 
 
 def test_out_file(tmp_path, capsys):

@@ -74,6 +74,11 @@ def test_pivot_threshold_is_configurable():
     a = np.diag([1.0, 1e-8])
     assert not lu_factor(a).singular
     assert lu_factor(a, pivot_tol=1e-6).singular
+    # the test is strict: a pivot exactly at pivot_tol * max|A| passes
+    at, below = np.diag([1.0, 1e-14]), np.diag([1.0, np.nextafter(1e-14, 0.0)])
+    for kind in (lambda m: m, lambda m: banded_from_dense(m, 1)):
+        assert not lu_factor(kind(at)).singular
+        assert lu_factor(kind(below)).singular
 
 
 def test_nonfinite_entries_rejected():

@@ -266,7 +266,9 @@ def test_prolongation_is_exact():
     assert problem.length == mesh.length
 
 
-from hypothesis import given, settings  # noqa: E402
+from fractions import Fraction  # noqa: E402
+
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
@@ -280,17 +282,109 @@ def coarse_functions(draw):
     return BeamProblem(length=length), mesh, y
 
 
+def gamma(n: int) -> Fraction:
+    """gamma_n = n u / (1 - n u), the classic bound on n roundings, u = 2^-53."""
+    u = Fraction(1, 2**53)
+    return n * u / (1 - n * u)
+
+
+def exact_hermite(h: Fraction, xi: Fraction) -> list:
+    """The four cubic Hermite shape functions at xi, exactly."""
+    return [
+        1 - 3 * xi**2 + 2 * xi**3,
+        h * (xi - 2 * xi**2 + xi**3),
+        3 * xi**2 - 2 * xi**3,
+        h * (xi**3 - xi**2),
+    ]
+
+
+def exact_hermite_magnitude(h: Fraction, xi: Fraction) -> list:
+    """Each shape function with every monomial taken in absolute value."""
+    return [
+        1 + 3 * xi**2 + 2 * xi**3,
+        h * (xi + 2 * xi**2 + xi**3),
+        3 * xi**2 + 2 * xi**3,
+        h * (xi**3 + xi**2),
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(coarse_functions())
+@example((BeamProblem(), HermiteMesh1D(37), np.where(np.arange(74) == 63, 1.0, -1.0)))
 def test_prolongation_trace_is_the_coarse_cubic(case):
+    """The fine-mesh quadrature trace of the prolonged unknowns is the coarse
+    cubic, up to a bound derived from the program's roundings.
+
+    The reference is the coarse cubic evaluated exactly (``Fraction``) at
+    each fine quadrature point, taking the stored Gauss points and mesh
+    widths as exact; the fine width is exactly half the coarse one.  The
+    program computes the trace as one four-term product per point,
+    ``F~ . B~``, of the prolonged unknowns ``F~`` and the fine basis ``B~``,
+    so ``|F~ . B~ - F . B| <= gamma_4 |F~| |B~| + |F~ - F| |B~| + |F| |B~ - B|``,
+    where (with gamma_n = n u / (1 - n u)):
+
+    * ``|B~ - B| <= gamma_5 |B|abs``: each shape function is at most three
+      monomials in xi (times h), each reaching the result through at most
+      four roundings (``pow`` counted as two); ``|B|abs`` is the shape
+      function with every monomial in absolute value;
+    * ``|F~ - F| <= D = gamma_5 G + 5 eta``: node unknowns are copied, and a
+      midpoint value or slope is a four-term product with coefficients
+      (1/2, h/8, 1/2, -h/8) (exact) or (-3/(2h), -1/4, 3/(2h), -1/4) (one
+      rounding in 3/(2h)); ``G`` is that product taken in absolute values,
+      and each of its four products may underflow by eta = 2^-1075, the
+      absolute error of a product rounded to a subnormal;
+    * ``|F| <= |F~| + D``;
+    * the four products of the trace add at most 5 eta of underflow.
+
+    The bound is summed exactly, so nothing else is assumed.  The pinned
+    example broke an earlier fixed bound, ``64 eps max(1, |y|)`` against a
+    float reference evaluated at rounded coordinates (66 eps apart); the
+    trace is within 1 eps of the exact cubic there, about 0.13 of this
+    bound.
+    """
     problem, mesh, y = case
     fine = mesh.refined()
+    assert 2 * fine.h == mesh.h
     trace = _discretization(problem, fine).values_at_quadrature(prolong(mesh, y))
-    points = (np.arange(fine.elements)[:, None] + GAUSS_POINTS[None, :]) * fine.h
-    coarse = hermite_eval(mesh, y, points.ravel())
-    # each value sums four products of entries below max|y| times bounded basis values
-    bound = 64 * np.finfo(float).eps * max(1.0, np.abs(y).max())
-    np.testing.assert_allclose(trace.ravel(), coarse, rtol=0.0, atol=bound)
+    fine_full = _discretization(problem, fine).full_vector(prolong(mesh, y))
+    basis = _discretization(problem, fine).basis  # (shape function, Gauss point)
+
+    h, h_fine = Fraction(mesh.h), Fraction(fine.h)
+    gauss = [Fraction(g) for g in GAUSS_POINTS.tolist()]
+    # exact fine basis and its magnitude, and the coarse basis at the fine
+    # points of the left (0) and right (1) halves of a coarse element
+    exact_basis = [exact_hermite(h_fine, g) for g in gauss]
+    magnitude = [exact_hermite_magnitude(h_fine, g) for g in gauss]
+    coarse_basis = {
+        (half, q): exact_hermite(h, (half + g) / 2) for half in (0, 1) for q, g in enumerate(gauss)
+    }
+    value_weights = [Fraction(1, 2), h / 8, Fraction(1, 2), h / 8]
+    slope_weights = [3 / (2 * h), Fraction(1, 4), 3 / (2 * h), Fraction(1, 4)]
+
+    coarse_full = np.zeros(mesh.full_dofs)
+    coarse_full[mesh.free_indices()] = y
+    coarse_full = [Fraction(v) for v in coarse_full.tolist()]
+    g4, g5, eta = gamma(4), gamma(5), Fraction(1, 2**1075)
+    for e_fine in range(fine.elements):
+        e, half = divmod(e_fine, 2)
+        dofs = coarse_full[2 * e : 2 * e + 4]
+        size = [abs(v) for v in dofs]
+        # D of the element's unknowns: zero at the copied coarse node
+        midpoint = [
+            g5 * sum(s * w for s, w in zip(size, value_weights)) + 5 * eta,
+            g5 * sum(s * w for s, w in zip(size, slope_weights)) + 5 * eta,
+        ]
+        deviation = [0, 0, *midpoint] if half == 0 else [*midpoint, 0, 0]
+        computed = [abs(Fraction(v)) for v in fine_full[2 * e_fine : 2 * e_fine + 4].tolist()]
+        for q in range(4):
+            exact = sum(c * b for c, b in zip(dofs, coarse_basis[half, q]))
+            b_computed = [abs(Fraction(v)) for v in basis[:, q].tolist()]
+            bound = 5 * eta + sum(
+                g4 * f * b + d * b + g5 * (f + d) * m
+                for f, d, b, m in zip(computed, deviation, b_computed, magnitude[q])
+            )
+            error = abs(Fraction(trace[e_fine, q].item()) - exact)
+            assert error <= bound, (e_fine, q, float(error), float(bound))
 
 
 def test_gamma_schedule_default_and_custom():

@@ -216,6 +216,32 @@ def test_nonfinite_residual_raises():
         assemble_residual(prob, np.array([1.0]), FB)
 
 
+def test_float_overflow_is_a_nonfinite_residual():
+    # maps on Python floats raise OverflowError where numpy returned inf
+    prob = MixedComplementarityProblem(
+        dimension=1,
+        residual=lambda z: np.array([z.tolist()[0] ** 2]),
+        derivative=lambda z: np.array([[2.0 * z.tolist()[0] ** 3]]),
+    )
+    big = np.array([1e200])
+    with pytest.raises(NonFiniteResidual):
+        evaluate(prob, big)
+    with pytest.raises(NonFiniteResidual):
+        jacobian(prob, big, value=np.array([1.0]))
+
+
+def test_bounds_are_read_only_copies():
+    # the bound classification is made once, so the bounds must not change
+    lower, upper = np.array([0.0, -np.inf]), np.array([np.inf, 1.0])
+    prob = MixedComplementarityProblem(2, residual=lambda z: z, lower=lower, upper=upper)
+    lower[:] = 5.0  # the caller's arrays stay writable and are not shared
+    assert prob.lower.tolist() == [0.0, -np.inf]
+    with pytest.raises(ValueError, match="read-only"):
+        prob.upper[0] = 0.0
+    z = np.array([2.0, 3.0])
+    assert assemble_residual(prob, z, MP).tolist() == [2.0, 3.0]
+
+
 def test_bounds_validation():
     with pytest.raises(ValueError):
         MixedComplementarityProblem(
