@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain, compress, repeat
 from typing import Optional
 
 import numpy as np
@@ -65,6 +66,60 @@ def _json_string(text) -> str:
     return json.dumps(str(text), ensure_ascii=False)
 
 
+# Values formatted per ``%`` call: one call per number costs a Python call
+# each, one call per document holds the whole text twice in memory.
+_FLOAT_CHUNK = 512
+
+
+def _float_items(obj, pad: str, table: bool) -> str:
+    """The items of a list of floats, or with ``table`` of float lists, as
+    :func:`_write_json` lays them out at ``pad``, from one ``%`` call.
+
+    For a finite value :func:`_format_number` gives ``%.17g``, plus ".0"
+    when that shows no point and no exponent, which happens exactly for
+    integral values below 1e17; those ``%.1f`` writes with the same digits.
+    A non-finite value prints as "nan" or "inf", and then every value goes
+    through :func:`_format_number`.
+    """
+    values = list(chain.from_iterable(obj)) if table else obj
+    specs = ["%.17g"] * len(values)
+    for i in compress(range(len(values)), map(float.is_integer, values)):
+        if abs(values[i]) < 1e17:
+            specs[i] = "%.1f"
+    text = _float_template(obj, specs, pad, table) % tuple(values)
+    if "n" in text:
+        template = _float_template(obj, ["%s"] * len(values), pad, table)
+        text = template % tuple(map(_format_number, values))
+    return text
+
+
+def _float_template(obj, specs: list, pad: str, table: bool) -> str:
+    if not table:
+        return (",\n" + pad + "  ").join(specs)
+    inner = pad + "  "
+    head, sep, tail = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
+    rows, start = [], 0
+    for row in obj:
+        rows.append(head + sep.join(specs[start : start + len(row)]) + tail)
+        start += len(row)
+    return (",\n" + pad + "  ").join(rows)
+
+
+def _write_floats(obj, out, pad: str, table: bool) -> None:
+    """Write a non-empty list of floats, or with ``table`` of float lists."""
+    step = max(1, _FLOAT_CHUNK // len(obj[0])) if table else _FLOAT_CHUNK
+    out.write("[\n" + pad + "  ")
+    for start in range(0, len(obj), step):
+        if start:
+            out.write(",\n" + pad + "  ")
+        out.write(_float_items(obj[start : start + step], pad, table))
+    out.write("\n" + pad + "]")
+
+
+def _all_floats(values) -> bool:
+    return all(map(isinstance, values, repeat(float)))
+
+
 def _write_json(obj, out, indent: int = 0) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -81,10 +136,12 @@ def _write_json(obj, out, indent: int = 0) -> None:
         if len(obj) == 0:
             out.write("[]")
             return
-        if all(isinstance(value, float) for value in obj):
-            # solution vectors and node tables: one write per list
-            sep = ",\n" + pad + "  "
-            out.write("[\n" + pad + "  " + sep.join(map(_format_number, obj)) + "\n" + pad + "]")
+        # solution vectors and node tables: one write per list or table
+        if _all_floats(obj):
+            _write_floats(obj, out, pad, table=False)
+            return
+        if all(isinstance(row, (list, tuple)) and row and _all_floats(row) for row in obj):
+            _write_floats(obj, out, pad, table=True)
             return
         out.write("[\n")
         for i, value in enumerate(obj):
@@ -141,7 +198,7 @@ def _root_entries(solutions: SolutionSet, residual_norm) -> list[dict]:
     for rec in solutions:
         entries.append(
             {
-                "z": list(rec.z),
+                "z": rec.z.tolist(),
                 "iterations": rec.iterations,
                 "residual_norm": residual_norm(rec.z),
                 "discovered_at_parameter": rec.parameter,
@@ -414,13 +471,13 @@ def _run_beam(args, parser) -> int:
         table = disc.node_table(rec.z)
         roots.append(
             {
-                "z": list(rec.z),
+                "z": rec.z.tolist(),
                 "iterations": rec.iterations,
                 "residual_norm": float(np.linalg.norm(disc.residual(state.gamma, rec.z))),
                 "discovered_at_parameter": rec.parameter,
                 "gamma": state.gamma,
                 "active_fraction": disc.active_fraction(rec.z),
-                "nodes": [list(row) for row in table],
+                "nodes": table.tolist(),
             }
         )
     if args.dump is not None:

@@ -128,37 +128,54 @@ class _Terms(NamedTuple):
 
     ``weighted[i]`` is W(z - r_i), ``distances[i]`` its norm and
     ``factors[i]`` the factor ||z - r_i||^-p + shift; ``alpha`` is their
-    product.
+    product.  With a banded weight ``weighted`` is one ``(k, n)`` array.
     """
 
     alpha: float
     distances: list[float]
     factors: list[float]
-    weighted: list[np.ndarray]
+    weighted: Union[list[np.ndarray], np.ndarray]
 
 
 def _deflation_terms(state: DeflationState, z: np.ndarray) -> _Terms:
     """Apply the norm weight once per root and collect the deflation terms at z.
 
+    A banded weight is applied to all differences z - r_i in one stacked
+    product, whose rows are the single products; each distance still comes
+    from its own dot product.
+
     Raises:
         AtDeflatedRoot: z lies within ``state.guard`` of a deflated root.
     """
+    weight = state.norm.weight
+    if state.roots and isinstance(weight, BandedMatrix):
+        differences = z - np.array(state.roots)
+        weighted = weight.matvec(differences)
+        pairs = [(math.sqrt(max(v @ wv, 0.0)), wv) for v, wv in zip(differences, weighted)]
+    else:
+        weighted = None
+        pairs = (state.norm.weigh(z - root) for root in state.roots)
     alpha = 1.0
-    distances, factors, weighted = [], [], []
-    for root in state.roots:
-        d, wv = state.norm.weigh(z - root)
+    distances, factors, rows = [], [], []
+    for d, wv in pairs:
         if d <= state.guard:
             raise AtDeflatedRoot(f"point within {state.guard:.1e} of a deflated root (d={d:.3e})")
         m = d ** (-state.power) + state.shift
         alpha *= m
         distances.append(d)
         factors.append(m)
-        weighted.append(wv)
-    return _Terms(alpha, distances, factors, weighted)
+        rows.append(wv)
+    return _Terms(alpha, distances, factors, rows if weighted is None else weighted)
 
 
 def _gradient(state: DeflationState, z: np.ndarray, terms: _Terms) -> np.ndarray:
     p = state.power
+    if isinstance(terms.weighted, np.ndarray):
+        # the terms of all roots, then one sum over them in root order
+        scales = np.array([(terms.alpha / m) * (-p) for m in terms.factors])
+        divisors = np.array([d ** (p + 2.0) for d in terms.distances])
+        parts = scales[:, None] * terms.weighted / divisors[:, None]
+        return np.add.reduce(parts, axis=0, initial=0.0)
     grad = np.zeros(z.shape)
     for wv, d, m in zip(terms.weighted, terms.distances, terms.factors):
         grad += (terms.alpha / m) * (-p) * wv / d ** (p + 2.0)

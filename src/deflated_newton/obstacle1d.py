@@ -72,6 +72,7 @@ _GAUSS_XI, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 GAUSS_POINTS = 0.5 * (_GAUSS_XI + 1.0)
 GAUSS_WEIGHTS = 0.5 * _GAUSS_W
 _PATTERN_WEIGHTS = 1 << np.arange(4)  # active quadrature points -> pattern number
+_PINNED = np.zeros(1)
 
 
 @dataclass(frozen=True)
@@ -247,6 +248,7 @@ class BeamDiscretization:
         self.mass = self._assemble_constant(me)
         self.load_vector = self._scatter_vector(np.broadcast_to(fe, (m, 4)))
         self._linear = 2.0 * self.stiffness - 2.0 * self.geometric
+        self._linear.data.flags.writeable = False
         self.operator_scale = self._linear.infinity_norm()
 
     def _assemble_constant(self, element_matrix: np.ndarray) -> BandedMatrix:
@@ -262,9 +264,16 @@ class BeamDiscretization:
         return BandedMatrix(self.n, HALF_BANDWIDTH, data[:-1].reshape(base.data.shape))
 
     def _scatter_vector(self, contrib: np.ndarray) -> np.ndarray:
-        full = np.bincount(
-            self.elem_dofs.ravel(), weights=contrib.ravel(), minlength=self.mesh.full_dofs
-        )
+        """Sum the (m, 4) element vectors ``contrib`` into the reduced unknowns.
+
+        Element e adds its first two entries to node e and its last two to
+        node e + 1.  An interior node gets 0.0 plus two terms, and such a
+        sum does not depend on their order.
+        """
+        full = np.zeros(self.mesh.full_dofs)
+        nodes = full.reshape(-1, 2)
+        nodes[1:] += contrib[:, 2:]
+        nodes[:-1] += contrib[:, :2]
         return full[self.free]
 
     def full_vector(self, y: np.ndarray) -> np.ndarray:
@@ -273,51 +282,71 @@ class BeamDiscretization:
         return full
 
     def values_at_quadrature(self, y: np.ndarray) -> np.ndarray:
-        """Trace of the finite element function at all quadrature points, (m, 4).
+        """Trace of the finite element function at all quadrature points, (m, 4)."""
+        return self._quadrature(y)[0]
 
-        The last trace is kept, read-only, so that a residual and a
-        derivative at the same point compute it once.
+    def _quadrature(self, y: np.ndarray) -> tuple[np.ndarray, bool]:
+        """The trace at y, read-only, and whether all of it lies in the channel.
+
+        A NaN value counts as outside.  The last result is kept, keyed on
+        the bytes of y, so that a residual and a derivative at the same
+        point compute it once.
         """
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n,):
             raise ValueError(f"y must have length {self.n}")
+        key = y.tobytes()
         last = self._last_trace
-        if last is not None and np.array_equal(last[0], y):
+        if last is not None and last[0] == key:
             return last[1]
         # a trailing zero stands in for the pinned unknowns (index -1)
-        trace = np.append(y, 0.0)[self._red] @ self.basis
+        trace = np.concatenate((y, _PINNED))[self._red] @ self.basis
         trace.flags.writeable = False
-        self._last_trace = (y.copy(), trace)
-        return trace
-
-    def _penalty_terms(self, y):
-        yq = self.values_at_quadrature(y)
         alpha = self.problem.half_width
-        upper = np.maximum(yq - alpha, 0.0)
-        lower = np.maximum(-alpha - yq, 0.0)
-        return yq, upper, lower
+        result = trace, bool(trace.max() <= alpha and trace.min() >= -alpha)
+        self._last_trace = (key, result)
+        return result
+
+    def _overshoot(self, yq: np.ndarray) -> np.ndarray:
+        """How far each value in ``yq`` lies above (+) or below (-) the channel.
+
+        ``yq`` minus its clip to [-alpha, alpha] is yq - alpha above, yq +
+        alpha below and +0.0 inside: the same bits as max(yq - alpha, 0)
+        - max(-alpha - yq, 0).
+        """
+        alpha = self.problem.half_width
+        return yq - np.minimum(np.maximum(yq, -alpha), alpha)
 
     def residual(self, gamma: float, y: np.ndarray) -> np.ndarray:
-        """Weak-form residual of the penalized energy at y."""
+        """Weak-form residual of the penalized energy at y.
+
+        With every quadrature value inside the channel and a finite gamma
+        the penalty block adds only zeros, and adding a zero leaves the
+        linear part as it is: that part is never -0.0, being a band sum
+        started at +0.0 minus the load.  So the block is skipped then.
+        """
         y = np.asarray(y, dtype=float)
         out = self._linear.matvec(y) - self.load_vector
         if gamma != 0.0:
-            _, upper, lower = self._penalty_terms(y)
-            contrib = ((upper - lower) * self.quad_weights) @ self.basis.T
-            out += gamma * self._scatter_vector(contrib)
+            yq, inside = self._quadrature(y)
+            if not (inside and math.isfinite(gamma)):
+                contrib = (self._overshoot(yq) * self.quad_weights) @ self.basis.T
+                out += gamma * self._scatter_vector(contrib)
         return out
 
     def derivative(self, gamma: float, y: np.ndarray) -> BandedMatrix:
         """Generalized derivative: the linear part plus the active penalty mass.
 
         Quadrature points sitting exactly on a bound count as inactive.
+        With none active the shared, read-only linear part is returned.
         """
-        yq = self.values_at_quadrature(y)
-        alpha = self.problem.half_width
-        pattern = ((yq > alpha) | (yq < -alpha)) @ _PATTERN_WEIGHTS
+        yq, inside = self._quadrature(y)
+        if gamma == 0.0 or inside:
+            return self._linear
+        pattern = (np.abs(yq) > self.problem.half_width) @ _PATTERN_WEIGHTS
         hit = np.flatnonzero(pattern)
-        if gamma == 0.0 or hit.size == 0:
-            return self._linear.copy()
+        if hit.size == 0:
+            return self._linear
         blocks = gamma * self._penalty_table[pattern[hit]]
         return self._add_blocks(self._linear, blocks, hit)
 
@@ -328,8 +357,9 @@ class BeamDiscretization:
             y @ self.stiffness.matvec(y) - y @ self.geometric.matvec(y) - self.load_vector @ y
         )
         if gamma != 0.0:
-            _, upper, lower = self._penalty_terms(y)
-            value += 0.5 * gamma * float(((upper**2 + lower**2) * self.quad_weights).sum())
+            # the square of the overshoot is upper**2 + lower**2, one of them 0
+            overshoot = self._overshoot(self.values_at_quadrature(y))
+            value += 0.5 * gamma * float((overshoot**2 * self.quad_weights).sum())
         return value
 
     def active_fraction(self, y: np.ndarray) -> float:

@@ -105,6 +105,8 @@ class MixedComplementarityProblem:
         upper = np.full(n, np.inf) if self.upper is None else np.array(self.upper, dtype=float)
         if lower.shape != (n,) or upper.shape != (n,):
             raise ValueError("bounds must have the problem dimension")
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise ValueError("bounds must not be NaN")
         if (lower > upper).any():
             raise ValueError("lower bounds must not exceed upper bounds")
         if (lower == np.inf).any() or (upper == -np.inf).any():

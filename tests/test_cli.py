@@ -174,6 +174,17 @@ def test_out_file(tmp_path, capsys):
     assert len(doc["roots"]) == 3
 
 
+def test_beam_on_a_one_element_mesh(capsys):
+    # two unknowns, fewer than the half bandwidth of 3: this used to end in a
+    # ValueError traceback from BandedMatrix.infinity_norm
+    code, out = run_cli(capsys, "beam", "--mesh", "1", "--gamma0", "1", "--gamma-max", "4",
+                        "--deterministic")
+    assert code in (0, 1)
+    doc = json.loads(out)
+    assert doc["settings"]["mesh"] == 1
+    assert doc["settings"]["final_elements"] == 2
+
+
 def test_beam_command_quick_path(tmp_path, capsys):
     dump = tmp_path / "beam"
     code, out = run_cli(
@@ -233,45 +244,11 @@ def test_continue_reports_residuals_where_its_roots_live(capsys):
 
 
 # Property test: the JSON writer against json.loads, and against the
-# recursive writer it replaced, kept here as the reference.
+# recursive writer it replaced, kept in reference_kernels as the reference.
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-
-
-def reference_write_json(obj, out, indent: int = 0) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.write("{}")
-            return
-        out.write("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.write(f'{pad}  "{key}": ')
-            reference_write_json(value, out, indent + 1)
-            out.write(",\n" if i + 1 < len(obj) else "\n")
-        out.write(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.write("[]")
-            return
-        out.write("[\n")
-        for i, value in enumerate(obj):
-            out.write(pad + "  ")
-            reference_write_json(value, out, indent + 1)
-            out.write(",\n" if i + 1 < len(obj) else "\n")
-        out.write(pad + "]")
-    elif isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out.write(f'"{escaped}"')
-    elif isinstance(obj, bool):
-        out.write("true" if obj else "false")
-    elif obj is None:
-        out.write("null")
-    elif isinstance(obj, (int, np.integer)):
-        out.write(str(int(obj)))
-    else:
-        out.write(_format_number(float(obj)))
+from reference_kernels import reference_write_json  # noqa: E402
 
 
 floats = st.one_of(st.floats(), st.floats().map(np.float64))

@@ -252,6 +252,22 @@ def test_bounds_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        {"lower": np.array([np.nan])},
+        {"upper": np.array([np.nan])},
+        {"lower": np.array([np.nan]), "upper": np.array([1.0])},
+        {"lower": np.array([-np.inf]), "upper": np.array([np.nan])},
+    ],
+)
+def test_nan_bound_is_rejected(bounds):
+    # a NaN bound used to pass validation and read as no bound on that
+    # side: lower=[nan] made the component free, upper=[nan] a lower bound
+    with pytest.raises(ValueError, match="NaN"):
+        MixedComplementarityProblem(1, residual=lambda z: z - 2.0, **bounds)
+
+
 # The assembly runs its per-component branches on Python floats; the
 # per-component numpy loops it replaced are kept here as the reference, and
 # the two must agree bit for bit, signed zeros and kinks included.
