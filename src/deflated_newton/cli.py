@@ -71,7 +71,7 @@ def _json_string(text) -> str:
 _FLOAT_CHUNK = 512
 
 
-def _float_items(obj, pad: str, table: bool) -> str:
+def _float_text(obj, pad: str, table: bool) -> str:
     """The items of a list of floats, or with ``table`` of float lists, as
     :func:`_write_json` lays them out at ``pad``, from one ``%`` call.
 
@@ -81,28 +81,25 @@ def _float_items(obj, pad: str, table: bool) -> str:
     A non-finite value prints as "nan" or "inf", and then every value goes
     through :func:`_format_number`.
     """
-    values = list(chain.from_iterable(obj)) if table else obj
+    if table:
+        inner = pad + "  "
+        first, sep, close = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
+        row_end = (close + ",\n" + pad + "  " + first,)
+        values = list(chain.from_iterable(obj))
+        seps = list(chain.from_iterable((sep,) * (len(row) - 1) + row_end for row in obj))
+        seps[-1] = close
+    else:
+        first, values = "", obj
+        seps = [",\n" + pad + "  "] * (len(obj) - 1) + [""]
     specs = ["%.17g"] * len(values)
     for i in compress(range(len(values)), map(float.is_integer, values)):
         if abs(values[i]) < 1e17:
             specs[i] = "%.1f"
-    text = _float_template(obj, specs, pad, table) % tuple(values)
+    text = (first + "".join(chain.from_iterable(zip(specs, seps)))) % tuple(values)
     if "n" in text:
-        template = _float_template(obj, ["%s"] * len(values), pad, table)
+        template = first + "".join(chain.from_iterable(zip(repeat("%s"), seps)))
         text = template % tuple(map(_format_number, values))
     return text
-
-
-def _float_template(obj, specs: list, pad: str, table: bool) -> str:
-    if not table:
-        return (",\n" + pad + "  ").join(specs)
-    inner = pad + "  "
-    head, sep, tail = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
-    rows, start = [], 0
-    for row in obj:
-        rows.append(head + sep.join(specs[start : start + len(row)]) + tail)
-        start += len(row)
-    return (",\n" + pad + "  ").join(rows)
 
 
 def _write_floats(obj, out, pad: str, table: bool) -> None:
@@ -112,7 +109,7 @@ def _write_floats(obj, out, pad: str, table: bool) -> None:
     for start in range(0, len(obj), step):
         if start:
             out.write(",\n" + pad + "  ")
-        out.write(_float_items(obj[start : start + step], pad, table))
+        out.write(_float_text(obj[start : start + step], pad, table))
     out.write("\n" + pad + "]")
 
 
@@ -140,7 +137,8 @@ def _write_json(obj, out, indent: int = 0) -> None:
         if _all_floats(obj):
             _write_floats(obj, out, pad, table=False)
             return
-        if all(isinstance(row, (list, tuple)) and row and _all_floats(row) for row in obj):
+        rows = all(map(isinstance, obj, repeat((list, tuple)))) and all(obj)
+        if rows and _all_floats(chain.from_iterable(obj)):
             _write_floats(obj, out, pad, table=True)
             return
         out.write("[\n")

@@ -145,7 +145,7 @@ class BandedMatrix:
 _SCRATCH_SIZE = 2**14
 
 
-def _band_product(data: np.ndarray, hbw: int, v: np.ndarray) -> np.ndarray:
+def _band_product(data: np.ndarray, hbw: int, v: np.ndarray, out=None) -> np.ndarray:
     """``A v`` from band storage, for one vector or a stack of vectors.
 
     Entry i is the sum of ``A[i, j] * v[j]`` over the band columns j in
@@ -164,8 +164,10 @@ def _band_product(data: np.ndarray, hbw: int, v: np.ndarray) -> np.ndarray:
         # (or holds one vector); rows of a piece are the single products
         step = max(1, _SCRATCH_SIZE // (rows * (width + 1)))
         if len(v) > step:
-            pieces = [_band_product(data, hbw, v[i : i + step]) for i in range(0, len(v), step)]
-            return np.concatenate(pieces)
+            out = np.empty(v.shape)
+            for i in range(0, len(v), step):
+                _band_product(data, hbw, v[i : i + step], out[i : i + step])
+            return out
     lead = v.shape[:-1]
     # the last ``rows`` places only complete the window's shape; none is read
     buffer = np.empty(lead + (rows * (width + 1),))
@@ -175,7 +177,7 @@ def _band_product(data: np.ndarray, hbw: int, v: np.ndarray) -> np.ndarray:
     # a reversed output view is fast; a reversed input is not
     np.multiply(data, v[..., None, :], out=grid[..., ::-1, hbw : hbw + n])
     window = buffer.reshape(lead + (rows, width + 1))[..., :n]
-    return np.add.reduce(window, axis=-2, initial=0.0)
+    return np.add.reduce(window, axis=-2, initial=0.0, out=out)
 
 
 @dataclass

@@ -73,6 +73,10 @@ GAUSS_POINTS = 0.5 * (_GAUSS_XI + 1.0)
 GAUSS_WEIGHTS = 0.5 * _GAUSS_W
 _PATTERN_WEIGHTS = 1 << np.arange(4)  # active quadrature points -> pattern number
 _PINNED = np.zeros(1)
+# Element pairs (a, b), numbered 4a + b: the 12 off the left node, then the
+# left node's own 4 (a, b < 2), and the two groups as slices of that order
+_PAIR_ORDER = np.array([2, 3, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 4, 5])
+_PAIR_GROUPS = (slice(0, 12), slice(12, 16))
 
 
 @dataclass(frozen=True)
@@ -207,23 +211,20 @@ class BeamDiscretization:
             self.n = mesh.full_dofs
         self._red = freemap[self.elem_dofs]  # (m, 4), -1 marks pinned unknowns
 
-        # Element pair (a, b) sits at column 4a + b of an (m, 16) block array
-        # and lands at one flat band index; pairs on a pinned unknown land in
-        # a spare slot past the band.  The pairs of an element's left node
-        # are added last, so an entry shared by two elements receives the
-        # left element first, as when elements are accumulated one by one,
-        # and no entry appears twice in one add.
+        # Element pair (a, b) lands at one flat band index; pairs on a pinned
+        # unknown land in a spare slot past the band.  Block arrays hold the
+        # pairs in ``_PAIR_ORDER``: all pairs off an element's left node,
+        # then its left node's own pairs.  The two groups are added one after
+        # the other, so an entry shared by two elements receives the left
+        # element first, as when elements are accumulated one by one, and no
+        # entry appears twice in one add.
         rows = np.repeat(self._red[:, :, None], 4, axis=2)
         cols = np.repeat(self._red[:, None, :], 4, axis=1)
         band_size = (2 * HALF_BANDWIDTH + 1) * self.n
         flat = np.where(
             (rows >= 0) & (cols >= 0), (HALF_BANDWIDTH + rows - cols) * self.n + cols, band_size
         ).reshape(m, 16)
-        left = np.zeros((4, 4), dtype=bool)
-        left[:2, :2] = True
-        self._band_adds = [
-            (flat[:, pairs], pairs) for pairs in (np.flatnonzero(~left), np.flatnonzero(left))
-        ]
+        self._band_index = [np.ascontiguousarray(flat[:, _PAIR_ORDER[g]]) for g in _PAIR_GROUPS]
 
         # The penalty block of an element is active @ P over its quadrature
         # points, with P[q, 4a + b] = w_q N_a N_b the same for every element.
@@ -232,9 +233,10 @@ class BeamDiscretization:
         wn = self.basis * self.quad_weights
         products = (wn[:, None, :] * self.basis[None, :, :]).reshape(16, 4).T
         pattern_bits = (np.arange(16)[:, None] >> np.arange(4)) & 1
-        self._penalty_table = np.zeros((16, 16))
+        table = np.zeros((16, 16))
         for q in range(4):
-            self._penalty_table += pattern_bits[:, q : q + 1] * products[q]
+            table += pattern_bits[:, q : q + 1] * products[q]
+        self._penalty_table = table[:, _PAIR_ORDER]
         self._last_trace = None
 
         wb = self.quad_weights
@@ -252,15 +254,17 @@ class BeamDiscretization:
         self.operator_scale = self._linear.infinity_norm()
 
     def _assemble_constant(self, element_matrix: np.ndarray) -> BandedMatrix:
-        blocks = np.broadcast_to(element_matrix.reshape(16), (self.mesh.elements, 16))
+        block = element_matrix.reshape(16)[_PAIR_ORDER]
+        blocks = np.broadcast_to(block, (self.mesh.elements, 16))
         return self._add_blocks(BandedMatrix.zeros(self.n, HALF_BANDWIDTH), blocks)
 
     def _add_blocks(self, base: BandedMatrix, blocks: np.ndarray, elements=slice(None)):
         """``base`` plus the (k, 16) element ``blocks`` of ``elements``, as a new matrix."""
         data = np.empty(base.data.size + 1)
         data[:-1] = base.data.ravel()
-        for index, pairs in self._band_adds:
-            data[index[elements]] += blocks[:, pairs]
+        for index, group in zip(self._band_index, _PAIR_GROUPS):
+            at = index[elements]
+            data[at] = data[at] + blocks[:, group]
         return BandedMatrix(self.n, HALF_BANDWIDTH, data[:-1].reshape(base.data.shape))
 
     def _scatter_vector(self, contrib: np.ndarray) -> np.ndarray:

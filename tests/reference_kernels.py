@@ -102,6 +102,34 @@ def beam_residual(disc, gamma, y) -> np.ndarray:
     return out
 
 
+def penalty_table(disc) -> np.ndarray:
+    """Penalty block per pattern of active points, pairs (a, b) at column 4a + b."""
+    wn = disc.basis * disc.quad_weights
+    products = (wn[:, None, :] * disc.basis[None, :, :]).reshape(16, 4).T
+    pattern_bits = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    table = np.zeros((16, 16))
+    for q in range(4):
+        table += pattern_bits[:, q : q + 1] * products[q]
+    return table
+
+
+def add_blocks(disc, base, blocks, elements) -> BandedMatrix:
+    """Pairs off the left node for all elements, then the left node's pairs."""
+    hbw, n = obstacle1d.HALF_BANDWIDTH, disc.n
+    rows = np.repeat(disc._red[:, :, None], 4, axis=2)
+    cols = np.repeat(disc._red[:, None, :], 4, axis=1)
+    flat = np.where(
+        (rows >= 0) & (cols >= 0), (hbw + rows - cols) * n + cols, (2 * hbw + 1) * n
+    ).reshape(-1, 16)
+    left = np.zeros((4, 4), dtype=bool)
+    left[:2, :2] = True
+    data = np.empty(base.data.size + 1)
+    data[:-1] = base.data.ravel()
+    for pairs in (np.flatnonzero(~left), np.flatnonzero(left)):
+        data[flat[:, pairs][elements]] += blocks[:, pairs]
+    return BandedMatrix(n, hbw, data[:-1].reshape(base.data.shape))
+
+
 def beam_derivative(disc, gamma, y) -> BandedMatrix:
     """A fresh copy of the linear part when no point is active."""
     yq = values_at_quadrature(disc, y)
@@ -110,8 +138,8 @@ def beam_derivative(disc, gamma, y) -> BandedMatrix:
     hit = np.flatnonzero(pattern)
     if gamma == 0.0 or hit.size == 0:
         return disc._linear.copy()
-    blocks = gamma * disc._penalty_table[pattern[hit]]
-    return disc._add_blocks(disc._linear, blocks, hit)
+    blocks = gamma * penalty_table(disc)[pattern[hit]]
+    return add_blocks(disc, disc._linear, blocks, hit)
 
 
 def reference_write_json(obj, out, indent: int = 0) -> None:
