@@ -139,13 +139,7 @@ class BandedMatrix:
     __rmul__ = __mul__
 
 
-# Scratch of one stacked band product, in doubles.  One (k, 7, n) buffer
-# for the three beam roots at n = 2048 raised the peak resident memory of
-# the beam path by about 0.5 MB; pieces of this size leave it unchanged.
-_SCRATCH_SIZE = 2**14
-
-
-def _band_product(data: np.ndarray, hbw: int, v: np.ndarray, out=None) -> np.ndarray:
+def _band_product(data: np.ndarray, hbw: int, v: np.ndarray) -> np.ndarray:
     """``A v`` from band storage, for one vector or a stack of vectors.
 
     Entry i is the sum of ``A[i, j] * v[j]`` over the band columns j in
@@ -159,15 +153,6 @@ def _band_product(data: np.ndarray, hbw: int, v: np.ndarray, out=None) -> np.nda
     """
     n = data.shape[1]
     rows, width = 2 * hbw + 1, n + 2 * hbw
-    if v.ndim == 2:
-        # stacks go through in pieces whose buffer stays within _SCRATCH_SIZE
-        # (or holds one vector); rows of a piece are the single products
-        step = max(1, _SCRATCH_SIZE // (rows * (width + 1)))
-        if len(v) > step:
-            out = np.empty(v.shape)
-            for i in range(0, len(v), step):
-                _band_product(data, hbw, v[i : i + step], out[i : i + step])
-            return out
     lead = v.shape[:-1]
     # the last ``rows`` places only complete the window's shape; none is read
     buffer = np.empty(lead + (rows * (width + 1),))
@@ -177,7 +162,7 @@ def _band_product(data: np.ndarray, hbw: int, v: np.ndarray, out=None) -> np.nda
     # a reversed output view is fast; a reversed input is not
     np.multiply(data, v[..., None, :], out=grid[..., ::-1, hbw : hbw + n])
     window = buffer.reshape(lead + (rows, width + 1))[..., :n]
-    return np.add.reduce(window, axis=-2, initial=0.0, out=out)
+    return np.add.reduce(window, axis=-2, initial=0.0)
 
 
 @dataclass

@@ -58,8 +58,7 @@ def test_matvec_matches_diagonal_loop(hbw):
 
 
 def test_matvec_of_large_stacks_and_special_values():
-    # stacks above the scratch size go through in pieces; inf and NaN
-    # entries must land where the loop puts them
+    # inf and NaN entries must land where the loop puts them
     rng = np.random.default_rng(7)
     n, hbw = 3000, 3
     data = awkward(rng, (2 * hbw + 1, n))
