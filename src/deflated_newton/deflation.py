@@ -140,32 +140,42 @@ class _Terms(NamedTuple):
 def _deflation_terms(state: DeflationState, z: np.ndarray) -> _Terms:
     """Apply the norm weight once per root and collect the deflation terms at z.
 
-    A banded weight is applied to all differences z - r_i in one stacked
-    product, whose rows are the single products; each distance still comes
-    from its own dot product.
-
     Raises:
         AtDeflatedRoot: z lies within ``state.guard`` of a deflated root.
     """
-    weight = state.norm.weight
-    if state.roots and isinstance(weight, BandedMatrix):
-        differences = z - np.array(state.roots)
-        weighted = weight.matvec(differences)
-        pairs = [(math.sqrt(max(v @ wv, 0.0)), wv) for v, wv in zip(differences, weighted)]
-    else:
-        weighted = None
-        pairs = (state.norm.weigh(z - root) for root in state.roots)
+    if state.roots and isinstance(state.norm.weight, BandedMatrix):
+        return _banded_terms(state, z)
     alpha = 1.0
-    distances, factors, rows = [], [], []
-    for d, wv in pairs:
+    distances, factors, weighted = [], [], []
+    for root in state.roots:
+        d, wv = state.norm.weigh(z - root)
         if d <= state.guard:
             raise AtDeflatedRoot(f"point within {state.guard:.1e} of a deflated root (d={d:.3e})")
         m = d ** (-state.power) + state.shift
         alpha *= m
         distances.append(d)
         factors.append(m)
-        rows.append(wv)
-    return _Terms(alpha, distances, factors, rows if weighted is None else weighted)
+        weighted.append(wv)
+    return _Terms(alpha, distances, factors, weighted)
+
+
+def _banded_terms(state: DeflationState, z: np.ndarray) -> _Terms:
+    """:func:`_deflation_terms` for a banded weight, applied to all k
+    differences z - r_i in one stacked product whose rows are the single
+    products; each distance still comes from its own dot product."""
+    differences = z - np.array(state.roots)
+    weighted = state.norm.weight.matvec(differences)
+    alpha = 1.0
+    distances, factors = [], []
+    for v, wv in zip(differences, weighted):
+        d = math.sqrt(max(v @ wv, 0.0))
+        if d <= state.guard:
+            raise AtDeflatedRoot(f"point within {state.guard:.1e} of a deflated root (d={d:.3e})")
+        m = d ** (-state.power) + state.shift
+        alpha *= m
+        distances.append(d)
+        factors.append(m)
+    return _Terms(alpha, distances, factors, weighted)
 
 
 def _gradient(state: DeflationState, z: np.ndarray, terms: _Terms) -> np.ndarray:

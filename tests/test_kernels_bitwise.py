@@ -57,6 +57,18 @@ def test_matvec_matches_diagonal_loop(hbw):
                 assert same_bits(row, want)
 
 
+@pytest.mark.parametrize("hbw", range(5))
+def test_matvec_of_negative_zeros_is_positive_zero(hbw):
+    # every product -0.0: the loop's sums start at +0.0 and end there
+    for n in (1, 3, 12):
+        matrix = BandedMatrix(n, hbw, np.ones((2 * hbw + 1, n)))
+        zeros = np.full((2, n), -0.0)
+        want = ref.banded_matvec(matrix, zeros[0])
+        assert same_bits(want, np.zeros(n))
+        assert same_bits(matrix.matvec(zeros[0]), want)
+        assert same_bits(matrix.matvec(zeros), np.zeros((2, n)))
+
+
 def test_matvec_of_large_stacks_and_special_values():
     # inf and NaN entries must land where the loop puts them
     rng = np.random.default_rng(7)
