@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from deflated_newton.cli import _build_parser, _format_number, _write_json, main
+from deflated_newton.cli import _build_parser, _write_json, main
 
 
 def run_cli(capsys, *argv):
