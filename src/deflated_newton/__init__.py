@@ -44,7 +44,6 @@ from .obstacle1d import (
 )
 from .problems import Benchmark, UnknownBenchmark, build, defaults, initial_guess, list_benchmarks
 from .reformulate import (
-    DerivativeUnavailable,
     MixedComplementarityProblem,
     NcpFunction,
     NonFiniteResidual,
@@ -63,7 +62,6 @@ __all__ = [
     "Benchmark",
     "ContinuationPlan",
     "DeflationState",
-    "DerivativeUnavailable",
     "EUCLIDEAN",
     "Event",
     "HermiteMesh1D",

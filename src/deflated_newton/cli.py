@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from itertools import chain, compress, repeat
 from typing import Optional
 
@@ -292,7 +293,7 @@ def _solver_config(args, defaults: Optional[SolverConfig] = None) -> SolverConfi
         changes["rtol"] = args.rtol
     if args.max_iter is not None:
         changes["max_iter"] = args.max_iter
-    return cfg.with_(**changes) if changes else cfg
+    return replace(cfg, **changes) if changes else cfg
 
 
 def _finish(doc: dict, args, parser, n_roots: int) -> int:
@@ -332,12 +333,13 @@ def _run_solve(args, parser) -> int:
     line_search = rec.line_search if args.line_search is None else args.line_search
     try:
         problem = problems.build(bench, mu=args.mu)
-        config = _solver_config(args).with_(
+        config = replace(
+            _solver_config(args),
             line_search=LINE_SEARCH_BACKTRACKING if line_search else LINE_SEARCH_NONE,
             singular_action=rec.singular_action,
         )
         if args.max_iter is None and rec.max_iter != config.max_iter:
-            config = config.with_(max_iter=rec.max_iter)
+            config = replace(config, max_iter=rec.max_iter)
         deflation = DeflationState(power=power, shift=shift)
     except ValueError as err:
         parser.error(str(err))
@@ -383,8 +385,8 @@ def _run_continue(args, parser) -> int:
     power = args.p if args.p is not None else rec.power
     shift = args.shift if args.shift is not None else rec.shift
     try:
-        config = _solver_config(args).with_(singular_action=rec.singular_action)
-        search_config = config if args.max_iter is not None else config.with_(max_iter=rec.max_iter)
+        config = replace(_solver_config(args), singular_action=rec.singular_action)
+        search_config = replace(config, max_iter=rec.max_iter) if args.max_iter is None else config
         deflation = DeflationState(power=power, shift=shift)
         plan = ContinuationPlan(
             start=args.mu_start, end=args.mu_end, steps=args.mu_steps,

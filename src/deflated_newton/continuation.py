@@ -25,7 +25,7 @@ from .reformulate import (
 )
 from .solver import SolveStatus, SolverConfig, plain_derivative, solve
 
-DEFAULT_DISTINCTNESS_TOL = 1e-6
+DISTINCTNESS_TOL = 1e-6  # see SolutionSet
 
 # A candidate root is polished with a few plain Newton steps before it is
 # accepted: the deflated solve stops at max(atol, rtol * ||G(z0)||), while
@@ -46,23 +46,17 @@ class RootRecord:
     z: np.ndarray
     iterations: int
     parameter: Optional[float]
-    distinctness_radius: float
 
 
 class SolutionSet:
     """Ordered collection of pairwise distinct roots.
 
     Distinctness is measured in ``norm`` with radius
-    ``tol * (1 + ||z||)`` around each member; adding a vector inside an
-    existing radius raises ValueError.
+    ``DISTINCTNESS_TOL * (1 + ||z||)`` around each member; adding a vector
+    inside an existing radius raises ValueError.
     """
 
-    def __init__(
-        self,
-        distinctness_tol: float = DEFAULT_DISTINCTNESS_TOL,
-        norm: NormSpec = EUCLIDEAN,
-    ):
-        self.distinctness_tol = distinctness_tol
+    def __init__(self, norm: NormSpec = EUCLIDEAN):
         self.norm = norm
         self.records: list[RootRecord] = []
 
@@ -76,7 +70,7 @@ class SolutionSet:
         return [rec.z for rec in self.records]
 
     def radius(self, z: np.ndarray) -> float:
-        return self.distinctness_tol * (1.0 + self.norm.norm(z))
+        return DISTINCTNESS_TOL * (1.0 + self.norm.norm(z))
 
     def is_distinct(self, z: np.ndarray) -> bool:
         return all(self.norm.norm(z - rec.z) > self.radius(z) for rec in self.records)
@@ -85,7 +79,7 @@ class SolutionSet:
         z = np.array(z, dtype=float)
         if not self.is_distinct(z):
             raise ValueError("root is not distinct from the set")
-        record = RootRecord(z, iterations, parameter, self.radius(z))
+        record = RootRecord(z, iterations, parameter)
         self.records.append(record)
         return record
 
@@ -144,7 +138,7 @@ def polish_root(
     Returns the polished root and the number of extra Newton iterations, or
     None when the candidate cannot be verified as a root.
     """
-    cfg = config.with_(max_iter=POLISH_MAX_ITER)
+    cfg = replace(config, max_iter=POLISH_MAX_ITER)
     result = solve(residual, plain_derivative(jacobian), z, cfg)
     if result.status is not SolveStatus.CONVERGED:
         return None
@@ -227,7 +221,6 @@ def deflated_search(
     ncp: NcpFunction = NcpFunction.FISCHER_BURMEISTER,
     deflation: Optional[DeflationState] = None,
     config: Optional[SolverConfig] = None,
-    solutions: Optional[SolutionSet] = None,
     max_roots: Optional[int] = None,
     events: Optional[list] = None,
 ) -> SolutionSet:
@@ -260,7 +253,6 @@ def deflated_search(
         guesses=guesses,
         deflation=state,
         config=cfg,
-        solutions=solutions,
         parameter=problem.parameter,
         max_roots=max_roots,
         events=events,
@@ -278,8 +270,6 @@ class ContinuationPlan:
     ncp: NcpFunction = NcpFunction.FISCHER_BURMEISTER
     power: float = 2.0
     shift: float = 1.0
-    norm: NormSpec = EUCLIDEAN
-    distinctness_tol: float = DEFAULT_DISTINCTNESS_TOL
 
     def __post_init__(self):
         if self.steps < 1:
@@ -295,9 +285,8 @@ class ContinuationPlan:
 def advance_branches(
     residual: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable,
-    branches: SolutionSet,
+    branches: Sequence[RootRecord],
     deflation: DeflationState,
-    distinctness_tol: float,
     config: SolverConfig,
     parameter: float,
     step: int,
@@ -309,18 +298,18 @@ def advance_branches(
 ) -> SolutionSet:
     """One step of deflated continuation (Farrell, Beentjes & Birkisson 2016).
 
-    Each branch is re-solved (undeflated) from its point and polished, or
-    dropped with an event when that fails or it collides with an already
-    re-solved branch.  A deflated search from the branch points, then from
-    ``extra_guesses``, looks for newcomers.  Re-solved branches keep their
-    discovery metadata; newcomers record ``parameter``.  ``deflation`` gives
-    the operator and the norm; its roots are replaced by the re-solved
-    branches.
+    Each branch record is re-solved (undeflated) from its ``z`` and
+    polished, or dropped with an event when that fails or it collides with
+    an already re-solved branch.  A deflated search from the branch points,
+    then from ``extra_guesses``, looks for newcomers.  Re-solved branches
+    keep their discovery metadata; newcomers record ``parameter``.
+    ``deflation`` gives the operator and the norm; its roots are replaced by
+    the re-solved branches.
 
     Raises:
         AllBranchesLost: no branch re-converges ("... at {name} {parameter}").
     """
-    resolved = SolutionSet(distinctness_tol=distinctness_tol, norm=deflation.norm)
+    resolved = SolutionSet(norm=deflation.norm)
     for bi, record in enumerate(branches):
         result = solve(residual, plain_derivative(jacobian), record.z, config)
         moved = None
@@ -344,7 +333,7 @@ def advance_branches(
     return deflated_search_callables(
         residual=residual,
         jacobian=jacobian,
-        guesses=branches.vectors() + list(extra_guesses),
+        guesses=[record.z for record in branches] + list(extra_guesses),
         deflation=replace(deflation, roots=resolved.vectors()),
         config=config,
         solutions=resolved,
@@ -363,8 +352,7 @@ def continue_parameter(
 ) -> SolutionSet:
     """Continue all branches of ``initial`` from plan.start to plan.end.
 
-    Every step is one :func:`advance_branches` in the plan's norm and
-    distinctness tolerance.
+    Every step is one :func:`advance_branches` in the Euclidean norm.
 
     Raises:
         AllBranchesLost: when no branch re-converges at some step.
@@ -372,12 +360,11 @@ def continue_parameter(
     if len(initial) == 0:
         raise ValueError("continuation requires a nonempty initial solution set")
     current = initial
-    deflation = DeflationState(power=plan.power, shift=plan.shift, norm=plan.norm)
+    deflation = DeflationState(power=plan.power, shift=plan.shift)
     for step_idx, value in enumerate(plan.values(), start=1):
         system = _ReformulatedSystem(family(float(value)), plan.ncp)
         current = advance_branches(
-            system.residual, system.jacobian, current,
-            deflation=deflation, distinctness_tol=plan.distinctness_tol, config=plan.config,
+            system.residual, system.jacobian, current, deflation=deflation, config=plan.config,
             parameter=float(value), step=step_idx, events=events,
         )
     return current

@@ -22,7 +22,7 @@ import numpy as np
 
 from .linalg import BandedMatrix, lapack
 
-DEFAULT_GUARD = 1e-10
+GUARD = 1e-10  # radius of the guard ball around each deflated root
 
 
 class AtDeflatedRoot(Exception):
@@ -60,13 +60,6 @@ class NormSpec:
                 f"weight matrix is not positive definite (Cholesky info={info})"
             )
 
-    def apply_weight(self, v: np.ndarray) -> np.ndarray:
-        if self.weight is None:
-            return np.asarray(v, dtype=float)
-        if isinstance(self.weight, BandedMatrix):
-            return self.weight.matvec(v)
-        return self.weight @ v
-
     def norm(self, v: np.ndarray) -> float:
         return self.weigh(np.asarray(v, dtype=float))[0]
 
@@ -78,7 +71,7 @@ class NormSpec:
         if self.weight is None:
             return math.sqrt(v @ v), v
         v = np.asarray(v, dtype=float)
-        wv = self.apply_weight(v)
+        wv = self.weight.matvec(v) if isinstance(self.weight, BandedMatrix) else self.weight @ v
         return math.sqrt(max(v @ wv, 0.0)), wv
 
 
@@ -101,7 +94,6 @@ class DeflationState:
     power: float = 2.0
     shift: float = 1.0
     norm: NormSpec = field(default_factory=NormSpec)
-    guard: float = DEFAULT_GUARD
     roots: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
@@ -118,7 +110,7 @@ class DeflationState:
         for known in self.roots:
             if known.shape != root.shape:
                 raise ValueError("all deflated roots must share one dimension")
-            if self.norm.norm(root - known) <= self.guard:
+            if self.norm.norm(root - known) <= GUARD:
                 raise ValueError("new root coincides with an already deflated root")
         self.roots.append(root)
 
@@ -141,7 +133,7 @@ def _deflation_terms(state: DeflationState, z: np.ndarray) -> _Terms:
     """Apply the norm weight once per root and collect the deflation terms at z.
 
     Raises:
-        AtDeflatedRoot: z lies within ``state.guard`` of a deflated root.
+        AtDeflatedRoot: z lies within :data:`GUARD` of a deflated root.
     """
     if state.roots and isinstance(state.norm.weight, BandedMatrix):
         return _banded_terms(state, z)
@@ -149,8 +141,8 @@ def _deflation_terms(state: DeflationState, z: np.ndarray) -> _Terms:
     distances, factors, weighted = [], [], []
     for root in state.roots:
         d, wv = state.norm.weigh(z - root)
-        if d <= state.guard:
-            raise AtDeflatedRoot(f"point within {state.guard:.1e} of a deflated root (d={d:.3e})")
+        if d <= GUARD:
+            raise AtDeflatedRoot(f"point within {GUARD:.1e} of a deflated root (d={d:.3e})")
         m = d ** (-state.power) + state.shift
         alpha *= m
         distances.append(d)
@@ -169,8 +161,8 @@ def _banded_terms(state: DeflationState, z: np.ndarray) -> _Terms:
     distances, factors = [], []
     for v, wv in zip(differences, weighted):
         d = math.sqrt(max(v @ wv, 0.0))
-        if d <= state.guard:
-            raise AtDeflatedRoot(f"point within {state.guard:.1e} of a deflated root (d={d:.3e})")
+        if d <= GUARD:
+            raise AtDeflatedRoot(f"point within {GUARD:.1e} of a deflated root (d={d:.3e})")
         m = d ** (-state.power) + state.shift
         alpha *= m
         distances.append(d)

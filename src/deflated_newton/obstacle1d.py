@@ -17,7 +17,7 @@ distinct equilibria.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -60,6 +60,8 @@ DIVERGENCE_SCALE_FACTOR = 1e4
 # after 652 iterations without halving its best residual.
 STALL_WINDOW = 25
 
+PENALTY_STEPS = 9  # of the default schedule; the CLI's --q sets another ratio
+
 # Largest final mesh :func:`path_follow` builds.  The mesh rule asks for
 # about sqrt(gamma_max) elements, so without a cap a huge gamma_max (1e300
 # asks for about 1e150) refines until memory runs out.  The `beam` command
@@ -67,6 +69,14 @@ STALL_WINDOW = 25
 # 4.2e9), about 3.1 kB per element over the 60 MB of the bare interpreter,
 # so the cap keeps a path to a few hundred MB.
 MAX_ELEMENTS = 2**16
+
+# Longest penalty schedule :func:`gamma_schedule` builds.  A ratio q just
+# above 1 asks for log(gamma_max / gamma0) / log(q) steps, each a branch
+# step of the path: q = 1.00001 from 10 to 1e6 asks for 1.15 million, and
+# q = nextafter(1, 2) never reaches gamma_max, so the list grows until
+# memory runs out.  The `beam` command took 92 s for the 1158 steps of
+# q = 1.01 on 2 vCPUs, so the cap keeps a path under a quarter of an hour.
+MAX_PENALTY_STEPS = 10_000
 
 _GAUSS_XI, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 GAUSS_POINTS = 0.5 * (_GAUSS_XI + 1.0)
@@ -142,8 +152,7 @@ class HermiteMesh1D:
         return np.linspace(0.0, self.length, self.num_nodes)
 
     def free_indices(self) -> np.ndarray:
-        pinned = (0, 2 * self.elements)
-        return np.array([i for i in range(self.full_dofs) if i not in pinned])
+        return np.delete(np.arange(self.full_dofs), (0, 2 * self.elements))
 
     def refined(self) -> "HermiteMesh1D":
         return HermiteMesh1D(2 * self.elements, self.length)
@@ -389,9 +398,8 @@ def prolong(mesh: HermiteMesh1D, y: np.ndarray) -> np.ndarray:
     the cubic is evaluated exactly, so prolongation is exact for the
     represented function.
     """
-    coarse = _discretization_free(mesh)
     y_full = np.zeros(mesh.full_dofs)
-    y_full[coarse] = np.asarray(y, dtype=float)
+    y_full[mesh.free_indices()] = np.asarray(y, dtype=float)
 
     mid_n, mid_dn, _ = hermite_basis(mesh.h, np.array([0.5]))
     elems = y_full[2 * np.arange(mesh.elements)[:, None] + np.arange(4)[None, :]]
@@ -404,21 +412,17 @@ def prolong(mesh: HermiteMesh1D, y: np.ndarray) -> np.ndarray:
     fine_full[1::4] = y_full[1::2]  # old node slopes
     fine_full[2::4] = mid_values
     fine_full[3::4] = mid_slopes
-    return fine_full[_discretization_free(fine)]
+    return fine_full[fine.free_indices()]
 
 
-@lru_cache(maxsize=32)
-def _discretization_free(mesh: HermiteMesh1D) -> np.ndarray:
-    return mesh.free_indices()
-
-
-def gamma_schedule(gamma0: float, gamma_max: float, q: Optional[float] = None, steps: int = 9):
+def gamma_schedule(gamma0: float, gamma_max: float, q: Optional[float] = None):
     """Geometric penalty schedule from gamma0 (exclusive) to gamma_max.
 
-    Default ratio is (gamma_max / gamma0)^(1/steps); a custom ratio q > 1
-    runs until gamma_max, with the final value clipped to hit it exactly.
-    Raises ValueError unless gamma0 > 0 and gamma0, gamma_max and q are
-    finite, so a bad schedule fails before any mesh is built.
+    Default ratio is (gamma_max / gamma0)^(1/PENALTY_STEPS); a custom ratio
+    q > 1 runs until gamma_max, with the final value clipped to hit it
+    exactly.  Raises ValueError unless gamma0 > 0 and gamma0, gamma_max and
+    q are finite and the schedule has at most :data:`MAX_PENALTY_STEPS`
+    steps, so a bad schedule fails before any mesh is built.
     """
     if not (math.isfinite(gamma0) and gamma0 > 0.0):
         raise ValueError("initial penalty gamma0 must be positive and finite")
@@ -429,9 +433,15 @@ def gamma_schedule(gamma0: float, gamma_max: float, q: Optional[float] = None, s
     if gamma_max <= gamma0:
         return []
     if q is None:
-        q = (gamma_max / gamma0) ** (1.0 / steps)
+        q = (gamma_max / gamma0) ** (1.0 / PENALTY_STEPS)
     if q <= 1.0:
         raise ValueError("penalty growth ratio must exceed 1")
+    steps = (math.log(gamma_max) - math.log(gamma0)) / math.log(q)
+    if steps > MAX_PENALTY_STEPS:
+        raise ValueError(
+            f"penalty growth ratio {q!r} needs about {steps:.0f} steps to reach gamma_max; "
+            f"the cap is {MAX_PENALTY_STEPS}"
+        )
     values = []
     g = gamma0
     while True:
@@ -478,7 +488,7 @@ def beam_solver_config(disc: BeamDiscretization, base: Optional[SolverConfig] = 
     atol = max(cfg.atol, ATOL_SCALE_FACTOR * eps * disc.operator_scale)
     divergence = max(cfg.divergence_tol, DIVERGENCE_SCALE_FACTOR * disc.operator_scale)
     window = STALL_WINDOW if cfg.stall_window is None else cfg.stall_window
-    return cfg.with_(atol=atol, divergence_tol=divergence, stall_window=window)
+    return replace(cfg, atol=atol, divergence_tol=divergence, stall_window=window)
 
 
 @dataclass
@@ -486,10 +496,8 @@ class PathState:
     """Final state of a penalty path: where it stopped and what it found."""
 
     gamma: float
-    gamma_max: float
     mesh: HermiteMesh1D
     solutions: SolutionSet
-    mass: BandedMatrix
 
 
 def path_follow(
@@ -498,7 +506,6 @@ def path_follow(
     gamma0: float = 10.0,
     gamma_max: float = 1e6,
     q: Optional[float] = None,
-    steps: int = 9,
     initial_elements: int = 64,
     power: float = 2.0,
     shift: float = 1.0,
@@ -509,9 +516,10 @@ def path_follow(
     """Collect distinct penalized equilibria and continue them to gamma_max.
 
     At the initial penalty a deflated search runs from the supplied guesses
-    (default: the flat beam), deflating in the L2 norm induced by the mass
-    matrix.  The penalty then grows geometrically; before each re-solve the
-    mesh is refined until h <= 1/sqrt(gamma) and all branches are prolonged.
+    (default: the flat beam), given on the initial mesh and prolonged to the
+    mesh for gamma0, deflating in the L2 norm induced by the mass matrix.
+    The penalty then grows geometrically; before each re-solve the mesh is
+    refined until h <= 1/sqrt(gamma) and all branches are prolonged.
     Each step is one :func:`~deflated_newton.continuation.advance_branches`
     from the prolonged points, with the guess pool as extra guesses.
 
@@ -527,10 +535,12 @@ def path_follow(
             :func:`final_elements`) or a guess does not have the length of
             the initial mesh's unknowns.
     """
-    schedule = gamma_schedule(gamma0, gamma_max, q, steps)
+    schedule = gamma_schedule(gamma0, gamma_max, q)
     mesh = HermiteMesh1D(initial_elements, problem.length)
     final_elements(mesh, gamma0, gamma_max)
+    pool = [np.zeros(mesh.dofs)] if guesses is None else checked_guesses(guesses, mesh.dofs)
     while mesh.h > 1.0 / math.sqrt(gamma0):
+        pool = [prolong(mesh, guess) for guess in pool]
         mesh = mesh.refined()
 
     disc = _discretization(problem, mesh)
@@ -538,7 +548,6 @@ def path_follow(
     norm = NormSpec(disc.mass)
     deflation = DeflationState(power=power, shift=shift, norm=norm)
     solutions = SolutionSet(norm=norm)
-    pool = [np.zeros(disc.n)] if guesses is None else checked_guesses(guesses, disc.n)
 
     deflated_search_callables(
         residual=lambda z: disc.residual(gamma0, z),
@@ -558,16 +567,12 @@ def path_follow(
     gamma = gamma0
     for step_idx, g in enumerate(schedule, start=1):
         while mesh.h > (1.0 + 1e-12) / math.sqrt(g):
-            prolonged = [prolong(mesh, rec.z) for rec in solutions]
+            solutions = [replace(rec, z=prolong(mesh, rec.z)) for rec in solutions]
             pool = [prolong(mesh, guess) for guess in pool]
             mesh = mesh.refined()
             disc = _discretization(problem, mesh)
             cfg = beam_solver_config(disc, config)
             norm = NormSpec(disc.mass)
-            refined_set = SolutionSet(distinctness_tol=solutions.distinctness_tol, norm=norm)
-            for rec, z in zip(solutions, prolonged):
-                refined_set.add(z, iterations=rec.iterations, parameter=rec.parameter)
-            solutions = refined_set
             _emit(events, kind="refine", step=step_idx, parameter=g,
                   detail=f"elements={mesh.elements}")
 
@@ -577,11 +582,10 @@ def path_follow(
         # that only appear at larger penalties are picked up
         solutions = advance_branches(
             lambda z: disc.residual(g, z), lambda z: disc.derivative(g, z), solutions,
-            deflation=DeflationState(power=power, shift=shift, norm=norm),
-            distinctness_tol=solutions.distinctness_tol, config=cfg, parameter=g,
+            deflation=DeflationState(power=power, shift=shift, norm=norm), config=cfg, parameter=g,
             step=step_idx, extra_guesses=pool, max_roots=max_roots, events=events,
             detail=f"elements={mesh.elements}", name="penalty",
         )
         gamma = g
 
-    return PathState(gamma, gamma_max, mesh, solutions, disc.mass)
+    return PathState(gamma, mesh, solutions)

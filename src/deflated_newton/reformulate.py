@@ -23,10 +23,6 @@ class NonFiniteResidual(Exception):
     """F(z) produced NaN or infinity."""
 
 
-class DerivativeUnavailable(Exception):
-    """No analytic derivative and the finite-difference fallback is disabled."""
-
-
 class NcpFunction(Enum):
     """Scalar complementarity functions: phi(a, b) = 0 iff a, b >= 0 and ab = 0."""
 
@@ -80,7 +76,7 @@ class MixedComplementarityProblem:
         dimension: number of unknowns n.
         residual: map z -> F(z) of length n.
         derivative: optional map z -> n-by-n Jacobian of F; when absent,
-            forward differences are used if ``fd_fallback`` is enabled.
+            forward differences are used.
         lower: lower bounds (default all zero, the NCP case).
         upper: upper bounds (default all +inf).
         parameter: value of the problem's scalar parameter, if any.
@@ -97,7 +93,6 @@ class MixedComplementarityProblem:
     upper: Optional[np.ndarray] = None
     parameter: Optional[float] = None
     name: str = ""
-    fd_fallback: bool = True
 
     def __post_init__(self):
         n = self.dimension
@@ -162,12 +157,8 @@ def jacobian(
             raise NonFiniteResidual(f"F'(z) overflows at z={z!r}") from None
         if jac.shape != (problem.dimension,) * 2:
             raise ValueError("derivative map returned the wrong shape")
-    elif problem.fd_fallback:
-        jac = _forward_difference_jacobian(problem, z, value)
     else:
-        raise DerivativeUnavailable(
-            f"problem {problem.name or '<anonymous>'} has no derivative and fd_fallback is off"
-        )
+        jac = _forward_difference_jacobian(problem, z, value)
     if not all_finite(jac):
         raise NonFiniteResidual(f"F'(z) contains non-finite entries at z={z!r}")
     return jac

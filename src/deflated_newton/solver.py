@@ -15,7 +15,7 @@ reuse it in ``derivative`` when handed the same object.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -49,6 +49,12 @@ LINE_SEARCH_BACKTRACKING = "backtracking"
 SINGULAR_ERROR = "error"
 SINGULAR_LEAST_SQUARES = "least-squares"
 
+# Armijo backtracking (see _backtrack): the step factor per rejected trial,
+# the sufficient-decrease constant c and the step below which it fails
+LS_REDUCTION = 0.5
+LS_SUFFICIENT_DECREASE = 1e-4
+LS_MIN_STEP = 1e-10
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -70,9 +76,6 @@ class SolverConfig:
     max_iter: int = 100
     divergence_tol: float = 1e8
     line_search: str = LINE_SEARCH_NONE
-    ls_reduction: float = 0.5
-    ls_sufficient_decrease: float = 1e-4
-    ls_min_step: float = 1e-10
     singular_action: str = SINGULAR_ERROR
     stall_window: Optional[int] = None
 
@@ -87,11 +90,6 @@ class SolverConfig:
             raise ValueError(f"unknown line search mode {self.line_search!r}")
         if self.singular_action not in (SINGULAR_ERROR, SINGULAR_LEAST_SQUARES):
             raise ValueError(f"unknown singular action {self.singular_action!r}")
-        if not (0.0 < self.ls_reduction < 1.0 and 0.0 < self.ls_sufficient_decrease < 1.0):
-            raise ValueError("line search parameters out of range")
-
-    def with_(self, **changes) -> "SolverConfig":
-        return replace(self, **changes)
 
 
 @dataclass
@@ -208,7 +206,7 @@ def solve(
             return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
 
         if cfg.line_search == LINE_SEARCH_BACKTRACKING:
-            accepted = _backtrack(residual, z, step, rnorm, cfg)
+            accepted = _backtrack(residual, z, step, rnorm)
             if accepted is None:
                 return SolveResult(SolveStatus.LINE_SEARCH_FAILED, z, iterations, history)
             z_new, r_new = accepted
@@ -227,12 +225,13 @@ def solve(
         history.append(rnorm)
 
 
-def _backtrack(residual, z, step, rnorm, cfg):
+def _backtrack(residual, z, step, rnorm):
     """Armijo backtracking on the merit 0.5 ||F||^2.
 
     The Newton direction predicts a merit slope of -||F||^2, so sufficient
-    decrease reads m(z + t d) <= (1 - 2 c t) m(z).  Trial points that raise
-    or return non-finite values are rejected like failed decrease.
+    decrease reads m(z + t d) <= (1 - 2 c t) m(z), c = LS_SUFFICIENT_DECREASE.
+    Trial points that raise or return non-finite values are rejected like
+    failed decrease.
     """
     merit0 = 0.5 * rnorm * rnorm
     t = 1.0
@@ -247,8 +246,8 @@ def _backtrack(residual, z, step, rnorm, cfg):
             r_trial = None
         if r_trial is not None:
             merit = 0.5 * float(r_trial @ r_trial)
-            if merit <= (1.0 - 2.0 * cfg.ls_sufficient_decrease * t) * merit0:
+            if merit <= (1.0 - 2.0 * LS_SUFFICIENT_DECREASE * t) * merit0:
                 return trial, r_trial
-        t *= cfg.ls_reduction
-        if t < cfg.ls_min_step:
+        t *= LS_REDUCTION
+        if t < LS_MIN_STEP:
             return None

@@ -52,9 +52,9 @@ def deflation_terms(state, z):
     distances, factors, weighted = [], [], []
     for root in state.roots:
         d, wv = state.norm.weigh(z - root)
-        if d <= state.guard:
+        if d <= deflation.GUARD:
             raise deflation.AtDeflatedRoot(
-                f"point within {state.guard:.1e} of a deflated root (d={d:.3e})"
+                f"point within {deflation.GUARD:.1e} of a deflated root (d={d:.3e})"
             )
         m = d ** (-state.power) + state.shift
         alpha *= m

@@ -84,6 +84,8 @@ def test_usage_error_exit_code(capsys):
         ["beam", "--gamma0", "nan"],
         ["beam", "--gamma-max", "inf"],
         ["beam", "--q", "nan"],
+        ["beam", "--q", "1.00001"],
+        ["beam", "--q", repr(math.nextafter(1.0, 2.0))],
         ["beam", "--gamma-max", "1e20"],
         ["beam", "--gamma-max", "1e300"],
         ["continue", "--mu-steps", "0"],

@@ -11,6 +11,7 @@ from deflated_newton.obstacle1d import (
     GAUSS_POINTS,
     HALF_BANDWIDTH,
     MAX_ELEMENTS,
+    MAX_PENALTY_STEPS,
     STALL_WINDOW,
     BeamDiscretization,
     BeamProblem,
@@ -398,6 +399,7 @@ def test_gamma_schedule_default_and_custom():
     with pytest.raises(ValueError):
         gamma_schedule(10.0, 1e6, q=0.5)
     assert gamma_schedule(10.0, 5.0) == []
+    assert len(gamma_schedule(10.0, 1e6, q=1.01)) == 1158 < MAX_PENALTY_STEPS
 
 
 @pytest.mark.parametrize(
@@ -411,6 +413,10 @@ def test_gamma_schedule_default_and_custom():
         (10.0, math.nan, None),
         (10.0, 1e6, math.nan),
         (10.0, 1e6, math.inf),
+        # more than MAX_PENALTY_STEPS steps: 11519, 1.15 million, never ending
+        (10.0, 1e6, 1.001),
+        (10.0, 1e6, 1.00001),
+        (10.0, 1e6, math.nextafter(1.0, 2.0)),
     ],
 )
 def test_invalid_schedule_fails_before_any_solve(gamma0, gamma_max, q):
@@ -455,7 +461,28 @@ def test_wrong_length_guess_fails_before_any_solve():
     events = []
     with pytest.raises(ValueError, match=r"guess 1 has shape \(64,\); expected length 128"):
         path_follow(BeamProblem(), guesses=[np.zeros(128), np.zeros(64)], events=events)
+    # gamma0 = 1e4 refines 64 elements to 128, but guesses have the initial length
+    with pytest.raises(ValueError, match=r"guess 0 has shape \(256,\); expected length 128"):
+        path_follow(BeamProblem(), guesses=[np.zeros(256)], gamma0=1e4, gamma_max=2e4,
+                    events=events)
     assert events == []
+
+
+def test_guesses_are_prolonged_through_the_initial_refinement():
+    events = []
+    state = path_follow(BeamProblem(), guesses=[np.zeros(128)], gamma0=1e4, gamma_max=2e4,
+                        events=events)
+    assert state.mesh.elements == 256
+    assert len(state.solutions) > 0
+    assert events[0].kind == "deflated-solve"
+
+
+def test_records_keep_their_metadata_through_refinement(beam_path):
+    _, state, events = beam_path
+    assert sum(ev.kind == "refine" for ev in events) == 4
+    found = sorted((ev.parameter, ev.iterations) for ev in events if ev.kind == "root-found")
+    assert sorted((rec.parameter, rec.iterations) for rec in state.solutions) == found
+    assert [it for _, it in found] == [1, 8, 11]
 
 
 def test_nan_guess_ends_as_diverged_solve():

@@ -5,7 +5,6 @@ import pytest
 
 from deflated_newton import problems
 from deflated_newton.reformulate import (
-    DerivativeUnavailable,
     MixedComplementarityProblem,
     NcpFunction,
     NonFiniteResidual,
@@ -198,14 +197,6 @@ def test_fd_fallback_close_to_analytic():
     a = assemble_newton_derivative(analytic, z, FB)
     b = assemble_newton_derivative(fallback, z, FB)
     assert np.abs(a - b).max() <= 1e-6
-
-
-def test_derivative_unavailable():
-    prob = MixedComplementarityProblem(
-        dimension=1, residual=lambda z: z, fd_fallback=False
-    )
-    with pytest.raises(DerivativeUnavailable):
-        assemble_newton_derivative(prob, np.array([1.0]), FB)
 
 
 def test_nonfinite_residual_raises():
