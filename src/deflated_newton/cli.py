@@ -284,8 +284,7 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _solver_config(args, defaults: Optional[SolverConfig] = None) -> SolverConfig:
-    cfg = defaults or SolverConfig()
+def _solver_config(args) -> SolverConfig:
     changes = {}
     if args.atol is not None:
         changes["atol"] = args.atol
@@ -293,7 +292,7 @@ def _solver_config(args, defaults: Optional[SolverConfig] = None) -> SolverConfi
         changes["rtol"] = args.rtol
     if args.max_iter is not None:
         changes["max_iter"] = args.max_iter
-    return replace(cfg, **changes) if changes else cfg
+    return SolverConfig(**changes)
 
 
 def _finish(doc: dict, args, parser, n_roots: int) -> int:

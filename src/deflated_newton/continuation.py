@@ -73,7 +73,10 @@ class SolutionSet:
         return DISTINCTNESS_TOL * (1.0 + self.norm.norm(z))
 
     def is_distinct(self, z: np.ndarray) -> bool:
-        return all(self.norm.norm(z - rec.z) > self.radius(z) for rec in self.records)
+        if not self.records:
+            return True
+        radius = self.radius(z)
+        return all(self.norm.norm(z - rec.z) > radius for rec in self.records)
 
     def add(self, z: np.ndarray, iterations: int, parameter: Optional[float]) -> RootRecord:
         z = np.array(z, dtype=float)
@@ -105,30 +108,25 @@ def _emit(events: Optional[list], **kwargs) -> None:
 class _ReformulatedSystem:
     """Phi(z) and an element of its generalized derivative, one F(z) per point.
 
-    ``jacobian(z)`` reuses the F(z) of the last ``residual`` call when handed
-    the same array object, and evaluates F again for any other array.
+    ``residual(z)`` returns Phi(z) with the point ``(z, F(z))``, from which
+    ``jacobian`` assembles the derivative without evaluating F again.
     """
 
     def __init__(self, problem: MixedComplementarityProblem, ncp: NcpFunction):
         self.problem = problem
         self.ncp = ncp
-        self._point = None
-        self._value = None
 
-    def residual(self, z: np.ndarray) -> np.ndarray:
-        self._point = None
+    def residual(self, z: np.ndarray) -> tuple[np.ndarray, tuple]:
         value = evaluate(self.problem, z)
-        out = assemble_residual(self.problem, z, self.ncp, value)
-        self._point, self._value = z, value
-        return out
+        return assemble_residual(self.problem, z, self.ncp, value), (z, value)
 
-    def jacobian(self, z: np.ndarray) -> np.ndarray:
-        value = self._value if z is self._point else None
+    def jacobian(self, point: tuple) -> np.ndarray:
+        z, value = point
         return assemble_newton_derivative(self.problem, z, self.ncp, value)
 
 
 def polish_root(
-    residual: Callable[[np.ndarray], np.ndarray],
+    residual: Callable[[np.ndarray], tuple],
     jacobian: Callable,
     z: np.ndarray,
     config: SolverConfig,
@@ -161,7 +159,7 @@ def checked_guesses(guesses: Sequence[np.ndarray], n: int) -> list[np.ndarray]:
 
 
 def deflated_search_callables(
-    residual: Callable[[np.ndarray], np.ndarray],
+    residual: Callable[[np.ndarray], tuple],
     jacobian: Callable,
     guesses: Sequence[np.ndarray],
     deflation: DeflationState,
@@ -174,15 +172,14 @@ def deflated_search_callables(
 ) -> SolutionSet:
     """Core deflated search over ``guesses`` for a residual given as callables.
 
-    ``jacobian(z)`` is only called right after ``residual(z)`` returned for
-    the same array object, so the two may share the work of one point.
-    ``deflation`` must already contain the roots of ``solutions``; both are
-    grown in place as new roots are found.
+    ``residual`` and ``jacobian`` follow the point contract of
+    :mod:`deflated_newton.solver`.  ``deflation`` must already contain the
+    roots of ``solutions``; both are grown in place as new roots are found.
     """
     sols = solutions if solutions is not None else SolutionSet(norm=deflation.norm)
+    system = DeflatedSystem(deflation, residual, jacobian)
     for gi, guess in enumerate(guesses):
         while max_roots is None or len(sols) < max_roots:
-            system = DeflatedSystem(deflation, residual, jacobian)
             result = solve(system.residual, system.derivative, guess, config)
             _emit(
                 events,
@@ -283,7 +280,7 @@ class ContinuationPlan:
 
 
 def advance_branches(
-    residual: Callable[[np.ndarray], np.ndarray],
+    residual: Callable[[np.ndarray], tuple],
     jacobian: Callable,
     branches: Sequence[RootRecord],
     deflation: DeflationState,

@@ -225,34 +225,25 @@ def deflated_derivative_parts(
 class DeflatedSystem:
     """The deflated residual G = alpha F and its Newton derivative parts.
 
-    ``residual(z)`` evaluates F and the deflation terms once;
-    ``derivative(z)`` reuses both when handed the array object last passed
-    to ``residual`` (the order :func:`deflated_newton.solver.solve` follows)
-    and recomputes them for any other array.  Points are float arrays, as
-    the solver passes them.  ``jacobian(z)`` of the undeflated system is
-    called right after ``residual(z)`` at the same array, so the two may
-    share work too.  The deflation state must not change between a
-    ``residual`` call and the ``derivative`` call that reuses it; build one
-    system per solve.
+    ``residual(z)`` evaluates F and the deflation terms once and returns G
+    with the point ``(z, F, inner, terms)``, where ``inner`` is the point
+    the undeflated ``residual`` returned; ``derivative`` builds its parts
+    from that point, calling the undeflated ``jacobian`` on ``inner``.
+    ``z`` is a float array, as the solver passes it.
     """
 
     def __init__(self, state: DeflationState, residual, jacobian):
         self.state = state
         self._residual = residual
         self._jacobian = jacobian
-        self._point = None
-        self._values = None
 
-    def residual(self, z: np.ndarray) -> np.ndarray:
-        self._point = None
-        f_value = np.asarray(self._residual(z), dtype=float)
+    def residual(self, z: np.ndarray):
+        value, inner = self._residual(z)
+        f_value = np.asarray(value, dtype=float)
         terms = _deflation_terms(self.state, z)
-        self._point, self._values = z, (f_value, terms)
-        return terms.alpha * f_value
+        return terms.alpha * f_value, (z, f_value, inner, terms)
 
-    def derivative(self, z: np.ndarray):
+    def derivative(self, point):
         """``(alpha, H_F, F, grad alpha)`` as in :func:`deflated_derivative_parts`."""
-        if z is not self._point:
-            self.residual(z)
-        f_value, terms = self._values
-        return terms.alpha, self._jacobian(z), f_value, _gradient(self.state, z, terms)
+        z, f_value, inner, terms = point
+        return terms.alpha, self._jacobian(inner), f_value, _gradient(self.state, z, terms)

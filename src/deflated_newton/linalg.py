@@ -58,7 +58,7 @@ def _load_lapack():
 lapack = _load_lapack()
 
 DEFAULT_PIVOT_TOL = 1e-14
-DEFAULT_DENOM_TOL = 1e-14
+DENOM_TOL = 1e-14
 
 _all_true = np.logical_and.reduce
 
@@ -259,7 +259,6 @@ def solve_rank_one_update(
     u: np.ndarray,
     w: np.ndarray,
     b: np.ndarray,
-    denom_tol: float = DEFAULT_DENOM_TOL,
 ) -> np.ndarray:
     """Solve ``(A + u w^T) x = b`` given a factorization of ``A``.
 
@@ -267,7 +266,7 @@ def solve_rank_one_update(
     banded factors both go through one back-substitution with two
     right-hand sides, which gives the same bits as two separate solves.
     Raises :class:`SingularUpdate` when ``|1 + w^T A^-1 u|`` is below
-    ``denom_tol``, i.e. the updated matrix is numerically singular.
+    :data:`DENOM_TOL`, i.e. the updated matrix is numerically singular.
     """
     if u is None:
         return fac.solve(b)
@@ -281,6 +280,6 @@ def solve_rank_one_update(
         x = fac.solve(b)
         s = fac.solve(u)
     denom = 1.0 + float(w @ s)
-    if abs(denom) < denom_tol:
-        raise SingularUpdate(f"update denominator {denom:.3e} below {denom_tol:.1e}")
+    if abs(denom) < DENOM_TOL:
+        raise SingularUpdate(f"update denominator {denom:.3e} below {DENOM_TOL:.1e}")
     return x - s * (float(w @ x) / denom)

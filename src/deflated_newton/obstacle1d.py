@@ -550,7 +550,7 @@ def path_follow(
     solutions = SolutionSet(norm=norm)
 
     deflated_search_callables(
-        residual=lambda z: disc.residual(gamma0, z),
+        residual=lambda z: (disc.residual(gamma0, z), z),
         jacobian=lambda z: disc.derivative(gamma0, z),
         guesses=pool,
         deflation=deflation,
@@ -581,7 +581,7 @@ def path_follow(
         # stall) the original guess pool is searched again, so equilibria
         # that only appear at larger penalties are picked up
         solutions = advance_branches(
-            lambda z: disc.residual(g, z), lambda z: disc.derivative(g, z), solutions,
+            lambda z: (disc.residual(g, z), z), lambda z: disc.derivative(g, z), solutions,
             deflation=DeflationState(power=power, shift=shift, norm=norm), config=cfg, parameter=g,
             step=step_idx, extra_guesses=pool, max_roots=max_roots, events=events,
             detail=f"elements={mesh.elements}", name="penalty",

@@ -1,15 +1,14 @@
 """Semismooth Newton driver with optional backtracking line search.
 
 The solver works on callables so the same loop serves plain and deflated
-systems: ``residual(z)`` returns the (possibly deflated) residual vector and
-``derivative(z)`` returns ``(scale, matrix, u, w)`` so that the Newton matrix
-is ``scale * matrix + outer(u, w)``; ``u = w = None`` means no rank-one part.
-
-Call order: :func:`solve` calls ``derivative(z)`` only on the array object
-most recently passed to ``residual``, after that call returned normally, and
-never modifies an array it has passed to either callable.  A pair of
-callables may therefore compute everything a point needs in ``residual`` and
-reuse it in ``derivative`` when handed the same object.
+systems: ``residual(z)`` returns ``(F, point)``, the (possibly deflated)
+residual vector and whatever its system needs to build the derivative there,
+and ``derivative(point)`` returns ``(scale, matrix, u, w)`` so that the
+Newton matrix is ``scale * matrix + outer(u, w)``; ``u = w = None`` means no
+rank-one part.  :func:`solve` hands ``derivative`` the point of the iterate
+each step starts from, so one evaluation serves both.  Rejected line-search
+trials and the final iterate get no derivative.  :func:`solve` never
+modifies an array it has passed to ``residual``, so a point may hold ``z``.
 """
 
 from __future__ import annotations
@@ -104,11 +103,11 @@ class SolveResult:
         return self.status is SolveStatus.CONVERGED
 
 
-def plain_derivative(jacobian: Callable[[np.ndarray], "np.ndarray | BandedMatrix"]):
-    """Adapt a plain Jacobian callable to the (scale, matrix, u, w) contract."""
+def plain_derivative(jacobian: Callable[..., "np.ndarray | BandedMatrix"]):
+    """Adapt a Jacobian of a point to the (scale, matrix, u, w) contract."""
 
-    def wrapped(z):
-        return 1.0, jacobian(z), None, None
+    def wrapped(point):
+        return 1.0, jacobian(point), None, None
 
     return wrapped
 
@@ -127,7 +126,7 @@ def _least_squares_step(scale, matrix, u, w, r) -> np.ndarray:
 
 
 def solve(
-    residual: Callable[[np.ndarray], np.ndarray],
+    residual: Callable[[np.ndarray], tuple],
     derivative: Callable,
     z0: np.ndarray,
     config: Optional[SolverConfig] = None,
@@ -135,10 +134,10 @@ def solve(
     """Run the semismooth Newton iteration z_{k+1} = z_k - H(z_k)^-1 F(z_k).
 
     Args:
-        residual: z -> residual vector; may raise AtDeflatedRoot or
-            NonFiniteResidual.
-        derivative: z -> (scale, matrix, u, w) as described in the module
-            docstring; called only at the point last passed to ``residual``.
+        residual: z -> (residual vector, point); may raise AtDeflatedRoot
+            or NonFiniteResidual.
+        derivative: point -> (scale, matrix, u, w) as described in the
+            module docstring; may raise NonFiniteResidual.
         z0: starting point.
         config: solver settings; defaults to ``SolverConfig()``.
 
@@ -150,7 +149,8 @@ def solve(
     z = np.array(z0, dtype=float)
 
     try:
-        r = np.asarray(residual(z), dtype=float)
+        value, point = residual(z)
+        r = np.asarray(value, dtype=float)
     except AtDeflatedRoot:
         return SolveResult(SolveStatus.DEFLATED_ROOT_HIT, z, 0, [math.inf])
     except NonFiniteResidual:
@@ -175,9 +175,7 @@ def solve(
             return SolveResult(SolveStatus.STALLED, z, iterations, history)
 
         try:
-            scale, matrix, u, w = derivative(z)
-        except AtDeflatedRoot:
-            return SolveResult(SolveStatus.DEFLATED_ROOT_HIT, z, iterations, history)
+            scale, matrix, u, w = derivative(point)
         except NonFiniteResidual:
             return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
 
@@ -209,17 +207,18 @@ def solve(
             accepted = _backtrack(residual, z, step, rnorm)
             if accepted is None:
                 return SolveResult(SolveStatus.LINE_SEARCH_FAILED, z, iterations, history)
-            z_new, r_new = accepted
+            z_new, r_new, point_new = accepted
         else:
             z_new = z + step
             try:
-                r_new = np.asarray(residual(z_new), dtype=float)
+                value, point_new = residual(z_new)
+                r_new = np.asarray(value, dtype=float)
             except AtDeflatedRoot:
                 return SolveResult(SolveStatus.DEFLATED_ROOT_HIT, z, iterations, history)
             except NonFiniteResidual:
                 return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
 
-        z, r = z_new, r_new
+        z, r, point = z_new, r_new, point_new
         rnorm = math.sqrt(r @ r)
         iterations += 1
         history.append(rnorm)
@@ -231,7 +230,8 @@ def _backtrack(residual, z, step, rnorm):
     The Newton direction predicts a merit slope of -||F||^2, so sufficient
     decrease reads m(z + t d) <= (1 - 2 c t) m(z), c = LS_SUFFICIENT_DECREASE.
     Trial points that raise or return non-finite values are rejected like
-    failed decrease.
+    failed decrease.  Returns ``(trial, F(trial), point)`` of the accepted
+    trial, or None.
     """
     merit0 = 0.5 * rnorm * rnorm
     t = 1.0
@@ -239,7 +239,8 @@ def _backtrack(residual, z, step, rnorm):
         trial = z + t * step
         r_trial = None
         try:
-            r_candidate = np.asarray(residual(trial), dtype=float)
+            value, point = residual(trial)
+            r_candidate = np.asarray(value, dtype=float)
             if all_finite(r_candidate):
                 r_trial = r_candidate
         except (AtDeflatedRoot, NonFiniteResidual):
@@ -247,7 +248,7 @@ def _backtrack(residual, z, step, rnorm):
         if r_trial is not None:
             merit = 0.5 * float(r_trial @ r_trial)
             if merit <= (1.0 - 2.0 * LS_SUFFICIENT_DECREASE * t) * merit0:
-                return trial, r_trial
+                return trial, r_trial, point
         t *= LS_REDUCTION
         if t < LS_MIN_STEP:
             return None

@@ -16,15 +16,20 @@ from deflated_newton.solver import (
 FB = NcpFunction.FISCHER_BURMEISTER
 
 
+def at_z(residual):
+    """``residual`` under the point contract, with ``z`` itself as the point."""
+    return lambda z: (residual(z), z)
+
+
 def mcp_callables(problem, kind=FB):
-    residual = lambda z: assemble_residual(problem, z, kind)  # noqa: E731
+    residual = at_z(lambda z: assemble_residual(problem, z, kind))
     derivative = plain_derivative(lambda z: assemble_newton_derivative(problem, z, kind))
     return residual, derivative
 
 
 def test_affine_residual_one_iteration():
     c = np.array([2.0, -1.0, 0.25])
-    result = solve(lambda z: z - c, plain_derivative(lambda z: np.eye(3)), np.zeros(3))
+    result = solve(at_z(lambda z: z - c), plain_derivative(lambda z: np.eye(3)), np.zeros(3))
     assert result.status is SolveStatus.CONVERGED
     assert result.iterations == 1
     np.testing.assert_allclose(result.solution, c, atol=1e-14)
@@ -32,7 +37,7 @@ def test_affine_residual_one_iteration():
 
 def test_zero_iterations_at_root():
     c = np.array([1.0])
-    result = solve(lambda z: z - c, plain_derivative(lambda z: np.eye(1)), c.copy())
+    result = solve(at_z(lambda z: z - c), plain_derivative(lambda z: np.eye(1)), c.copy())
     assert result.converged and result.iterations == 0
     assert len(result.residual_history) == 1
 
@@ -95,7 +100,7 @@ def test_backtracking_merit_nonincreasing():
 
 def test_divergence_on_blowup():
     blow = solve(
-        lambda z: np.array([z[0] ** 3 + 1e12]),
+        at_z(lambda z: np.array([z[0] ** 3 + 1e12])),
         plain_derivative(lambda z: np.array([[3.0 * z[0] ** 2]])),
         np.array([1e-3]),
     )
@@ -106,13 +111,13 @@ def test_nan_residual_becomes_diverged():
     def residual(z):
         return np.array([np.nan if z[0] > 0.5 else z[0] - 1.0])
 
-    result = solve(residual, plain_derivative(lambda z: np.eye(1)), np.array([0.0]))
+    result = solve(at_z(residual), plain_derivative(lambda z: np.eye(1)), np.array([0.0]))
     assert result.status is SolveStatus.DIVERGED
 
 
 def test_singular_jacobian_status():
     result = solve(
-        lambda z: np.array([1.0, z[1]]),
+        at_z(lambda z: np.array([1.0, z[1]])),
         plain_derivative(lambda z: np.array([[0.0, 0.0], [0.0, 1.0]])),
         np.array([1.0, 1.0]),
     )
@@ -123,7 +128,7 @@ def test_singular_least_squares_fallback():
     # minimum-norm steps ignore the dead component and solve the live one
     config = SolverConfig(singular_action="least-squares", max_iter=10)
     result = solve(
-        lambda z: np.array([0.0, z[1] - 2.0]),
+        at_z(lambda z: np.array([0.0, z[1] - 2.0])),
         plain_derivative(lambda z: np.array([[0.0, 0.0], [0.0, 1.0]])),
         np.array([1.0, 0.0]),
         config,
@@ -136,7 +141,7 @@ def test_line_search_failed_on_stationary_merit():
     # constant residual: no step length can decrease the merit
     config = SolverConfig(line_search="backtracking")
     result = solve(
-        lambda z: np.array([1.0]),
+        at_z(lambda z: np.array([1.0])),
         plain_derivative(lambda z: np.array([[1.0]])),
         np.array([0.0]),
         config,
@@ -160,7 +165,7 @@ def test_deflated_root_hit_at_start():
     def residual(z):
         return deflated_residual(state, z - root, z)
 
-    result = solve(residual, plain_derivative(lambda z: np.eye(2)), root.copy())
+    result = solve(at_z(residual), plain_derivative(lambda z: np.eye(2)), root.copy())
     assert result.status is SolveStatus.DEFLATED_ROOT_HIT
 
 
@@ -176,10 +181,12 @@ def test_deflated_root_hit_mid_iteration():
             raise AtDeflatedRoot("stepped onto the root")
         return np.array([1.0])
 
-    result = solve(residual, plain_derivative(lambda z: np.eye(1)), np.array([1.0]))
+    result = solve(at_z(residual), plain_derivative(lambda z: np.eye(1)), np.array([1.0]))
     assert result.status is SolveStatus.DEFLATED_ROOT_HIT
     assert len(result.residual_history) == result.iterations + 1
 
+
+IDENTITY = at_z(lambda z: z)
 
 # Newton matrices for F(z) = z in the plane, by the step each one takes
 QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -194,21 +201,21 @@ STEP_MATRICES = {
 def scripted_derivative(script):
     """Derivative whose k-th call returns the matrix of the k-th script letter."""
     steps = iter(script)
-    return lambda z: (1.0, STEP_MATRICES[next(steps)], None, None)
+    return lambda point: (1.0, STEP_MATRICES[next(steps)], None, None)
 
 
 @pytest.mark.parametrize("window", [1, 5, 25])
 def test_stall_window_stops_a_solve_that_never_halves(window):
     z0 = np.array([1.0, 0.5])
     script = "r" * (window + 10)
-    result = solve(lambda z: z, scripted_derivative(script), z0, SolverConfig(stall_window=window))
+    result = solve(IDENTITY, scripted_derivative(script), z0, SolverConfig(stall_window=window))
     assert result.status is SolveStatus.STALLED
     assert result.iterations == window
     history = result.residual_history
     assert len(history) == window + 1 and min(history) > 0.5 * history[0]
     # without a window the same solve runs to the iteration cap
     capped = SolverConfig(max_iter=window + 10)
-    result = solve(lambda z: z, scripted_derivative(script), z0, capped)
+    result = solve(IDENTITY, scripted_derivative(script), z0, capped)
     assert result.status is SolveStatus.MAX_ITERATIONS
 
 
@@ -225,10 +232,10 @@ def test_stall_window_stops_a_solve_that_never_halves(window):
 )
 def test_stall_window_counts_iterations_since_the_last_halving(script, status, iterations):
     z0 = np.array([1.0, 0.5])
-    result = solve(lambda z: z, scripted_derivative(script), z0, SolverConfig(stall_window=10))
+    result = solve(IDENTITY, scripted_derivative(script), z0, SolverConfig(stall_window=10))
     assert result.status is status and result.iterations == iterations
     if status is SolveStatus.CONVERGED:
-        unbounded = solve(lambda z: z, scripted_derivative(script), z0, SolverConfig())
+        unbounded = solve(IDENTITY, scripted_derivative(script), z0, SolverConfig())
         assert unbounded.status is status and unbounded.iterations == iterations
         np.testing.assert_array_equal(unbounded.solution, result.solution)
         assert unbounded.residual_history == result.residual_history
@@ -256,55 +263,55 @@ def test_config_validation():
         SolverConfig(singular_action="pinv")
 
 
-class CallOrderProbe:
-    """Residual/derivative pair recording the call order ``solve`` follows.
+class PointProbe:
+    """Residual/derivative pair recording the points ``solve`` hands on.
 
-    ``derivative`` notes every call whose argument is not the array object
-    last passed to ``residual`` with a normal return; every array handed to
-    either callable is kept with a copy, to check that none is modified.
+    ``residual`` returns a new point object per call, ``(z, copy of z,
+    residual norm)``; ``derivative`` records every point it receives.
     """
 
     def __init__(self, residual, jacobian):
         self._residual = residual
         self._jacobian = jacobian
-        self.last = None
-        self.seen = []
-        self.residual_calls = 0
-        self.derivative_calls = 0
-        self.out_of_order = 0
+        self.returned = []
+        self.received = []
 
     def residual(self, z):
-        self.seen.append((z, z.copy()))
-        self.residual_calls += 1
-        self.last = None
         value = self._residual(z)
-        self.last = z
-        return value
+        point = (z, z.copy(), math.sqrt(value @ value))
+        self.returned.append(point)
+        return value, point
 
-    def derivative(self, z):
-        self.seen.append((z, z.copy()))
-        self.derivative_calls += 1
-        if z is not self.last:
-            self.out_of_order += 1
-        return 1.0, self._jacobian(z), None, None
+    def derivative(self, point):
+        self.received.append(point)
+        return 1.0, self._jacobian(point[0]), None, None
 
-    def check(self):
-        assert self.derivative_calls > 0
-        assert self.out_of_order == 0
-        assert all(np.array_equal(z, copy) for z, copy in self.seen)
+    def check(self, result):
+        """Each step got the point residual returned for the iterate it
+        starts from, the final iterate none, and no array was modified."""
+        assert len(self.received) == result.iterations
+        assert [point[2] for point in self.received] == result.residual_history[:-1]
+        assert all(any(point is seen for seen in self.returned) for point in self.received)
+        assert all(np.array_equal(z, copy) for z, copy, _ in self.returned)
 
 
-def test_call_order_undamped():
+def kojima_probe():
     prob = problems.build("kojima-shindoh")
-    probe = CallOrderProbe(
+    return PointProbe(
         lambda z: assemble_residual(prob, z, FB), lambda z: assemble_newton_derivative(prob, z, FB)
     )
+
+
+def test_derivative_gets_the_point_of_each_step_iterate():
+    probe = kojima_probe()
     result = solve(probe.residual, probe.derivative, np.full(4, 0.7))
-    assert result.converged
-    probe.check()
+    assert result.converged and result.iterations > 1
+    probe.check(result)
+    # undamped, every residual call is an iterate, so step k gets the k-th point
+    assert all(got is sent for got, sent in zip(probe.received, probe.returned))
 
 
-def test_call_order_backtracking_with_rejected_trials():
+def test_rejected_trial_points_never_reach_derivative():
     # full Newton steps on arctan overshoot from |z| > 1.39: the first trial
     # from z = 3 lands near -9.5 and raises like a deflated root, the second
     # near -3.2 raises the merit, the third is accepted
@@ -316,20 +323,42 @@ def test_call_order_backtracking_with_rejected_trials():
             raise AtDeflatedRoot("trial inside a guard ball")
         return np.arctan(z)
 
-    probe = CallOrderProbe(residual, lambda z: np.array([[1.0 / (1.0 + z[0] ** 2)]]))
+    probe = PointProbe(residual, lambda z: np.array([[1.0 / (1.0 + z[0] ** 2)]]))
     config = SolverConfig(line_search="backtracking")
     result = solve(probe.residual, probe.derivative, np.array([3.0]), config)
     assert result.converged
     assert raised
-    assert probe.residual_calls > result.iterations + 1 + len(raised)  # rejected on merit too
-    probe.check()
+    rejected = [point for point in probe.returned if point[2] not in result.residual_history]
+    assert rejected  # rejected on merit too
+    probe.check(result)
+    assert not any(point is bad for point in probe.received for bad in rejected)
 
 
-def test_call_order_least_squares_fallback():
-    probe = CallOrderProbe(
+def least_squares_probe():
+    return PointProbe(
         lambda z: np.array([0.0, z[1] - 2.0]), lambda z: np.array([[0.0, 0.0], [0.0, 1.0]])
     )
-    config = SolverConfig(singular_action="least-squares", max_iter=10)
-    result = solve(probe.residual, probe.derivative, np.array([1.0, 0.0]), config)
-    assert result.converged and result.iterations >= 1
-    probe.check()
+
+
+@pytest.mark.parametrize(
+    "make_probe, z0, config, status",
+    [
+        (kojima_probe, np.full(4, 0.7), SolverConfig(), SolveStatus.CONVERGED),
+        (kojima_probe, np.full(4, 0.7), SolverConfig(max_iter=2), SolveStatus.MAX_ITERATIONS),
+        (
+            least_squares_probe,
+            np.array([1.0, 0.0]),
+            SolverConfig(singular_action="least-squares", max_iter=10),
+            SolveStatus.CONVERGED,
+        ),
+    ],
+    ids=["converged", "max-iterations", "least-squares"],
+)
+def test_final_iterate_gets_no_derivative(make_probe, z0, config, status):
+    probe = make_probe()
+    result = solve(probe.residual, probe.derivative, z0, config)
+    assert result.status is status and result.iterations >= 1
+    probe.check(result)
+    final = probe.returned[-1]
+    assert final[2] == result.residual_history[-1]
+    assert not any(point is final for point in probe.received)

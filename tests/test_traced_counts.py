@@ -1,0 +1,44 @@
+"""The traced Newton counts of the two gated benchmark workloads, pinned.
+
+A change that moves any of these counts changes how much Newton work the
+package does, so it must say why and update the numbers here (and the table
+in ROADMAP.md).  Each workload runs once through ``bench/run.py`` with
+``--seconds 0 --trace 1``, which takes a few seconds.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import run  # noqa: E402
+
+PINNED = {
+    "mcp-search": {
+        "solver.solves": 19,
+        "solver.iters": 307,
+        "solver.iters_failed": 229,
+        "reformulate.residual.calls": 795,
+        "reformulate.derivative.calls": 308,
+    },
+    "beam-path": {
+        "solver.solves": 92,
+        "solver.iters": 953,
+        "solver.iters_failed": 851,
+        "obstacle1d.residual.calls": 1048,
+        "obstacle1d.derivative.calls": 953,
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED))
+def test_traced_counts(workload, capsys):
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "1"]
+    assert run.main(argv) == 0
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["correct"] and line["failed"] == 0
+    counts = {name: line["metrics"][name]["value"] for name in PINNED[workload]}
+    assert counts == PINNED[workload]
