@@ -30,7 +30,6 @@ from .linalg import (
     BandedMatrix,
     LuFactorization,
     SingularMatrix,
-    SingularUpdate,
     lu_factor,
     solve_rank_one_update,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "PathState",
     "RootRecord",
     "SingularMatrix",
-    "SingularUpdate",
     "SolutionSet",
     "SolveResult",
     "SolveStatus",

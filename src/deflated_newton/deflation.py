@@ -8,8 +8,9 @@ G(z) = alpha(z) F(z) with
 so a Newton iteration on G cannot converge back to any deflated root, while
 roots of F away from the r_i are preserved (alpha > 0).  With shift = 1 the
 factor tends to 1 far away and G recovers F; shift = 0 gives the classical
-unshifted operator.  The derivative of G is the scaled Jacobian plus a
-rank-one term, which the solver exploits via Sherman-Morrison.
+unshifted operator.  The derivative of G is alpha H_F + F grad(alpha)^T, the
+scaled Jacobian plus a rank-one term; as F = G / alpha, the solver takes the
+deflated Newton step as a multiple of the undeflated one, with one solve.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .linalg import BandedMatrix, lapack
+from .reformulate import NonFiniteResidual
 
 GUARD = 1e-10  # radius of the guard ball around each deflated root
 
@@ -205,31 +207,29 @@ def deflated_residual(state: DeflationState, f_value: np.ndarray, z: np.ndarray)
     return deflation_factor(state, z) * np.asarray(f_value, dtype=float)
 
 
-def deflated_derivative_parts(
-    state: DeflationState,
-    f_value: np.ndarray,
-    jac,
-    z: np.ndarray,
-):
+def deflated_derivative_parts(state: DeflationState, jac, z: np.ndarray):
     """Pieces of the deflated derivative H_G = alpha(z) H_F + F(z) grad(alpha)^T.
 
-    Returns ``(scale, matrix, u, w)`` with scale = alpha(z), matrix = H_F,
-    u = F(z) and w = grad(alpha); the caller solves the rank-one corrected
-    system via :func:`deflated_newton.linalg.solve_rank_one_update`.
+    Returns ``(scale, matrix, w)`` with scale = alpha(z), matrix = H_F and
+    w = grad(alpha); at G = alpha F the derivative is
+    ``scale * matrix + outer(G / scale, w)``, the system that
+    :func:`deflated_newton.linalg.solve_rank_one_update` solves.
     """
     z = np.asarray(z, dtype=float)
     terms = _deflation_terms(state, z)
-    return terms.alpha, jac, np.asarray(f_value, dtype=float), _gradient(state, z, terms)
+    return terms.alpha, jac, _gradient(state, z, terms)
 
 
 class DeflatedSystem:
     """The deflated residual G = alpha F and its Newton derivative parts.
 
     ``residual(z)`` evaluates F and the deflation terms once and returns G
-    with the point ``(z, F, inner, terms)``, where ``inner`` is the point
-    the undeflated ``residual`` returned; ``derivative`` builds its parts
-    from that point, calling the undeflated ``jacobian`` on ``inner``.
-    ``z`` is a float array, as the solver passes it.
+    with the point ``(z, inner, terms)``, where ``inner`` is the point the
+    undeflated ``residual`` returned; ``derivative`` builds its parts from
+    that point, calling the undeflated ``jacobian`` on ``inner``.  ``z`` is
+    a float array, as the solver passes it.  A deflation factor or gradient
+    that overflows raises :class:`NonFiniteResidual`, as an overflowing F
+    does.
     """
 
     def __init__(self, state: DeflationState, residual, jacobian):
@@ -239,11 +239,21 @@ class DeflatedSystem:
 
     def residual(self, z: np.ndarray):
         value, inner = self._residual(z)
-        f_value = np.asarray(value, dtype=float)
-        terms = _deflation_terms(self.state, z)
-        return terms.alpha * f_value, (z, f_value, inner, terms)
+        try:
+            terms = _deflation_terms(self.state, z)
+        except OverflowError:
+            raise NonFiniteResidual("deflation factor overflows") from None
+        if not terms.alpha < math.inf:
+            raise NonFiniteResidual("deflation factor overflows")
+        return terms.alpha * np.asarray(value, dtype=float), (z, inner, terms)
 
     def derivative(self, point):
-        """``(alpha, H_F, F, grad alpha)`` as in :func:`deflated_derivative_parts`."""
-        z, f_value, inner, terms = point
-        return terms.alpha, self._jacobian(inner), f_value, _gradient(self.state, z, terms)
+        """``(alpha, H_F, grad alpha)`` as in :func:`deflated_derivative_parts`."""
+        z, inner, terms = point
+        jac = self._jacobian(inner)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                grad = _gradient(self.state, z, terms)
+        except (OverflowError, FloatingPointError):
+            raise NonFiniteResidual("deflation gradient overflows") from None
+        return terms.alpha, jac, grad

@@ -1,8 +1,10 @@
 """Dense and banded linear kernels used by the Newton solvers.
 
-Factorizations are LU with partial pivoting (LAPACK ``getrf``/``gbtrf``), and
-rank-one updated systems ``(A + u w^T) x = b`` are solved with the
-Sherman-Morrison formula so that deflation never requires refactorizing.
+Factorizations are LU with partial pivoting (LAPACK ``getrf``/``gbtrf``).
+A deflated Newton system ``(s A + (r / s) w^T) x = r`` is solved with one
+back-substitution against the factors of ``A``: its solution is a multiple
+of ``A^-1 r``, so deflation needs neither a second factorization nor a
+second solve.
 
 Both kinds call the LAPACK wrappers directly: at the n = 4..10 of the
 complementarity benchmarks, ``scipy.linalg.lu_factor``/``lu_solve`` spend
@@ -69,11 +71,8 @@ def all_finite(a: np.ndarray) -> bool:
 
 
 class SingularMatrix(Exception):
-    """A solve was requested on a factorization flagged as singular."""
-
-
-class SingularUpdate(Exception):
-    """The Sherman-Morrison denominator 1 + w^T A^-1 u is numerically zero."""
+    """A solve was requested on a factorization flagged as singular, or on a
+    rank-one updated system that is numerically singular."""
 
 
 @dataclass
@@ -256,30 +255,21 @@ def _lu_factor_banded(matrix: BandedMatrix, pivot_tol: float) -> LuFactorization
 
 def solve_rank_one_update(
     fac: LuFactorization,
-    u: np.ndarray,
-    w: np.ndarray,
-    b: np.ndarray,
+    scale: float,
+    w: np.ndarray | None,
+    r: np.ndarray,
 ) -> np.ndarray:
-    """Solve ``(A + u w^T) x = b`` given a factorization of ``A``.
+    """Solve ``(scale A + outer(r / scale, w)) x = r`` given a factorization of ``A``.
 
-    Uses the Sherman-Morrison identity with two solves against ``fac``; for
-    banded factors both go through one back-substitution with two
-    right-hand sides, which gives the same bits as two separate solves.
-    Raises :class:`SingularUpdate` when ``|1 + w^T A^-1 u|`` is below
+    With ``y = A^-1 r`` the solution is ``y / (scale + w^T y / scale)``;
+    ``w = None`` means no rank-one part.  Raises :class:`SingularMatrix` when
+    ``fac`` is singular or when ``|1 + w^T y / scale^2|`` is below
     :data:`DENOM_TOL`, i.e. the updated matrix is numerically singular.
     """
-    if u is None:
-        return fac.solve(b)
-    if fac.banded:
-        # the transpose of a C-ordered (2, n) array is Fortran-ordered, as
-        # gbtrs wants its right-hand sides
-        x, s = fac.solve(np.array([b, u], dtype=float).T).T
-    else:
-        # dense getrs with two right-hand sides rounds differently from two
-        # single solves, and root discovery on some problems depends on that
-        x = fac.solve(b)
-        s = fac.solve(u)
-    denom = 1.0 + float(w @ s)
-    if abs(denom) < DENOM_TOL:
-        raise SingularUpdate(f"update denominator {denom:.3e} below {DENOM_TOL:.1e}")
-    return x - s * (float(w @ x) / denom)
+    if fac.singular:
+        raise SingularMatrix("factorization is singular; cannot solve")
+    y = fac.solve(r)
+    shifted = scale if w is None else scale + float(w @ y) / scale
+    if abs(shifted) < DENOM_TOL * abs(scale):
+        raise SingularMatrix(f"update denominator {shifted / scale:.3e} below {DENOM_TOL:.1e}")
+    return y / shifted

@@ -3,12 +3,15 @@
 The solver works on callables so the same loop serves plain and deflated
 systems: ``residual(z)`` returns ``(F, point)``, the (possibly deflated)
 residual vector and whatever its system needs to build the derivative there,
-and ``derivative(point)`` returns ``(scale, matrix, u, w)`` so that the
-Newton matrix is ``scale * matrix + outer(u, w)``; ``u = w = None`` means no
-rank-one part.  :func:`solve` hands ``derivative`` the point of the iterate
-each step starts from, so one evaluation serves both.  Rejected line-search
-trials and the final iterate get no derivative.  :func:`solve` never
-modifies an array it has passed to ``residual``, so a point may hold ``z``.
+and ``derivative(point)`` returns ``(scale, matrix, w)`` so that the Newton
+matrix at a residual value r is ``scale * matrix + outer(r / scale, w)``, the
+form of every deflated residual r = alpha F (scale = alpha, w = grad alpha);
+``w = None`` means no rank-one part.  Each step factors ``matrix`` once and
+back-substitutes once (:func:`deflated_newton.linalg.solve_rank_one_update`).
+:func:`solve` hands ``derivative`` the point of the iterate each step starts
+from, so one evaluation serves both.  Rejected line-search trials and the
+final iterate get no derivative.  :func:`solve` never modifies an array it
+has passed to ``residual``, so a point may hold ``z``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .deflation import AtDeflatedRoot
 from .linalg import (
     BandedMatrix,
     SingularMatrix,
-    SingularUpdate,
     all_finite,
     lu_factor,
     solve_rank_one_update,
@@ -104,10 +106,10 @@ class SolveResult:
 
 
 def plain_derivative(jacobian: Callable[..., "np.ndarray | BandedMatrix"]):
-    """Adapt a Jacobian of a point to the (scale, matrix, u, w) contract."""
+    """Adapt a Jacobian of a point to the (scale, matrix, w) contract."""
 
     def wrapped(point):
-        return 1.0, jacobian(point), None, None
+        return 1.0, jacobian(point), None
 
     return wrapped
 
@@ -118,10 +120,10 @@ def _dense(matrix) -> np.ndarray:
     return np.asarray(matrix, dtype=float)
 
 
-def _least_squares_step(scale, matrix, u, w, r) -> np.ndarray:
+def _least_squares_step(scale, matrix, w, r) -> np.ndarray:
     full = scale * _dense(matrix)
-    if u is not None:
-        full = full + np.outer(u, w)
+    if w is not None:
+        full = full + np.outer(r / scale, w)
     return -np.linalg.lstsq(full, r, rcond=None)[0]
 
 
@@ -136,7 +138,7 @@ def solve(
     Args:
         residual: z -> (residual vector, point); may raise AtDeflatedRoot
             or NonFiniteResidual.
-        derivative: point -> (scale, matrix, u, w) as described in the
+        derivative: point -> (scale, matrix, w) as described in the
             module docstring; may raise NonFiniteResidual.
         z0: starting point.
         config: solver settings; defaults to ``SolverConfig()``.
@@ -175,31 +177,20 @@ def solve(
             return SolveResult(SolveStatus.STALLED, z, iterations, history)
 
         try:
-            scale, matrix, u, w = derivative(point)
+            scale, matrix, w = derivative(point)
         except NonFiniteResidual:
             return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
 
-        step = None
         try:
-            fac = lu_factor(scale * matrix if scale != 1.0 else matrix)
+            fac = lu_factor(matrix)
         except ValueError:
             return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
-        if fac.singular:
-            if cfg.singular_action == SINGULAR_LEAST_SQUARES:
-                step = _least_squares_step(scale, matrix, u, w, r)
-            else:
+        try:
+            step = -solve_rank_one_update(fac, scale, w, r)
+        except SingularMatrix:
+            if cfg.singular_action != SINGULAR_LEAST_SQUARES:
                 return SolveResult(SolveStatus.SINGULAR_JACOBIAN, z, iterations, history)
-        if step is None:
-            try:
-                if u is None:
-                    step = -fac.solve(r)
-                else:
-                    step = -solve_rank_one_update(fac, u, w, r)
-            except (SingularMatrix, SingularUpdate):
-                if cfg.singular_action == SINGULAR_LEAST_SQUARES:
-                    step = _least_squares_step(scale, matrix, u, w, r)
-                else:
-                    return SolveResult(SolveStatus.SINGULAR_JACOBIAN, z, iterations, history)
+            step = _least_squares_step(scale, matrix, w, r)
         if not all_finite(step):
             return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
 

@@ -214,11 +214,10 @@ def test_criterion_6_derivative_consistency(gerard_solutions):
             if not is_kink_free(z) or min(np.linalg.norm(z - r) for r in roots) < 1e-2:
                 continue
             checked += 1
-            scale, jac, u, w = deflated_derivative_parts(
-                state, assemble_residual(prob, z, kind),
-                assemble_newton_derivative(prob, z, kind), z,
+            scale, jac, w = deflated_derivative_parts(
+                state, assemble_newton_derivative(prob, z, kind), z
             )
-            assembled = scale * np.asarray(jac) + np.outer(u, w)
+            assembled = scale * np.asarray(jac) + np.outer(deflated(z) / scale, w)
             fd = np.zeros_like(assembled)
             for j in range(prob.dimension):
                 h = 1e-7 * (1.0 + abs(z[j]))
@@ -237,11 +236,11 @@ def test_criterion_6_derivative_consistency(gerard_solutions):
     for _ in range(40):
         n = rng.randint(2, 12)
         a = rng.randn(n, n) + 3.0 * np.eye(n)
-        u, w, b = rng.randn(n), rng.randn(n), rng.randn(n)
-        if abs(1.0 + w @ np.linalg.solve(a, u)) < 1e-6:
+        scale, w, b = rng.uniform(0.5, 2.0), rng.randn(n), rng.randn(n)
+        if abs(1.0 + w @ np.linalg.solve(a, b) / scale**2) < 1e-6:
             continue
-        x = solve_rank_one_update(lu_factor(a), u, w, b)
-        expected = np.linalg.solve(a + np.outer(u, w), b)
+        x = solve_rank_one_update(lu_factor(a), scale, w, b)
+        expected = np.linalg.solve(scale * a + np.outer(b / scale, w), b)
         sm_worst = max(sm_worst, np.linalg.norm(x - expected) / np.linalg.norm(expected))
     if sm_worst > 1e-10:
         issues.append(f"rank-one solve mismatch {sm_worst:.2e} > 1e-10")

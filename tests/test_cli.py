@@ -187,6 +187,26 @@ def test_beam_on_a_one_element_mesh(capsys):
     assert doc["settings"]["final_elements"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "kojima-shindoh", "--p", "1000"],
+        ["solve", "kojima-shindoh", "--p", "1e308"],
+        ["beam", "--p", "1000", "--gamma-max", "100"],
+    ],
+    ids=" ".join,
+)
+def test_overflowing_deflation_ends_the_solve_diverged(argv, capsys):
+    # a deflation factor or gradient beyond the double range used to end in
+    # an OverflowError traceback, or a numpy overflow warning
+    code, out = run_cli(capsys, *argv, "--deterministic")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["roots"]) == 1
+    statuses = [ev["status"] for ev in doc["events"] if ev["kind"] == "deflated-solve"]
+    assert "diverged" in statuses
+
+
 def test_beam_command_quick_path(tmp_path, capsys):
     dump = tmp_path / "beam"
     code, out = run_cli(

@@ -14,7 +14,12 @@ from deflated_newton.deflation import (
 )
 from deflated_newton.linalg import BandedMatrix
 from deflated_newton.obstacle1d import BeamDiscretization, BeamProblem, HermiteMesh1D
-from deflated_newton.reformulate import NcpFunction, assemble_newton_derivative, assemble_residual
+from deflated_newton.reformulate import (
+    NcpFunction,
+    NonFiniteResidual,
+    assemble_newton_derivative,
+    assemble_residual,
+)
 
 FB = NcpFunction.FISCHER_BURMEISTER
 
@@ -202,22 +207,21 @@ def test_far_field_relative_perturbation():
 
 def test_derivative_parts_empty_state():
     state = DeflationState()
-    f_value = np.zeros(3)
-    scale, jac, u, w = deflated_derivative_parts(state, f_value, np.eye(3), np.ones(3))
+    scale, jac, w = deflated_derivative_parts(state, np.eye(3), np.ones(3))
     assert scale == 1.0
-    np.testing.assert_array_equal(u, np.zeros(3))
+    np.testing.assert_array_equal(jac, np.eye(3))
     np.testing.assert_array_equal(w, np.zeros(3))
 
 
 def test_rank_one_term_vanishes_at_other_root():
-    # at a second root of F the update vector u = F = 0, so H_G = alpha H_F
+    # at a second root of F the rank-one term F grad(alpha)^T is 0, so H_G = alpha H_F
     prob = problems.build("kojima-shindoh")
     state = DeflationState()
     state.add_root(np.array([1.0, 0.0, 3.0, 0.0]))
     second = np.array([np.sqrt(6) / 2, 0.0, 0.0, 0.5])
-    f_value = assemble_residual(prob, second, FB)
-    scale, _, u, w = deflated_derivative_parts(state, f_value, np.eye(4), second)
-    assert np.linalg.norm(u) <= 1e-12
+    g_value = deflated_residual(state, assemble_residual(prob, second, FB), second)
+    scale, _, w = deflated_derivative_parts(state, np.eye(4), second)
+    assert np.linalg.norm(np.outer(g_value / scale, w)) <= 1e-12 * np.linalg.norm(w)
     assert scale > 1.0
 
 
@@ -240,10 +244,10 @@ def test_deflated_derivative_matches_differences():
 
         for _ in range(10):
             z = rng.uniform(0.2, 1.0, 4)
-            scale, jac, u, w = deflated_derivative_parts(
-                state, assemble_residual(prob, z, FB), assemble_newton_derivative(prob, z, FB), z
+            scale, jac, w = deflated_derivative_parts(
+                state, assemble_newton_derivative(prob, z, FB), z
             )
-            assembled = scale * np.asarray(jac) + np.outer(u, w)
+            assembled = scale * np.asarray(jac) + np.outer(g_residual(z) / scale, w)
             fd = np.zeros((4, 4))
             for j in range(4):
                 h = 1e-7 * (1.0 + abs(z[j]))
@@ -256,10 +260,9 @@ def test_deflated_derivative_matches_differences():
             # from the point its residual returned
             value, point = system.residual(z)
             np.testing.assert_array_equal(value, g_residual(z))
-            s_scale, s_jac, s_u, s_w = system.derivative(point)
+            s_scale, s_jac, s_w = system.derivative(point)
             assert s_scale == scale
             np.testing.assert_array_equal(s_jac, jac)
-            np.testing.assert_array_equal(s_u, u)
             np.testing.assert_array_equal(s_w, w)
 
 
@@ -317,6 +320,30 @@ def test_state_validation():
     state.add_root(np.zeros(2))
     with pytest.raises(ValueError):
         state.add_root(np.zeros(2))
+
+
+def test_overflowing_deflation_is_a_nonfinite_residual():
+    def system(power, *roots):
+        state = DeflationState(power=power, roots=list(roots))
+        return DeflatedSystem(state, lambda z: (z, z), lambda z: np.eye(2))
+
+    # one factor beyond the double range: 0.5^-1100 raises OverflowError
+    with pytest.raises(NonFiniteResidual, match="factor"):
+        system(1100.0, np.zeros(2)).residual(np.array([0.5, 0.0]))
+    # each factor finite (0.5^-600 = 4e180), their product infinite
+    with pytest.raises(NonFiniteResidual, match="factor"):
+        system(600.0, np.zeros(2), np.array([1.0, 0.0])).residual(np.array([0.5, 0.0]))
+    # a finite factor whose gradient overflows: at d = 4, 4^(p + 2) does
+    far = system(1000.0, np.zeros(2))
+    value, point = far.residual(np.array([4.0, 0.0]))
+    np.testing.assert_array_equal(value, [4.0, 0.0])
+    with pytest.raises(NonFiniteResidual, match="gradient"):
+        far.derivative(point)
+    # and 0.4918^-1000 is finite, its gradient beyond the double range
+    near = system(1000.0, np.zeros(2))
+    _, point = near.residual(np.array([0.4918, 0.0]))
+    with pytest.raises(NonFiniteResidual, match="gradient"):
+        near.derivative(point)
 
 
 def test_weighted_norm_value():

@@ -14,7 +14,6 @@ import deflated_newton
 from deflated_newton.linalg import (
     BandedMatrix,
     SingularMatrix,
-    SingularUpdate,
     lu_factor,
     solve_rank_one_update,
 )
@@ -93,21 +92,27 @@ def test_nonfinite_entries_rejected():
                     lu_factor(matrix)
 
 
+def deflated_matrix(a, scale, w, r):
+    """The Newton matrix ``scale A + outer(r / scale, w)`` that the rank-one solve inverts."""
+    return scale * a + np.outer(r / scale, w)
+
+
 def test_rank_one_zero_update_is_plain_solve():
     rng = np.random.RandomState(2)
     a = random_well_conditioned(rng, 5)
     b = rng.randn(5)
     fac = lu_factor(a)
-    x = solve_rank_one_update(fac, np.zeros(5), rng.randn(5), b)
-    np.testing.assert_allclose(x, fac.solve(b), rtol=0, atol=1e-14)
+    for w in (None, np.zeros(5)):
+        np.testing.assert_array_equal(solve_rank_one_update(fac, 1.0, w, b), fac.solve(b))
+    np.testing.assert_allclose(solve_rank_one_update(fac, 4.0, None, b), fac.solve(b) / 4.0)
 
 
 def test_rank_one_matches_dense_assembly():
     rng = np.random.RandomState(3)
     a = random_well_conditioned(rng, 4)
-    u, w, b = rng.randn(4), rng.randn(4), rng.randn(4)
-    x = solve_rank_one_update(lu_factor(a), u, w, b)
-    expected = np.linalg.solve(a + np.outer(u, w), b)
+    w, b = rng.randn(4), rng.randn(4)
+    x = solve_rank_one_update(lu_factor(a), 2.5, w, b)
+    expected = np.linalg.solve(deflated_matrix(a, 2.5, w, b), b)
     assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
@@ -116,23 +121,34 @@ def test_rank_one_matches_dense_many():
     for _ in range(40):
         n = rng.randint(2, 12)
         a = random_well_conditioned(rng, n)
-        u, w, b = rng.randn(n), rng.randn(n), rng.randn(n)
-        s = np.linalg.solve(a, u)
-        if abs(1.0 + w @ s) < 1e-6:
+        scale = 10.0 ** rng.uniform(-3, 3)
+        w, b = rng.randn(n), rng.randn(n)
+        denom = 1.0 + w @ np.linalg.solve(a, b) / scale**2
+        if abs(denom) < 1e-6:
             continue
-        x = solve_rank_one_update(lu_factor(a), u, w, b)
-        expected = np.linalg.solve(a + np.outer(u, w), b)
-        assert np.linalg.norm(x - expected) <= 1e-10 * max(1.0, np.linalg.norm(expected))
+        x = solve_rank_one_update(lu_factor(a), scale, w, b)
+        full = deflated_matrix(a, scale, w, b)
+        expected = np.linalg.solve(full, b)
+        # a small scale makes the rank-one part, and the condition number, large
+        bound = 1e-13 * np.linalg.cond(full) * (1.0 + 1.0 / abs(denom))
+        assert np.linalg.norm(x - expected) <= bound * np.linalg.norm(expected)
 
 
 def test_rank_one_singular_denominator():
     rng = np.random.RandomState(5)
     a = random_well_conditioned(rng, 4)
-    u = rng.randn(4)
-    s = np.linalg.solve(a, u)
-    w = -s / (s @ s)  # makes 1 + w' A^-1 u vanish
-    with pytest.raises(SingularUpdate):
-        solve_rank_one_update(lu_factor(a), u, w, rng.randn(4))
+    b = rng.randn(4)
+    y = np.linalg.solve(a, b)
+    scale = 3.0
+    w = -(scale**2) * y / (y @ y)  # makes 1 + w' A^-1 b / scale^2 vanish
+    with pytest.raises(SingularMatrix, match="denominator"):
+        solve_rank_one_update(lu_factor(a), scale, w, b)
+
+
+def test_rank_one_on_singular_factors_raises():
+    fac = lu_factor(np.zeros((3, 3)))
+    with pytest.raises(SingularMatrix, match="singular"):
+        solve_rank_one_update(fac, 2.0, np.ones(3), np.ones(3))
 
 
 def banded_from_dense(a, hbw):
@@ -175,28 +191,24 @@ def test_banded_factor_matches_dense():
 def test_banded_rank_one_update():
     rng = np.random.RandomState(8)
     a = random_banded_dense(rng, 20, 3)
-    u, w, b = rng.randn(20), rng.randn(20), rng.randn(20)
-    x = solve_rank_one_update(lu_factor(banded_from_dense(a, 3)), u, w, b)
-    expected = np.linalg.solve(a + np.outer(u, w), b)
+    w, b = rng.randn(20), rng.randn(20)
+    x = solve_rank_one_update(lu_factor(banded_from_dense(a, 3)), 0.5, w, b)
+    expected = np.linalg.solve(deflated_matrix(a, 0.5, w, b), b)
     assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("banded", [True, False])
-@pytest.mark.parametrize("n", [128, 2048])
-def test_rank_one_update_is_two_single_solves_bitwise(n, banded):
-    # banded factors solve both Sherman-Morrison systems in one call; the
-    # bits must be those of two separate solves, as with dense factors
+def test_banded_rank_one_update_at_beam_size():
+    # the finest beam mesh: 1024 Hermite elements, 2048 unknowns, 3 off-diagonals
+    n, hbw = 2048, 3
     rng = np.random.RandomState(n)
-    hbw = 3
-    for _ in range(5):
-        data = rng.randn(2 * hbw + 1, n)
-        data[hbw] += 4.0
-        matrix = BandedMatrix(n, hbw, data)
-        fac = lu_factor(matrix if banded else matrix.to_dense())
-        u, w, b = rng.randn(3, n)
-        x, s = fac.solve(b), fac.solve(u)
-        expected = x - s * (float(w @ x) / (1.0 + float(w @ s)))
-        np.testing.assert_array_equal(solve_rank_one_update(fac, u, w, b), expected)
+    data = rng.randn(2 * hbw + 1, n)
+    data[hbw] += 8.0
+    matrix = BandedMatrix(n, hbw, data)
+    w, b = rng.randn(n) / n, rng.randn(n)
+    for scale in (1e-3, 1.0, 1e3):
+        x = solve_rank_one_update(lu_factor(matrix), scale, w, b)
+        expected = np.linalg.solve(deflated_matrix(matrix.to_dense(), scale, w, b), b)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_banded_singular_flag():
@@ -233,7 +245,8 @@ def test_factorization_shared_across_threads():
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
-# Property tests: Sherman-Morrison against a dense solve of A + u w^T.
+# Property tests: the rank-one solve against a dense solve of
+# scale A + outer(r / scale, w).
 
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
@@ -244,7 +257,7 @@ unit = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
 
 @st.composite
 def rank_one_systems(draw):
-    """(A as dense, A as passed to lu_factor, u, w, b) with A diagonally dominant."""
+    """(A as dense, A as passed to lu_factor, scale, w, r) with A diagonally dominant."""
     n = draw(st.integers(1, 8))
     hbw = draw(st.one_of(st.none(), st.integers(0, 3)))
     a = draw(arrays(float, (n, n), elements=unit))
@@ -252,21 +265,21 @@ def rank_one_systems(draw):
         a = np.triu(np.tril(a, hbw), -hbw)
     a += np.diag(1.0 + np.abs(a).sum(axis=1))
     scale = draw(st.sampled_from([1.0, 1e-3, 1e3]))
-    u, w, b = (draw(arrays(float, n, elements=unit)) for _ in range(3))
+    w, r = (draw(arrays(float, n, elements=unit)) for _ in range(2))
     matrix = a if hbw is None else banded_from_dense(a, hbw)
-    return a, matrix, scale * u, w, b
+    return a, matrix, scale, w, r
 
 
 @settings(max_examples=150, deadline=None)
 @given(rank_one_systems())
 def test_rank_one_update_matches_dense_solve(system):
-    a, matrix, u, w, b = system
+    a, matrix, scale, w, r = system
     fac = lu_factor(matrix)
-    denom = 1.0 + w @ np.linalg.solve(a, u)
+    denom = 1.0 + w @ np.linalg.solve(a, r) / scale**2
     assume(abs(denom) > 1e-6)
-    full = a + np.outer(u, w)
-    x = solve_rank_one_update(fac, u, w, b)
-    expected = np.linalg.solve(full, b)
+    full = deflated_matrix(a, scale, w, r)
+    x = solve_rank_one_update(fac, scale, w, r)
+    expected = np.linalg.solve(full, r)
     cond = np.linalg.cond(full)
     assert np.linalg.norm(x - expected) <= 1e-13 * cond * (1.0 + 1.0 / abs(denom)) * max(
         1.0, np.linalg.norm(expected)
@@ -276,16 +289,18 @@ def test_rank_one_update_matches_dense_solve(system):
 @settings(max_examples=100, deadline=None)
 @given(rank_one_systems())
 def test_rank_one_update_flags_singular_update(system):
-    # w chosen so that w^T A^-1 u = -1: A + u w^T is singular
-    a, matrix, u, _, b = system
+    # w chosen so that w^T A^-1 r / scale^2 = -1: the deflated matrix is singular
+    a, matrix, scale, _, r = system
     fac = lu_factor(matrix)
-    s = fac.solve(u)
-    assume(np.linalg.norm(s) > 1e-8)
-    w = -s / (s @ s)
-    smallest = np.linalg.svd(a + np.outer(u, w), compute_uv=False)[-1]
-    assert smallest <= 1e-12 * (np.linalg.norm(a, 2) + np.linalg.norm(u) * np.linalg.norm(w))
-    with pytest.raises(SingularUpdate):
-        solve_rank_one_update(fac, u, w, b)
+    y = fac.solve(r)
+    assume(np.linalg.norm(y) > 1e-8)
+    w = -(scale**2) * y / (y @ y)
+    full = deflated_matrix(a, scale, w, r)
+    smallest = np.linalg.svd(full, compute_uv=False)[-1]
+    bound = scale * np.linalg.norm(a, 2) + np.linalg.norm(r / scale) * np.linalg.norm(w)
+    assert smallest <= 1e-12 * bound
+    with pytest.raises(SingularMatrix, match="denominator"):
+        solve_rank_one_update(fac, scale, w, r)
 
 
 # Property tests: the dense factorization calls LAPACK getrf/getrs directly

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from deflated_newton import problems
-from deflated_newton.deflation import AtDeflatedRoot, DeflationState, deflated_residual
+from deflated_newton.deflation import (
+    AtDeflatedRoot,
+    DeflatedSystem,
+    DeflationState,
+    deflated_residual,
+    deflation_factor,
+    deflation_gradient,
+)
 from deflated_newton.reformulate import NcpFunction, assemble_newton_derivative, assemble_residual
 from deflated_newton.solver import (
     SolveStatus,
@@ -201,7 +208,7 @@ STEP_MATRICES = {
 def scripted_derivative(script):
     """Derivative whose k-th call returns the matrix of the k-th script letter."""
     steps = iter(script)
-    return lambda point: (1.0, STEP_MATRICES[next(steps)], None, None)
+    return lambda point: (1.0, STEP_MATRICES[next(steps)], None)
 
 
 @pytest.mark.parametrize("window", [1, 5, 25])
@@ -284,7 +291,7 @@ class PointProbe:
 
     def derivative(self, point):
         self.received.append(point)
-        return 1.0, self._jacobian(point[0]), None, None
+        return 1.0, self._jacobian(point[0]), None
 
     def check(self, result):
         """Each step got the point residual returned for the iterate it
@@ -362,3 +369,66 @@ def test_final_iterate_gets_no_derivative(make_probe, z0, config, status):
     final = probe.returned[-1]
     assert final[2] == result.residual_history[-1]
     assert not any(point is final for point in probe.received)
+
+
+# Deflated steps, whose Newton matrix alpha H + F grad(alpha)^T has a rank-one
+# part, on an affine F(z) = H z - b with one deflated point (p = 2, shift = 1).
+
+
+def affine_deflated(h, b, deflated_point):
+    """``(system, G, alpha H, outer(F, grad alpha))`` at z = 0 for F = H z - b."""
+    state = DeflationState(roots=[deflated_point])
+    system = DeflatedSystem(state, at_z(lambda z: h @ z - b), lambda z: h)
+    z0 = np.zeros(len(b))
+    alpha, grad = deflation_factor(state, z0), deflation_gradient(state, z0)
+    return system, -alpha * b, alpha * h, np.outer(-b, grad)
+
+
+def first_step(system, n, **settings):
+    """The status of one ``solve`` iteration from z = 0, and the step it took."""
+    config = SolverConfig(max_iter=1, **settings)
+    result = solve(system.residual, system.derivative, np.zeros(n), config)
+    return result, result.solution
+
+
+def test_deflated_step_solves_the_assembled_matrix_and_scales_the_undeflated_step():
+    rng = np.random.RandomState(21)
+    h = rng.randn(4, 4) + 4.0 * np.eye(4)
+    b = rng.randn(4)
+    system, g0, scaled, rank_one = affine_deflated(h, b, rng.randn(4))
+    result, step = first_step(system, 4)
+    assert result.status is SolveStatus.MAX_ITERATIONS
+    np.testing.assert_allclose(step, np.linalg.solve(scaled + rank_one, -g0), rtol=1e-12)
+    # tau delta, with delta = -H^-1 F the undeflated Newton step
+    z0 = np.zeros(4)
+    alpha, grad = deflation_factor(system.state, z0), deflation_gradient(system.state, z0)
+    delta = np.linalg.solve(h, b)
+    tau = 1.0 / (1.0 - grad @ delta / alpha)
+    assert abs(tau - 1.0) > 1e-3  # the rank-one part changes the step
+    np.testing.assert_allclose(step, tau * delta, rtol=1e-12)
+
+
+# H singular: its factorization is refused, though alpha H + F grad^T is not
+SINGULAR_H = (np.diag([2.0, 4.0, 0.0]), np.array([1.0, 1.0, 1.0]), np.array([0.5, 0.25, 0.5]))
+# H regular, and the deflated point 0.5 e1 from z = 0 with the undeflated step
+# delta = (5/16) e1: alpha = 5 and grad alpha = 16 e1, so the denominator
+# 1 - grad alpha . delta / alpha is exactly 0 and the assembled matrix singular
+ZERO_DENOMINATOR = (
+    np.diag([2.0, 4.0, 0.5]), np.array([0.625, 0.0, 0.0]), np.array([0.5, 0.0, 0.0])
+)
+
+
+@pytest.mark.parametrize(
+    "case", [SINGULAR_H, ZERO_DENOMINATOR], ids=["singular-h", "zero-denominator"]
+)
+def test_singular_deflated_step_falls_back_on_the_assembled_matrix(case):
+    system, g0, scaled, rank_one = affine_deflated(*case)
+    expected = -np.linalg.lstsq(scaled + rank_one, g0, rcond=None)[0]
+    without = -np.linalg.lstsq(scaled, g0, rcond=None)[0]
+    assert np.linalg.norm(without - expected) > 1e-3 * np.linalg.norm(expected)
+    result, step = first_step(system, 3, singular_action="least-squares")
+    assert result.status is SolveStatus.MAX_ITERATIONS and result.iterations == 1
+    np.testing.assert_allclose(step, expected, rtol=1e-12, atol=1e-15)
+    result, step = first_step(system, 3)
+    assert result.status is SolveStatus.SINGULAR_JACOBIAN and result.iterations == 0
+    np.testing.assert_array_equal(step, np.zeros(3))

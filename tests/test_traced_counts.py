@@ -19,17 +19,17 @@ import run  # noqa: E402
 PINNED = {
     "mcp-search": {
         "solver.solves": 19,
-        "solver.iters": 307,
-        "solver.iters_failed": 229,
-        "reformulate.residual.calls": 795,
-        "reformulate.derivative.calls": 308,
+        "solver.iters": 308,
+        "solver.iters_failed": 230,
+        "reformulate.residual.calls": 831,
+        "reformulate.derivative.calls": 309,
     },
     "beam-path": {
         "solver.solves": 92,
-        "solver.iters": 953,
-        "solver.iters_failed": 851,
-        "obstacle1d.residual.calls": 1048,
-        "obstacle1d.derivative.calls": 953,
+        "solver.iters": 923,
+        "solver.iters_failed": 826,
+        "obstacle1d.residual.calls": 1018,
+        "obstacle1d.derivative.calls": 923,
     },
 }
 
