@@ -5,98 +5,24 @@ problems with shifted deflation operators, so that repeated solves from one
 initial guess discover distinct roots.  It includes zero-order parameter
 continuation, four classic finite-dimensional benchmarks, and a penalty
 path-following solver for an obstacle-constrained Euler-Bernoulli beam.
+
+The top level exports the entry points below; every other name is imported
+from its own module, e.g. ``deflated_newton.deflation.NormSpec``.
 """
 
-from .continuation import (
-    AllBranchesLost,
-    ContinuationPlan,
-    Event,
-    RootRecord,
-    SolutionSet,
-    continue_parameter,
-    deflated_search,
-)
-from .deflation import (
-    EUCLIDEAN,
-    AtDeflatedRoot,
-    DeflationState,
-    NormSpec,
-    deflated_derivative_parts,
-    deflated_residual,
-    deflation_factor,
-    deflation_gradient,
-)
-from .linalg import (
-    BandedMatrix,
-    LuFactorization,
-    SingularMatrix,
-    lu_factor,
-    solve_rank_one_update,
-)
-from .obstacle1d import (
-    BeamProblem,
-    HermiteMesh1D,
-    PathState,
-    gamma_schedule,
-    path_follow,
-    prolong,
-)
-from .problems import Benchmark, UnknownBenchmark, build, defaults, initial_guess, list_benchmarks
-from .reformulate import (
-    MixedComplementarityProblem,
-    NcpFunction,
-    NonFiniteResidual,
-    assemble_newton_derivative,
-    assemble_residual,
-    phi,
-    phi_derivative,
-)
-from .solver import SolveResult, SolveStatus, SolverConfig, solve
+from . import problems
+from .continuation import deflated_search
+from .deflation import DeflationState
+from .obstacle1d import BeamProblem, path_follow
+from .solver import SolverConfig
 
 __all__ = [
-    "AllBranchesLost",
-    "AtDeflatedRoot",
-    "BandedMatrix",
     "BeamProblem",
-    "Benchmark",
-    "ContinuationPlan",
     "DeflationState",
-    "EUCLIDEAN",
-    "Event",
-    "HermiteMesh1D",
-    "LuFactorization",
-    "MixedComplementarityProblem",
-    "NcpFunction",
-    "NonFiniteResidual",
-    "NormSpec",
-    "PathState",
-    "RootRecord",
-    "SingularMatrix",
-    "SolutionSet",
-    "SolveResult",
-    "SolveStatus",
     "SolverConfig",
-    "UnknownBenchmark",
-    "assemble_newton_derivative",
-    "assemble_residual",
-    "build",
-    "continue_parameter",
-    "defaults",
-    "deflated_derivative_parts",
-    "deflated_residual",
     "deflated_search",
-    "deflation_factor",
-    "deflation_gradient",
-    "gamma_schedule",
-    "initial_guess",
-    "list_benchmarks",
-    "lu_factor",
     "path_follow",
-    "phi",
-    "phi_derivative",
-    "prolong",
-    "solve",
-    "solve_rank_one_update",
+    "problems",
 ]
 
 __version__ = "0.1.0"

@@ -29,14 +29,7 @@ from .continuation import (
     deflated_search,
 )
 from .deflation import DeflationState
-from .obstacle1d import (
-    BeamProblem,
-    HermiteMesh1D,
-    _discretization,
-    final_elements,
-    gamma_schedule,
-    path_follow,
-)
+from .obstacle1d import BeamProblem, _discretization, path_follow
 from .reformulate import NcpFunction, assemble_residual
 from .solver import (
     LINE_SEARCH_BACKTRACKING,
@@ -438,18 +431,9 @@ def _run_continue(args, parser) -> int:
 
 
 def _run_beam(args, parser) -> int:
-    try:
-        problem = BeamProblem(load=args.load, half_width=args.alpha)
-        config = _solver_config(args)
-        # built here only so that bad values fail before any solve
-        mesh = HermiteMesh1D(args.mesh, problem.length)
-        gamma_schedule(args.gamma0, args.gamma_max, args.q)
-        final_elements(mesh, args.gamma0, args.gamma_max)
-        DeflationState(power=args.p, shift=args.shift)
-    except ValueError as err:
-        parser.error(str(err))
     events: list = []
     try:
+        problem = BeamProblem(load=args.load, half_width=args.alpha)
         state = path_follow(
             problem,
             gamma0=args.gamma0,
@@ -458,12 +442,16 @@ def _run_beam(args, parser) -> int:
             initial_elements=args.mesh,
             power=args.p,
             shift=args.shift,
-            config=config,
+            config=_solver_config(args),
             max_roots=args.max_roots,
             events=events,
         )
     except AllBranchesLost as err:
         parser.exit(EXIT_NO_ROOTS, f"no solutions: {err}\n")
+    except ValueError as err:
+        # bad beam data, schedule, mesh or deflation values, found before any
+        # solve, or beam data that overflow a mesh's assembled operator
+        parser.error(str(err))
     disc = _discretization(problem, state.mesh)
     roots = []
     for rec in state.solutions:

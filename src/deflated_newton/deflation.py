@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -33,30 +33,24 @@ class AtDeflatedRoot(Exception):
 
 @dataclass(frozen=True, eq=False)
 class NormSpec:
-    """Distance for deflation: Euclidean, or sqrt(v^T W v) with W symmetric
-    positive definite (e.g. a finite-element mass matrix for the L2 norm)."""
+    """Distance for deflation: Euclidean, or sqrt(v^T W v) with W a symmetric
+    positive definite :class:`BandedMatrix` (e.g. a finite-element mass
+    matrix for the L2 norm)."""
 
-    weight: Union[np.ndarray, BandedMatrix, None] = None
+    weight: Optional[BandedMatrix] = None
 
     def __post_init__(self):
         w = self.weight
         if w is None:
             return
-        if isinstance(w, BandedMatrix):
-            _require_finite(w.data)
-            if not w.is_symmetric():
-                raise ValueError("weight matrix must be symmetric")
-            # upper triangle in solve_banded layout is exactly the top rows
-            _, info = lapack.dpbtrf(w.data[: w.hbw + 1], lower=0)
-        else:
-            w = np.asarray(w, dtype=float)
-            if w.ndim != 2 or w.shape[0] != w.shape[1]:
-                raise ValueError("weight matrix must be square")
-            _require_finite(w)
-            if not np.allclose(w, w.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(w).max())):
-                raise ValueError("weight matrix must be symmetric")
-            _, info = lapack.dpotrf(w)
-            object.__setattr__(self, "weight", w)
+        if not isinstance(w, BandedMatrix):
+            raise ValueError(f"weight must be a BandedMatrix or None, got {type(w).__name__}")
+        if not np.isfinite(w.data).all():
+            raise ValueError("weight matrix entries must be finite")
+        if not w.is_symmetric():
+            raise ValueError("weight matrix must be symmetric")
+        # upper triangle in solve_banded layout is exactly the top rows
+        _, info = lapack.dpbtrf(w.data[: w.hbw + 1], lower=0)
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"weight matrix is not positive definite (Cholesky info={info})"
@@ -72,17 +66,11 @@ class NormSpec:
         """
         if self.weight is None:
             return math.sqrt(v @ v), v
-        v = np.asarray(v, dtype=float)
-        wv = self.weight.matvec(v) if isinstance(self.weight, BandedMatrix) else self.weight @ v
+        wv = self.weight.matvec(v)
         return math.sqrt(max(v @ wv, 0.0)), wv
 
 
 EUCLIDEAN = NormSpec()
-
-
-def _require_finite(weight: np.ndarray) -> None:
-    if not np.isfinite(weight).all():
-        raise ValueError("weight matrix entries must be finite")
 
 
 @dataclass
@@ -137,7 +125,7 @@ def _deflation_terms(state: DeflationState, z: np.ndarray) -> _Terms:
     Raises:
         AtDeflatedRoot: z lies within :data:`GUARD` of a deflated root.
     """
-    if state.roots and isinstance(state.norm.weight, BandedMatrix):
+    if state.roots and state.norm.weight is not None:
         return _banded_terms(state, z)
     alpha = 1.0
     distances, factors, weighted = [], [], []
@@ -202,24 +190,6 @@ def deflation_gradient(state: DeflationState, z: np.ndarray) -> np.ndarray:
     return _gradient(state, z, _deflation_terms(state, z))
 
 
-def deflated_residual(state: DeflationState, f_value: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """G(z) = alpha(z) F(z) for a residual value F(z) already in hand."""
-    return deflation_factor(state, z) * np.asarray(f_value, dtype=float)
-
-
-def deflated_derivative_parts(state: DeflationState, jac, z: np.ndarray):
-    """Pieces of the deflated derivative H_G = alpha(z) H_F + F(z) grad(alpha)^T.
-
-    Returns ``(scale, matrix, w)`` with scale = alpha(z), matrix = H_F and
-    w = grad(alpha); at G = alpha F the derivative is
-    ``scale * matrix + outer(G / scale, w)``, the system that
-    :func:`deflated_newton.linalg.solve_rank_one_update` solves.
-    """
-    z = np.asarray(z, dtype=float)
-    terms = _deflation_terms(state, z)
-    return terms.alpha, jac, _gradient(state, z, terms)
-
-
 class DeflatedSystem:
     """The deflated residual G = alpha F and its Newton derivative parts.
 
@@ -248,7 +218,9 @@ class DeflatedSystem:
         return terms.alpha * np.asarray(value, dtype=float), (z, inner, terms)
 
     def derivative(self, point):
-        """``(alpha, H_F, grad alpha)`` as in :func:`deflated_derivative_parts`."""
+        """``(alpha, H_F, grad alpha)``: at G = alpha F the Newton matrix is
+        ``alpha H_F + outer(G / alpha, grad alpha)``, the system that
+        :func:`deflated_newton.linalg.solve_rank_one_update` solves."""
         z, inner, terms = point
         jac = self._jacobian(inner)
         try:

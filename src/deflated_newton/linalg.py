@@ -59,8 +59,9 @@ def _load_lapack():
 
 lapack = _load_lapack()
 
-DEFAULT_PIVOT_TOL = 1e-14
+PIVOT_TOL = 1e-14  # relative to max|A|: a smaller pivot flags the factors singular
 DENOM_TOL = 1e-14
+SYMMETRY_TOL = 1e-12  # relative to max|A|, for BandedMatrix.is_symmetric
 
 _all_true = np.logical_and.reduce
 
@@ -118,12 +119,12 @@ class BandedMatrix:
         rows = _band_product(np.abs(self.data), self.hbw, np.ones(self.n))
         return float(rows.max()) if self.n else 0.0
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
+    def is_symmetric(self) -> bool:
         scale = float(np.abs(self.data).max()) or 1.0
         for off in range(1, min(self.hbw, self.n - 1) + 1):
             upper = self.data[self.hbw - off, off:]
             lower = self.data[self.hbw + off, : self.n - off]
-            if np.abs(upper - lower).max(initial=0.0) > tol * scale:
+            if np.abs(upper - lower).max(initial=0.0) > SYMMETRY_TOL * scale:
                 return False
         return True
 
@@ -169,7 +170,7 @@ class LuFactorization:
     """LU factors with partial pivoting plus a singularity flag.
 
     ``singular`` is set when any pivot magnitude falls below
-    ``pivot_tol * max|A|``; solves on a singular factorization raise
+    :data:`PIVOT_TOL` ``* max|A|``; solves on a singular factorization raise
     :class:`SingularMatrix`.  A factorization is read-only after
     construction and may be shared across threads for solves.
     """
@@ -196,19 +197,17 @@ class LuFactorization:
         return x
 
 
-def lu_factor(matrix, pivot_tol: float = DEFAULT_PIVOT_TOL) -> LuFactorization:
+def lu_factor(matrix) -> LuFactorization:
     """Factor a square dense or banded matrix with partial pivoting.
 
     Args:
         matrix: square ``np.ndarray`` or :class:`BandedMatrix`.
-        pivot_tol: relative pivot threshold below which the factorization is
-            flagged singular (relative to ``max|A|``).
 
     Returns:
         An :class:`LuFactorization`; check ``.singular`` before solving.
     """
     if isinstance(matrix, BandedMatrix):
-        return _lu_factor_banded(matrix, pivot_tol)
+        return _lu_factor_banded(matrix)
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -221,7 +220,7 @@ def lu_factor(matrix, pivot_tol: float = DEFAULT_PIVOT_TOL) -> LuFactorization:
     if info < 0:
         raise ValueError(f"getrf failed on argument {-info}")
     # any |U_ii| < threshold, on floats: a NaN pivot passes, as with numpy's <
-    threshold = pivot_tol * scale
+    threshold = PIVOT_TOL * scale
     singular = scale == 0.0 or any(map(threshold.__gt__, map(abs, lu.diagonal().tolist())))
     return LuFactorization(n, lu, piv, singular)
 
@@ -234,7 +233,7 @@ def _finite_scale(data: np.ndarray) -> float:
     return scale
 
 
-def _lu_factor_banded(matrix: BandedMatrix, pivot_tol: float) -> LuFactorization:
+def _lu_factor_banded(matrix: BandedMatrix) -> LuFactorization:
     n, hbw, data = matrix.n, matrix.hbw, matrix.data
     # max|A| without an |A| temporary; a NaN entry makes both ends NaN
     scale = max(float(data.max()), -float(data.min())) if n else 0.0
@@ -249,7 +248,7 @@ def _lu_factor_banded(matrix: BandedMatrix, pivot_tol: float) -> LuFactorization
         raise ValueError(f"gbtrf failed on argument {-info}")
     # the smallest pivot magnitude, NaN pivots left out as numpy's < leaves them
     smallest = np.fmin.reduce(np.abs(lu[2 * hbw, :])) if n else math.inf
-    singular = info > 0 or scale == 0.0 or bool(smallest < pivot_tol * scale)
+    singular = info > 0 or scale == 0.0 or bool(smallest < PIVOT_TOL * scale)
     return LuFactorization(n, lu, ipiv, singular, banded=True, hbw=hbw)
 
 

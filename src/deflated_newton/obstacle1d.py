@@ -32,7 +32,7 @@ from .continuation import (
     deflated_search_callables,
 )
 from .deflation import DeflationState, NormSpec
-from .linalg import BandedMatrix
+from .linalg import BandedMatrix, all_finite
 from .solver import SolverConfig
 
 # unused here, but the benchmark's layer trace patches both names on this module
@@ -109,10 +109,6 @@ class BeamProblem:
             raise ValueError("beam data must be finite")
         if self.bending_stiffness <= 0 or self.length <= 0 or self.half_width <= 0:
             raise ValueError("stiffness, length and channel half-width must be positive")
-
-    def buckling_load(self) -> float:
-        """Load at the first bifurcation of the unconstrained rod."""
-        return self.bending_stiffness * math.pi**2 / self.length**2
 
 
 @dataclass(frozen=True)
@@ -249,18 +245,23 @@ class BeamDiscretization:
         self._last_trace = None
 
         wb = self.quad_weights
-        ke = self.problem.bending_stiffness * (self.basis_d2 * wb) @ self.basis_d2.T
-        ge = self.problem.load * (self.basis_d1 * wb) @ self.basis_d1.T
-        me = (self.basis * wb) @ self.basis.T
-        fe = self.problem.density * self.problem.gravity * self.basis @ wb
+        # finite beam data can still overflow here; that is checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            ke = self.problem.bending_stiffness * (self.basis_d2 * wb) @ self.basis_d2.T
+            ge = self.problem.load * (self.basis_d1 * wb) @ self.basis_d1.T
+            me = (self.basis * wb) @ self.basis.T
+            fe = self.problem.density * self.problem.gravity * self.basis @ wb
 
-        self.stiffness = self._assemble_constant(ke)
-        self.geometric = self._assemble_constant(ge)
-        self.mass = self._assemble_constant(me)
-        self.load_vector = self._scatter_vector(np.broadcast_to(fe, (m, 4)))
-        self._linear = 2.0 * self.stiffness - 2.0 * self.geometric
+            self.stiffness = self._assemble_constant(ke)
+            self.geometric = self._assemble_constant(ge)
+            self.mass = self._assemble_constant(me)
+            self.load_vector = self._scatter_vector(np.broadcast_to(fe, (m, 4)))
+            self._linear = 2.0 * self.stiffness - 2.0 * self.geometric
+            self.operator_scale = self._linear.infinity_norm()
+        # a NaN or infinite entry makes its row sum, hence the scale, non-finite
+        if not (math.isfinite(self.operator_scale) and all_finite(self.load_vector)):
+            raise ValueError("beam data overflow: the assembled operator or load is not finite")
         self._linear.data.flags.writeable = False
-        self.operator_scale = self._linear.infinity_norm()
 
     def _assemble_constant(self, element_matrix: np.ndarray) -> BandedMatrix:
         block = element_matrix.reshape(16)[_PAIR_ORDER]
@@ -532,12 +533,15 @@ def path_follow(
             failed to re-converge at some step.
         ValueError: the penalty schedule is invalid (see :func:`gamma_schedule`),
             the final mesh would exceed :data:`MAX_ELEMENTS` elements (see
-            :func:`final_elements`) or a guess does not have the length of
-            the initial mesh's unknowns.
+            :func:`final_elements`), the deflation power or shift is invalid,
+            a guess does not have the length of the initial mesh's unknowns,
+            or the beam data overflow the assembled operator or load; all but
+            the last are raised before any assembly.
     """
     schedule = gamma_schedule(gamma0, gamma_max, q)
     mesh = HermiteMesh1D(initial_elements, problem.length)
     final_elements(mesh, gamma0, gamma_max)
+    operator = DeflationState(power=power, shift=shift)
     pool = [np.zeros(mesh.dofs)] if guesses is None else checked_guesses(guesses, mesh.dofs)
     while mesh.h > 1.0 / math.sqrt(gamma0):
         pool = [prolong(mesh, guess) for guess in pool]
@@ -546,7 +550,7 @@ def path_follow(
     disc = _discretization(problem, mesh)
     cfg = beam_solver_config(disc, config)
     norm = NormSpec(disc.mass)
-    deflation = DeflationState(power=power, shift=shift, norm=norm)
+    deflation = replace(operator, norm=norm)
     solutions = SolutionSet(norm=norm)
 
     deflated_search_callables(
@@ -582,7 +586,7 @@ def path_follow(
         # that only appear at larger penalties are picked up
         solutions = advance_branches(
             lambda z: (disc.residual(g, z), z), lambda z: disc.derivative(g, z), solutions,
-            deflation=DeflationState(power=power, shift=shift, norm=norm), config=cfg, parameter=g,
+            deflation=replace(operator, norm=norm), config=cfg, parameter=g,
             step=step_idx, extra_guesses=pool, max_roots=max_roots, events=events,
             detail=f"elements={mesh.elements}", name="penalty",
         )

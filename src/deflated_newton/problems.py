@@ -286,7 +286,3 @@ def dimension(benchmark) -> int:
 def list_benchmarks() -> list[str]:
     return [b.value for b in Benchmark]
 
-
-def gerard_prices(z: np.ndarray) -> tuple[float, float]:
-    """Extract the equilibrium price pair (pi1, pi2) from a Gerard solution."""
-    return float(z[5]), float(z[6])

@@ -158,7 +158,9 @@ def solve(
     except NonFiniteResidual:
         return SolveResult(SolveStatus.DIVERGED, z, 0, [math.inf])
 
-    rnorm = math.sqrt(r @ r)
+    # np.vdot gives the bits of r @ r, but a square past the double range
+    # reads inf without a numpy overflow warning
+    rnorm = math.sqrt(np.vdot(r, r))
     history = [rnorm]
     threshold = max(cfg.atol, cfg.rtol * rnorm) if math.isfinite(rnorm) else cfg.atol
     iterations = 0
@@ -210,7 +212,7 @@ def solve(
                 return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
 
         z, r, point = z_new, r_new, point_new
-        rnorm = math.sqrt(r @ r)
+        rnorm = math.sqrt(np.vdot(r, r))
         iterations += 1
         history.append(rnorm)
 
@@ -237,7 +239,7 @@ def _backtrack(residual, z, step, rnorm):
         except (AtDeflatedRoot, NonFiniteResidual):
             r_trial = None
         if r_trial is not None:
-            merit = 0.5 * float(r_trial @ r_trial)
+            merit = 0.5 * float(np.vdot(r_trial, r_trial))
             if merit <= (1.0 - 2.0 * LS_SUFFICIENT_DECREASE * t) * merit0:
                 return trial, r_trial, point
         t *= LS_REDUCTION

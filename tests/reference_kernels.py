@@ -30,7 +30,7 @@ def banded_matvec(matrix: BandedMatrix, v) -> np.ndarray:
     return out
 
 
-def lu_factor_banded(matrix: BandedMatrix, pivot_tol: float) -> LuFactorization:
+def lu_factor_banded(matrix: BandedMatrix) -> LuFactorization:
     """A zeroed buffer, the band copied in, and a copying ``gbtrf``."""
     n, hbw = matrix.n, matrix.hbw
     scale = float(np.abs(matrix.data).max()) if n else 0.0
@@ -42,7 +42,7 @@ def lu_factor_banded(matrix: BandedMatrix, pivot_tol: float) -> LuFactorization:
     if info < 0:
         raise ValueError(f"gbtrf failed on argument {-info}")
     diag = np.abs(lu[2 * hbw, :])
-    singular = info > 0 or scale == 0.0 or bool((diag < pivot_tol * scale).any())
+    singular = info > 0 or scale == 0.0 or bool((diag < linalg.PIVOT_TOL * scale).any())
     return LuFactorization(n, lu, ipiv, singular, banded=True, hbw=hbw)
 
 

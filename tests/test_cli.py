@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,12 @@ def test_usage_error_exit_code(capsys):
         ["solve", "gould", "--max-roots", "-1"],
         ["continue", "--max-roots", "0"],
         ["beam", "--max-roots", "0"],
+        ["continue", "not-a-benchmark"],
+        ["continue", "gould"],  # no continuation parameter
+        # element matrices beyond the double range
+        ["beam", "--load", "1e308", "--gamma-max", "100"],
+        # finite element matrices whose assembled sum is not
+        ["beam", "--load", "1.5e306", "--gamma-max", "100"],
     ):
         capsys.readouterr()
         with pytest.raises(SystemExit) as err:
@@ -205,6 +212,25 @@ def test_overflowing_deflation_ends_the_solve_diverged(argv, capsys):
     assert len(doc["roots"]) == 1
     statuses = [ev["status"] for ev in doc["events"] if ev["kind"] == "deflated-solve"]
     assert "diverged" in statuses
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "gerard", "--p", "200"],
+        ["solve", "gerard", "--p", "500"],
+        ["solve", "gould", "--p", "500"],
+    ],
+    ids=" ".join,
+)
+def test_overflowing_residual_norm_ends_without_a_warning(argv, capsys):
+    # a finite deflated residual near 1e160 squares past the double range in
+    # the line search's merit or the solver's norm; numpy used to warn there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(capsys, *argv, "--deterministic")
+    assert code == 0
+    assert len(json.loads(out)["roots"]) >= 1
 
 
 def test_beam_command_quick_path(tmp_path, capsys):

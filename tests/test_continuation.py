@@ -12,13 +12,13 @@ from deflated_newton.continuation import (
     continue_parameter,
     deflated_search,
 )
-from deflated_newton.deflation import DeflationState
+from deflated_newton.deflation import GUARD, DeflationState
 from deflated_newton.reformulate import (
     MixedComplementarityProblem,
     NcpFunction,
     assemble_residual,
 )
-from deflated_newton.solver import SolverConfig
+from deflated_newton.solver import SolverConfig, plain_derivative, solve
 
 FB = NcpFunction.FISCHER_BURMEISTER
 
@@ -243,6 +243,49 @@ def test_nan_guess_ends_as_diverged_solve():
     sols = deflated_search(prob, [np.full(4, np.nan)], events=events)
     assert len(sols) == 0
     assert [(ev.kind, ev.status) for ev in events] == [("deflated-solve", "diverged")]
+
+
+def test_polish_rejects_a_solve_that_converges_above_atol():
+    # Newton on z^3 shrinks z by 2/3 per step: with rtol = 0.5 the solve
+    # converges at |F| = 8/27 after one step, far above atol
+    config = SolverConfig(rtol=0.5)
+
+    def residual(z):
+        return z**3, z
+
+    def jacobian(z):
+        return np.diag(3.0 * z**2)
+
+    result = solve(residual, plain_derivative(jacobian), np.ones(1), config)
+    assert result.converged and result.residual_history[-1] > config.atol
+    assert continuation.polish_root(residual, jacobian, np.ones(1), config) is None
+
+
+def test_root_inside_a_known_roots_radius_is_rejected_as_a_duplicate():
+    # roots 0 and 1e-7 of F(z) = 1e7 z (z - 1e-7) are farther apart than the
+    # guard but inside one distinctness radius: the deflated solve finds the
+    # second, and the set refuses it
+    a, b = 0.0, 1e-7
+    assert GUARD < b - a < continuation.DISTINCTNESS_TOL
+    events = []
+    sols = continuation.deflated_search_callables(
+        residual=lambda z: (1e7 * (z - a) * (z - b), z),
+        jacobian=lambda z: np.array([[1e7 * (2.0 * z[0] - a - b)]]),
+        guesses=[np.array([-1.0])],
+        deflation=DeflationState(),
+        config=SolverConfig(rtol=1e-18),
+        events=events,
+    )
+    assert [ev.kind for ev in events] == [
+        "deflated-solve", "root-found", "deflated-solve", "rejected-duplicate"
+    ]
+    assert len(sols) == 1
+
+
+def test_continuation_needs_an_initial_root():
+    plan = ContinuationPlan(start=0.0, end=1.0, steps=1)
+    with pytest.raises(ValueError, match="nonempty"):
+        continue_parameter(lambda mu: problems.build("aggarwal", mu=mu), plan, SolutionSet())
 
 
 def test_solution_set_rejects_duplicates():

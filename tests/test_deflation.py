@@ -7,8 +7,6 @@ from deflated_newton.deflation import (
     DeflatedSystem,
     DeflationState,
     NormSpec,
-    deflated_derivative_parts,
-    deflated_residual,
     deflation_factor,
     deflation_gradient,
 )
@@ -27,6 +25,29 @@ FB = NcpFunction.FISCHER_BURMEISTER
 def spd_weight(rng, n):
     a = rng.randn(n, n)
     return a @ a.T + n * np.eye(n)
+
+
+def full_band(dense, hbw=None) -> BandedMatrix:
+    """The band of half bandwidth ``hbw`` of a square matrix; by default
+    hbw = n - 1, which holds every entry."""
+    dense = np.asarray(dense, dtype=float)
+    n = dense.shape[0]
+    hbw = n - 1 if hbw is None else hbw
+    out = BandedMatrix.zeros(n, hbw)
+    for i in range(n):
+        for j in range(max(0, i - hbw), min(n, i + hbw + 1)):
+            out.data[hbw + i - j, j] = dense[i, j]
+    return out
+
+
+def deflated_residual(state, f_value, z):
+    """G(z) = alpha(z) F(z), formed independently of DeflatedSystem."""
+    return deflation_factor(state, z) * np.asarray(f_value, dtype=float)
+
+
+def system_at(state, f_value, jac):
+    """A DeflatedSystem whose undeflated residual and derivative are constant."""
+    return DeflatedSystem(state, lambda z: (np.asarray(f_value, dtype=float), z), lambda z: jac)
 
 
 def test_factor_single_root_unit_distance():
@@ -68,7 +89,7 @@ def test_gradient_no_roots_is_zero():
 def test_gradient_matches_central_differences(weighted, power, shift):
     rng = np.random.RandomState(11)
     n = 5
-    norm = NormSpec(spd_weight(rng, n)) if weighted else NormSpec()
+    norm = NormSpec(full_band(spd_weight(rng, n))) if weighted else NormSpec()
     state = DeflationState(power=power, shift=shift, norm=norm)
     state.add_root(rng.randn(n))
     state.add_root(rng.randn(n) + 3.0)
@@ -102,15 +123,15 @@ def test_gradient_symmetry_between_two_roots():
 
 
 def test_residual_empty_state_passthrough():
-    state = DeflationState()
     value = np.array([1.0, -2.0])
-    np.testing.assert_array_equal(deflated_residual(state, value, np.zeros(2)), value)
+    out, _ = system_at(DeflationState(), value, None).residual(np.zeros(2))
+    np.testing.assert_array_equal(out, value)
 
 
 def test_residual_zero_at_new_root():
     state = DeflationState()
     state.add_root(np.zeros(2))
-    out = deflated_residual(state, np.zeros(2), np.array([5.0, 5.0]))
+    out, _ = system_at(state, np.zeros(2), None).residual(np.array([5.0, 5.0]))
     np.testing.assert_array_equal(out, np.zeros(2))
 
 
@@ -206,8 +227,8 @@ def test_far_field_relative_perturbation():
 
 
 def test_derivative_parts_empty_state():
-    state = DeflationState()
-    scale, jac, w = deflated_derivative_parts(state, np.eye(3), np.ones(3))
+    system = system_at(DeflationState(), np.ones(3), np.eye(3))
+    scale, jac, w = system.derivative(system.residual(np.ones(3))[1])
     assert scale == 1.0
     np.testing.assert_array_equal(jac, np.eye(3))
     np.testing.assert_array_equal(w, np.zeros(3))
@@ -220,7 +241,7 @@ def test_rank_one_term_vanishes_at_other_root():
     state.add_root(np.array([1.0, 0.0, 3.0, 0.0]))
     second = np.array([np.sqrt(6) / 2, 0.0, 0.0, 0.5])
     g_value = deflated_residual(state, assemble_residual(prob, second, FB), second)
-    scale, _, w = deflated_derivative_parts(state, np.eye(4), second)
+    scale, w = deflation_factor(state, second), deflation_gradient(state, second)
     assert np.linalg.norm(np.outer(g_value / scale, w)) <= 1e-12 * np.linalg.norm(w)
     assert scale > 1.0
 
@@ -244,10 +265,9 @@ def test_deflated_derivative_matches_differences():
 
         for _ in range(10):
             z = rng.uniform(0.2, 1.0, 4)
-            scale, jac, w = deflated_derivative_parts(
-                state, assemble_newton_derivative(prob, z, FB), z
-            )
-            assembled = scale * np.asarray(jac) + np.outer(g_residual(z) / scale, w)
+            scale, w = deflation_factor(state, z), deflation_gradient(state, z)
+            jac = assemble_newton_derivative(prob, z, FB)
+            assembled = scale * jac + np.outer(g_residual(z) / scale, w)
             fd = np.zeros((4, 4))
             for j in range(4):
                 h = 1e-7 * (1.0 + abs(z[j]))
@@ -266,20 +286,14 @@ def test_deflated_derivative_matches_differences():
             np.testing.assert_array_equal(s_w, w)
 
 
-def tridiagonal_band(dense: np.ndarray) -> BandedMatrix:
-    upper, lower = np.diag(dense, 1), np.diag(dense, -1)
-    data = np.array([np.r_[0.0, upper], np.diag(dense), np.r_[lower, 0.0]])
-    return BandedMatrix(dense.shape[0], 1, data)
-
-
 def test_norm_spec_rejects_indefinite_weight():
-    with pytest.raises(Exception):
-        NormSpec(np.diag([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        NormSpec(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        NormSpec(full_band(np.diag([1.0, -1.0])))
+    with pytest.raises(ValueError, match="symmetric"):
+        NormSpec(full_band(np.array([[1.0, 2.0], [0.0, 1.0]])))
     tridiagonal = np.diag([4.0, 4.0, 4.0]) + np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)
-    # both kinds of weight raise the same errors; NaN and inf entries sit
-    # symmetrically, so they reach the Cholesky check
+    # the tridiagonal and the full band raise the same errors; NaN and inf
+    # entries sit symmetrically, so they would reach the Cholesky check
     cases = [(tridiagonal, None)]
     for i, j, value in ((0, 1, np.nan), (1, 1, np.nan), (2, 2, np.inf)):
         bad = tridiagonal.copy()
@@ -291,7 +305,7 @@ def test_norm_spec_rejects_indefinite_weight():
     nonsymmetric[0, 1] = 2.0
     cases.append((nonsymmetric, ValueError))
     for dense, error in cases:
-        for weight in (dense, tridiagonal_band(dense)):
+        for weight in (full_band(dense), full_band(dense, 1)):
             if error is None:
                 NormSpec(weight)
             else:
@@ -302,7 +316,7 @@ def test_norm_spec_rejects_indefinite_weight():
 def test_norm_spec_rejects_nonfinite_banded_weight_below_the_diagonal():
     # the Cholesky check reads only the upper band rows, so a NaN below the
     # diagonal must be caught before it
-    weight = tridiagonal_band(np.diag([4.0, 4.0, 4.0]))
+    weight = full_band(np.diag([4.0, 4.0, 4.0]), 1)
     weight.data[2, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         NormSpec(weight)
@@ -346,8 +360,14 @@ def test_overflowing_deflation_is_a_nonfinite_residual():
         near.derivative(point)
 
 
+def test_norm_spec_refuses_a_dense_weight():
+    for weight in (np.eye(2), [[1.0, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="BandedMatrix"):
+            NormSpec(weight)
+
+
 def test_weighted_norm_value():
-    weight = np.diag([4.0, 9.0])
+    weight = full_band(np.diag([4.0, 9.0]))
     norm = NormSpec(weight)
     assert norm.norm(np.array([1.0, 1.0])) == pytest.approx(np.sqrt(13.0))
 
@@ -368,7 +388,7 @@ def deflation_points(draw):
     norm = NormSpec()
     if draw(st.booleans()):
         a = draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
-        norm = NormSpec(a @ a.T + n * np.eye(n))
+        norm = NormSpec(full_band(a @ a.T + n * np.eye(n)))
     state = DeflationState(
         power=draw(st.floats(1.0, 3.0)), shift=draw(st.sampled_from([0.0, 1.0])), norm=norm
     )

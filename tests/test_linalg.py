@@ -69,11 +69,9 @@ def test_zero_matrix_is_singular():
     assert lu_factor(np.zeros((3, 3))).singular
 
 
-def test_pivot_threshold_is_configurable():
-    a = np.diag([1.0, 1e-8])
-    assert not lu_factor(a).singular
-    assert lu_factor(a, pivot_tol=1e-6).singular
-    # the test is strict: a pivot exactly at pivot_tol * max|A| passes
+def test_pivot_threshold_is_strict():
+    assert not lu_factor(np.diag([1.0, 1e-8])).singular
+    # a pivot exactly at PIVOT_TOL * max|A| passes
     at, below = np.diag([1.0, 1e-14]), np.diag([1.0, np.nextafter(1e-14, 0.0)])
     for kind in (lambda m: m, lambda m: banded_from_dense(m, 1)):
         assert not lu_factor(kind(at)).singular

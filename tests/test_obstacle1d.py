@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from deflated_newton.continuation import AllBranchesLost
 from deflated_newton.linalg import lu_factor
 from deflated_newton.obstacle1d import (
     GAUSS_POINTS,
+    GAUSS_WEIGHTS,
     HALF_BANDWIDTH,
     MAX_ELEMENTS,
     MAX_PENALTY_STEPS,
@@ -671,7 +673,9 @@ def test_resolve_iterations_mesh_independent(beam_path):
 
 def test_subcritical_load_single_solution(beam_path_subcritical):
     problem, state, _ = beam_path_subcritical
-    assert problem.load < problem.buckling_load()
+    # the load at the first bifurcation of the unconstrained rod
+    buckling_load = problem.bending_stiffness * math.pi**2 / problem.length**2
+    assert problem.load < buckling_load
     assert len(state.solutions) == 1
     disc = _discretization(problem, state.mesh)
     assert disc.active_fraction(list(state.solutions)[0].z) == 0.0
@@ -708,6 +712,36 @@ def test_discovery_is_mesh_independent(beam_path):
     coarse_its = [rec.iterations for rec in coarse_state.solutions]
     fine_its = [rec.iterations for rec in state.solutions]
     assert all(abs(a - b) <= 2 for a, b in zip(fine_its, coarse_its)), (fine_its, coarse_its)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"load": 1e308},
+        {"load": 1.5e306},
+        {"bending_stiffness": 1e305},
+        {"density": 1e308, "gravity": 1e308},
+    ],
+    ids=["load", "load-assembled", "stiffness", "gravity-load"],
+)
+def test_overflowing_beam_data_is_a_value_error(data):
+    problem, mesh = BeamProblem(**data), HermiteMesh1D(64)
+    if data == {"load": 1.5e306}:
+        # each element matrix is finite; at an interior node the sum of the
+        # two elements' value-value entries is not
+        _, d1, _ = hermite_basis(mesh.h, GAUSS_POINTS)
+        element = problem.load * (d1 * (GAUSS_WEIGHTS * mesh.h)) @ d1.T
+        assert np.isfinite(element).all()
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(element[0, 0] + element[2, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="overflow"):
+            BeamDiscretization(problem, mesh)
+        events = []
+        with pytest.raises(ValueError, match="overflow"):
+            path_follow(problem, gamma_max=100.0, events=events)
+    assert events == []
 
 
 def test_mesh_and_problem_validation():

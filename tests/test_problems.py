@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from deflated_newton import problems
-from deflated_newton.problems import Benchmark, UnknownBenchmark, gerard_prices
+from deflated_newton.problems import Benchmark, UnknownBenchmark
 from deflated_newton.reformulate import NcpFunction, assemble_residual
 
 SQRT6 = np.sqrt(6.0)
@@ -125,11 +125,6 @@ def test_initial_guesses():
     np.testing.assert_array_equal(problems.initial_guess("gould"), [0.2, 0.2, 0.0, 0.0])
     np.testing.assert_array_equal(problems.initial_guess("aggarwal"), np.zeros(4))
     np.testing.assert_array_equal(problems.initial_guess("gerard"), np.zeros(10))
-
-
-def test_gerard_price_extraction():
-    z = np.arange(10.0)
-    assert gerard_prices(z) == (5.0, 6.0)
 
 
 # Property test: the float-unpacked benchmark maps against the numpy-scalar

@@ -8,11 +8,15 @@ from deflated_newton.deflation import (
     AtDeflatedRoot,
     DeflatedSystem,
     DeflationState,
-    deflated_residual,
     deflation_factor,
     deflation_gradient,
 )
-from deflated_newton.reformulate import NcpFunction, assemble_newton_derivative, assemble_residual
+from deflated_newton.reformulate import (
+    NcpFunction,
+    NonFiniteResidual,
+    assemble_newton_derivative,
+    assemble_residual,
+)
 from deflated_newton.solver import (
     SolveStatus,
     SolverConfig,
@@ -122,6 +126,39 @@ def test_nan_residual_becomes_diverged():
     assert result.status is SolveStatus.DIVERGED
 
 
+def first_call_only(residual):
+    """``residual``, raising :class:`NonFiniteResidual` from its second call on."""
+    calls = []
+
+    def wrapped(z):
+        calls.append(z)
+        if len(calls) > 1:
+            raise NonFiniteResidual("trial residual overflows")
+        return residual(z)
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "make_residual, matrix",
+    [
+        # lu_factor refuses a NaN entry
+        (lambda: at_z(lambda z: z), np.array([[np.nan]])),
+        # a subnormal pivot passes the relative pivot test, and 1 / 1e-310
+        # overflows in the back-substitution
+        (lambda: at_z(lambda z: z), np.array([[1e-310]])),
+        # an undamped step whose residual raises
+        (lambda: first_call_only(at_z(lambda z: z)), np.eye(1)),
+    ],
+    ids=["nonfinite-matrix", "nonfinite-step", "nonfinite-trial-residual"],
+)
+def test_diverged_exits(make_residual, matrix):
+    result = solve(make_residual(), plain_derivative(lambda z: matrix), np.ones(1))
+    assert result.status is SolveStatus.DIVERGED
+    assert result.iterations == 0
+    assert result.residual_history == [1.0]
+
+
 def test_singular_jacobian_status():
     result = solve(
         at_z(lambda z: np.array([1.0, z[1]])),
@@ -170,7 +207,7 @@ def test_deflated_root_hit_at_start():
     state.add_root(root)
 
     def residual(z):
-        return deflated_residual(state, z - root, z)
+        return deflation_factor(state, z) * (z - root)
 
     result = solve(at_z(residual), plain_derivative(lambda z: np.eye(2)), root.copy())
     assert result.status is SolveStatus.DEFLATED_ROOT_HIT
