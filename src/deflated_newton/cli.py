@@ -453,26 +453,17 @@ def _run_beam(args, parser) -> int:
         # solve, or beam data that overflow a mesh's assembled operator
         parser.error(str(err))
     disc = _discretization(problem, state.mesh)
-    roots = []
-    for rec in state.solutions:
-        table = disc.node_table(rec.z)
-        roots.append(
-            {
-                "z": rec.z.tolist(),
-                "iterations": rec.iterations,
-                "residual_norm": float(np.linalg.norm(disc.residual(state.gamma, rec.z))),
-                "discovered_at_parameter": rec.parameter,
-                "gamma": state.gamma,
-                "active_fraction": disc.active_fraction(rec.z),
-                "nodes": table.tolist(),
-            }
-        )
+    roots = _root_entries(
+        state.solutions, lambda z: float(np.linalg.norm(disc.residual(state.gamma, z)))
+    )
+    for entry, rec in zip(roots, state.solutions):
+        entry.update(gamma=state.gamma, active_fraction=disc.active_fraction(rec.z),
+                     nodes=disc.node_table(rec.z).tolist())
     if args.dump is not None:
-        for i, rec in enumerate(state.solutions):
-            table = disc.node_table(rec.z)
+        for i, entry in enumerate(roots):
             with _open_output(f"{args.dump}{i}.txt", "--dump", parser) as handle:
                 handle.write("# x value slope\n")
-                for x, value, slope in table:
+                for x, value, slope in entry["nodes"]:
                     handle.write(f"{x:.17g} {value:.17g} {slope:.17g}\n")
     doc = {
         "problem": "beam",

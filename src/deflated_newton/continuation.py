@@ -301,10 +301,12 @@ def advance_branches(
     then from ``extra_guesses``, looks for newcomers.  Re-solved branches
     keep their discovery metadata; newcomers record ``parameter``.
     ``deflation`` gives the operator and the norm; its roots are replaced by
-    the re-solved branches.
+    the re-solved branches.  With no ``branches`` the step is the search
+    from ``extra_guesses`` alone, and its result may be empty.
 
     Raises:
-        AllBranchesLost: no branch re-converges ("... at {name} {parameter}").
+        AllBranchesLost: there were branches and none re-converges
+            ("... at {name} {parameter}").
     """
     resolved = SolutionSet(norm=deflation.norm)
     for bi, record in enumerate(branches):
@@ -324,7 +326,7 @@ def advance_branches(
         resolved.add(z_new, iterations=record.iterations, parameter=record.parameter)
         _emit(events, kind="branch-resolved", step=step, parameter=parameter, branch=bi,
               iterations=result.iterations + extra, detail=detail)
-    if len(resolved) == 0:
+    if len(branches) > 0 and len(resolved) == 0:
         raise AllBranchesLost(f"all branches failed at {name} {parameter}")
 
     return deflated_search_callables(

@@ -23,20 +23,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .continuation import (
-    AllBranchesLost,
-    SolutionSet,
-    _emit,
-    advance_branches,
-    checked_guesses,
-    deflated_search_callables,
-)
+from .continuation import AllBranchesLost, SolutionSet, _emit, advance_branches, checked_guesses
 from .deflation import DeflationState, NormSpec
 from .linalg import BandedMatrix, all_finite
 from .solver import SolverConfig
 
-# unused here, but the benchmark's layer trace patches both names on this module
-from .continuation import polish_root  # noqa: F401
+# unused here, but the benchmark's layer trace patches these names on this module
+from .continuation import deflated_search_callables, polish_root  # noqa: F401
 from .solver import solve  # noqa: F401
 
 HALF_BANDWIDTH = 3  # cubic Hermite couples the 4 unknowns of 2 adjacent nodes
@@ -453,6 +446,15 @@ def gamma_schedule(gamma0: float, gamma_max: float, q: Optional[float] = None):
         values.append(g)
 
 
+def _too_coarse(h: float, gamma: float, step: int) -> bool:
+    """Whether elements of width ``h`` break the mesh rule at penalty ``gamma``.
+
+    The rule is h <= slack / sqrt(gamma), with slack 1 at the initial
+    penalty (step 0) and 1 + 1e-12 at the later steps of the path.
+    """
+    return h > (1.0 if step == 0 else 1.0 + 1e-12) / math.sqrt(gamma)
+
+
 def final_elements(mesh: HermiteMesh1D, gamma0: float, gamma_max: float) -> int:
     """Element count of the last mesh of a penalty path that starts on ``mesh``.
 
@@ -464,11 +466,8 @@ def final_elements(mesh: HermiteMesh1D, gamma0: float, gamma_max: float) -> int:
         ValueError: the path would need more than :data:`MAX_ELEMENTS` elements.
     """
     elements = mesh.elements
-    targets = [(gamma0, 1.0)]
-    if gamma_max > gamma0:
-        targets.append((gamma_max, 1.0 + 1e-12))
-    for gamma, slack in targets:
-        while elements <= MAX_ELEMENTS and mesh.length / elements > slack / math.sqrt(gamma):
+    for step, gamma in enumerate((gamma0, max(gamma0, gamma_max))):
+        while elements <= MAX_ELEMENTS and _too_coarse(mesh.length / elements, gamma, step):
             elements *= 2
     if elements > MAX_ELEMENTS:
         raise ValueError(
@@ -516,13 +515,15 @@ def path_follow(
 ) -> PathState:
     """Collect distinct penalized equilibria and continue them to gamma_max.
 
-    At the initial penalty a deflated search runs from the supplied guesses
-    (default: the flat beam), given on the initial mesh and prolonged to the
-    mesh for gamma0, deflating in the L2 norm induced by the mass matrix.
-    The penalty then grows geometrically; before each re-solve the mesh is
-    refined until h <= 1/sqrt(gamma) and all branches are prolonged.
-    Each step is one :func:`~deflated_newton.continuation.advance_branches`
-    from the prolonged points, with the guess pool as extra guesses.
+    The path visits gamma0 and then the values of :func:`gamma_schedule`.
+    At each it refines the mesh until h <= 1/sqrt(gamma), prolonging the
+    branches and the guess pool, and makes one
+    :func:`~deflated_newton.continuation.advance_branches` step: the known
+    branches are re-solved and a deflated search runs from their points and
+    then from the guess pool, deflating in the L2 norm induced by the mass
+    matrix.  At gamma0 there are no branches yet, so that step is the
+    search from the pool alone.  The pool holds the supplied guesses
+    (default: the flat beam), given on the initial mesh.
 
     Returns:
         PathState with the solution set at gamma_max; record parameters hold
@@ -543,53 +544,31 @@ def path_follow(
     final_elements(mesh, gamma0, gamma_max)
     operator = DeflationState(power=power, shift=shift)
     pool = [np.zeros(mesh.dofs)] if guesses is None else checked_guesses(guesses, mesh.dofs)
-    while mesh.h > 1.0 / math.sqrt(gamma0):
-        pool = [prolong(mesh, guess) for guess in pool]
-        mesh = mesh.refined()
-
-    disc = _discretization(problem, mesh)
-    cfg = beam_solver_config(disc, config)
-    norm = NormSpec(disc.mass)
-    deflation = replace(operator, norm=norm)
-    solutions = SolutionSet(norm=norm)
-
-    deflated_search_callables(
-        residual=lambda z: (disc.residual(gamma0, z), z),
-        jacobian=lambda z: disc.derivative(gamma0, z),
-        guesses=pool,
-        deflation=deflation,
-        config=cfg,
-        solutions=solutions,
-        parameter=gamma0,
-        max_roots=max_roots,
-        events=events,
-        step=0,
-    )
-    if len(solutions) == 0:
-        raise AllBranchesLost(f"no solution found at the initial penalty {gamma0}")
-
-    gamma = gamma0
-    for step_idx, g in enumerate(schedule, start=1):
-        while mesh.h > (1.0 + 1e-12) / math.sqrt(g):
+    solutions, disc = [], None
+    for step_idx, gamma in enumerate([gamma0] + schedule):
+        while _too_coarse(mesh.h, gamma, step_idx):
             solutions = [replace(rec, z=prolong(mesh, rec.z)) for rec in solutions]
             pool = [prolong(mesh, guess) for guess in pool]
             mesh = mesh.refined()
+            if step_idx > 0:
+                _emit(events, kind="refine", step=step_idx, parameter=gamma,
+                      detail=f"elements={mesh.elements}")
+        if disc is None or disc.mesh != mesh:
             disc = _discretization(problem, mesh)
             cfg = beam_solver_config(disc, config)
             norm = NormSpec(disc.mass)
-            _emit(events, kind="refine", step=step_idx, parameter=g,
-                  detail=f"elements={mesh.elements}")
 
         # after the previous branch points (the inactive branch's point
         # re-hits its own deflated root at once; the others run until they
         # stall) the original guess pool is searched again, so equilibria
         # that only appear at larger penalties are picked up
         solutions = advance_branches(
-            lambda z: (disc.residual(g, z), z), lambda z: disc.derivative(g, z), solutions,
-            deflation=replace(operator, norm=norm), config=cfg, parameter=g,
+            lambda z: (disc.residual(gamma, z), z), lambda z: disc.derivative(gamma, z),
+            solutions, deflation=replace(operator, norm=norm), config=cfg, parameter=gamma,
             step=step_idx, extra_guesses=pool, max_roots=max_roots, events=events,
             detail=f"elements={mesh.elements}", name="penalty",
         )
-        gamma = g
+        if len(solutions) == 0:  # only a search without branches ends empty
+            raise AllBranchesLost(f"no solution found at the initial penalty {gamma0}")
 
     return PathState(gamma, mesh, solutions)

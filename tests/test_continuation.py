@@ -190,6 +190,30 @@ def test_branch_step_event_stream():
     ]
 
 
+@pytest.mark.parametrize(
+    "shift, branches, roots",
+    [
+        (-1.0, [], [1.0, -1.0]),  # the search from 2 finds 1, then -1 under deflation
+        (1.0, [], []),  # z^2 + 1 has no real root: an empty set, not an error
+        (1.0, [0.5], None),  # a branch was given and lost
+    ],
+)
+def test_branch_step_without_branches_is_the_search_alone(shift, branches, roots):
+    records = [continuation.RootRecord(np.array([z]), 0, 0.0) for z in branches]
+    step = lambda: continuation.advance_branches(  # noqa: E731
+        lambda z: (z**2 + shift, z), lambda z: np.array([[2.0 * z[0]]]), records,
+        deflation=DeflationState(), config=SolverConfig(max_iter=10), parameter=1.0, step=1,
+        extra_guesses=[np.array([2.0])],
+    )
+    if roots is None:
+        with pytest.raises(AllBranchesLost, match=r"^all branches failed at parameter 1\.0$"):
+            step()
+    else:
+        found = step()
+        assert [rec.z[0] for rec in found] == pytest.approx(roots, abs=1e-9)
+        assert [rec.parameter for rec in found] == [1.0] * len(roots)
+
+
 def test_gerard_roots_satisfy_mixed_complementarity(gerard_solutions):
     prob = problems.build("gerard")
     assert len(gerard_solutions) == 3

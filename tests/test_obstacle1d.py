@@ -459,6 +459,33 @@ def test_final_elements_follows_the_mesh_rule(beam_path):
         assert short.mesh.elements == final_elements(HermiteMesh1D(mesh), 10.0, gamma_max)
 
 
+@pytest.mark.parametrize(
+    "initial_elements, gamma_max, q, assembled, refines",
+    [
+        # gamma = 1e5 needs 512 elements: three levels in one step, solved on the last
+        (64, 1e5, 100.0, [64, 512], [(2, 128), (2, 256), (2, 512)]),
+        # gamma0 = 10 needs 4 elements; refining for the initial penalty emits no event
+        (1, 1e3, None, [4, 8, 16, 32], [(1, 8), (4, 16), (7, 32)]),
+    ],
+)
+def test_one_assembly_per_solved_mesh(monkeypatch, initial_elements, gamma_max, q, assembled,
+                                      refines):
+    built = []
+    original = obstacle1d._discretization
+
+    def recording(problem, mesh):
+        built.append(mesh.elements)
+        return original(problem, mesh)
+
+    monkeypatch.setattr(obstacle1d, "_discretization", recording)
+    events = []
+    path_follow(BeamProblem(), gamma_max=gamma_max, q=q, initial_elements=initial_elements,
+                events=events)
+    assert built == assembled
+    refined = [(ev.step, ev.detail) for ev in events if ev.kind == "refine"]
+    assert refined == [(step, f"elements={elements}") for step, elements in refines]
+
+
 def test_wrong_length_guess_fails_before_any_solve():
     events = []
     with pytest.raises(ValueError, match=r"guess 1 has shape \(64,\); expected length 128"):
