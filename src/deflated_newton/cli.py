@@ -381,34 +381,25 @@ def _run_continue(args, parser) -> int:
         search_config = replace(config, max_iter=rec.max_iter) if args.max_iter is None else config
         deflation = DeflationState(power=power, shift=shift)
         plan = ContinuationPlan(
-            start=args.mu_start, end=args.mu_end, steps=args.mu_steps,
-            config=config, ncp=kind, power=power, shift=shift,
+            start=args.mu_start, end=args.mu_end, steps=args.mu_steps, config=config
         )
     except ValueError as err:
         parser.error(str(err))
 
     events: list = []
-    first = problems.build(bench, mu=args.mu_start)
-    initial = deflated_search(
-        first,
-        guesses=[problems.initial_guess(bench)],
-        ncp=kind,
-        deflation=deflation,
-        config=search_config,
-        max_roots=args.max_roots,
-        events=events,
-    )
+    # step 0 is the search at mu_start, with the registry's iteration cap;
     # residuals are reported where the returned set lives: mu_end after a
-    # full continuation, mu_start when it stopped early
-    final, mu_final = initial, args.mu_start
-    if len(initial) > 0:
-        try:
-            final = continue_parameter(
-                lambda mu: problems.build(bench, mu=mu), plan, initial, events=events
-            )
-            mu_final = args.mu_end
-        except AllBranchesLost as err:
-            events.append(Event(kind="all-branches-lost", detail=str(err)))
+    # full continuation, the last step that kept a branch when all are lost
+    try:
+        final = continue_parameter(
+            lambda mu: problems.build(bench, mu=mu), plan, [problems.initial_guess(bench)],
+            ncp=kind, deflation=deflation, config=search_config, max_roots=args.max_roots,
+            events=events,
+        )
+        mu_final = args.mu_end
+    except AllBranchesLost as err:
+        events.append(Event(kind="all-branches-lost", detail=str(err)))
+        final, mu_final = err.solutions, err.parameter
     last = problems.build(bench, mu=mu_final)
     doc = {
         "problem": bench.value,

@@ -1,17 +1,20 @@
-"""Deflated search over a guess pool and zero-order parameter continuation.
+"""Deflated search over a guess pool and deflated parameter continuation.
 
 The search loop follows a greedy protocol: solve the deflated problem from a
 guess; on success verify the root against the undeflated residual, deflate
-it, and retry the same guess; move on at the first failure.  Continuation
-re-solves every known branch at each new parameter value and then runs a
-deflated search from the previous branch points to pick up newcomers.
+it, and retry the same guess; move on at the first failure.
+:func:`deflated_continuation` is the one continuation loop, shared by the
+``mu`` continuation of :func:`continue_parameter` and the beam's penalty
+path: step 0 is a search from a guess pool, and each later step re-solves
+every known branch and then runs a deflated search from the branch points
+(and any guesses) to pick up newcomers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +39,16 @@ POLISH_MAX_ITER = 5
 
 
 class AllBranchesLost(Exception):
-    """No branch could be re-solved at some continuation step."""
+    """No branch could be re-solved at some continuation step.
+
+    ``solutions`` and ``parameter`` are the set and the parameter value of
+    the last step that kept a branch (an empty set and None when there was
+    none).
+    """
+
+    def __init__(self, message: str, solutions: "SolutionSet", parameter: Optional[float]):
+        super().__init__(message)
+        self.solutions, self.parameter = solutions, parameter
 
 
 @dataclass
@@ -264,9 +276,6 @@ class ContinuationPlan:
     end: float
     steps: int
     config: SolverConfig = field(default_factory=SolverConfig)
-    ncp: NcpFunction = NcpFunction.FISCHER_BURMEISTER
-    power: float = 2.0
-    shift: float = 1.0
 
     def __post_init__(self):
         if self.steps < 1:
@@ -279,91 +288,118 @@ class ContinuationPlan:
         return np.linspace(self.start, self.end, self.steps + 1)[1:]
 
 
-def advance_branches(
-    residual: Callable[[np.ndarray], tuple],
-    jacobian: Callable,
-    branches: Sequence[RootRecord],
-    deflation: DeflationState,
-    config: SolverConfig,
-    parameter: float,
-    step: int,
-    extra_guesses: Sequence[np.ndarray] = (),
-    max_roots: Optional[int] = None,
-    events: Optional[list] = None,
-    detail: str = "",
-    name: str = "parameter",
-) -> SolutionSet:
-    """One step of deflated continuation (Farrell, Beentjes & Birkisson 2016).
+class ContinuationStep(NamedTuple):
+    """What :func:`deflated_continuation` solves at one parameter value.
 
-    Each branch record is re-solved (undeflated) from its ``z`` and
-    polished, or dropped with an event when that fails or it collides with
-    an already re-solved branch.  A deflated search from the branch points,
-    then from ``extra_guesses``, looks for newcomers.  Re-solved branches
-    keep their discovery metadata; newcomers record ``parameter``.
-    ``deflation`` gives the operator and the norm; its roots are replaced by
-    the re-solved branches.  With no ``branches`` the step is the search
-    from ``extra_guesses`` alone, and its result may be empty.
+    ``branches`` are the known records in this step's unknowns, ``norm``
+    deflates and tells roots apart, ``detail`` labels branch-resolved events.
+    """
+
+    residual: Callable[[np.ndarray], tuple]
+    jacobian: Callable
+    config: SolverConfig
+    norm: NormSpec
+    branches: Sequence[RootRecord]
+    guesses: Sequence[np.ndarray]
+    detail: str
+
+
+def deflated_continuation(
+    values: Sequence[float],
+    setup: Callable[[int, float, list[RootRecord]], ContinuationStep],
+    deflation: DeflationState,
+    max_roots: Optional[int],
+    events: Optional[list],
+    name: str,
+) -> SolutionSet:
+    """Deflated continuation (Farrell, Beentjes & Birkisson 2016) over ``values``.
+
+    ``setup(step, value, records)`` gives the :class:`ContinuationStep` at
+    each value from the records of the step before.  Each branch is
+    re-solved (undeflated) and polished, or dropped with an event when that
+    fails or it collides with an already re-solved branch.  A deflated
+    search from the branch points, then from the guesses, looks for
+    newcomers, with ``deflation``'s power and shift, up to ``max_roots``
+    roots in all.  Re-solved branches keep their discovery metadata;
+    newcomers record the value.  Step 0 has no branches, so it is the search
+    alone; when it finds nothing the path ends there, with an empty set.
 
     Raises:
-        AllBranchesLost: there were branches and none re-converges
-            ("... at {name} {parameter}").
+        AllBranchesLost: a step had branches and none re-converges
+            ("all branches failed at {name} {value}").
     """
-    resolved = SolutionSet(norm=deflation.norm)
-    for bi, record in enumerate(branches):
-        result = solve(residual, plain_derivative(jacobian), record.z, config)
-        moved = None
-        if result.status is SolveStatus.CONVERGED:
-            moved = polish_root(residual, jacobian, result.solution, config)
-        if moved is None:
-            why = "unverified" if result.status is SolveStatus.CONVERGED else result.status.value
-            _emit(events, kind="branch-lost", step=step, parameter=parameter, branch=bi,
-                  status=why)
-            continue
-        z_new, extra = moved
-        if not resolved.is_distinct(z_new):
-            _emit(events, kind="branch-collision", step=step, parameter=parameter, branch=bi)
-            continue
-        resolved.add(z_new, iterations=record.iterations, parameter=record.parameter)
-        _emit(events, kind="branch-resolved", step=step, parameter=parameter, branch=bi,
-              iterations=result.iterations + extra, detail=detail)
-    if len(branches) > 0 and len(resolved) == 0:
-        raise AllBranchesLost(f"all branches failed at {name} {parameter}")
+    solutions, previous = SolutionSet(), None
+    for step, value in enumerate(map(float, values)):
+        at = setup(step, value, list(solutions))
+        resolved = SolutionSet(norm=at.norm)
+        for bi, record in enumerate(at.branches):
+            result = solve(at.residual, plain_derivative(at.jacobian), record.z, at.config)
+            moved = None
+            if result.status is SolveStatus.CONVERGED:
+                moved = polish_root(at.residual, at.jacobian, result.solution, at.config)
+            if moved is None:
+                why = "unverified" if result.status is SolveStatus.CONVERGED else result.status.value
+                _emit(events, kind="branch-lost", step=step, parameter=value, branch=bi,
+                      status=why)
+                continue
+            z_new, extra = moved
+            if not resolved.is_distinct(z_new):
+                _emit(events, kind="branch-collision", step=step, parameter=value, branch=bi)
+                continue
+            resolved.add(z_new, iterations=record.iterations, parameter=record.parameter)
+            _emit(events, kind="branch-resolved", step=step, parameter=value, branch=bi,
+                  iterations=result.iterations + extra, detail=at.detail)
+        if len(at.branches) > 0 and len(resolved) == 0:
+            raise AllBranchesLost(f"all branches failed at {name} {value}", solutions, previous)
 
-    return deflated_search_callables(
-        residual=residual,
-        jacobian=jacobian,
-        guesses=[record.z for record in branches] + list(extra_guesses),
-        deflation=replace(deflation, roots=resolved.vectors()),
-        config=config,
-        solutions=resolved,
-        parameter=parameter,
-        max_roots=max_roots,
-        events=events,
-        step=step,
-    )
+        solutions = deflated_search_callables(
+            at.residual, at.jacobian, [record.z for record in at.branches] + list(at.guesses),
+            deflation=replace(deflation, norm=at.norm, roots=resolved.vectors()),
+            config=at.config, solutions=resolved, parameter=value, max_roots=max_roots,
+            events=events, step=step,
+        )
+        if len(solutions) == 0:  # only a step without branches ends empty
+            break
+        previous = value
+    return solutions
 
 
 def continue_parameter(
     family: Callable[[float], MixedComplementarityProblem],
     plan: ContinuationPlan,
-    initial: SolutionSet,
+    guesses: Sequence[np.ndarray],
+    ncp: NcpFunction = NcpFunction.FISCHER_BURMEISTER,
+    deflation: Optional[DeflationState] = None,
+    config: Optional[SolverConfig] = None,
+    max_roots: Optional[int] = None,
     events: Optional[list] = None,
 ) -> SolutionSet:
-    """Continue all branches of ``initial`` from plan.start to plan.end.
+    """Find the roots of ``family(plan.start)`` and continue them to plan.end.
 
-    Every step is one :func:`advance_branches` in the Euclidean norm.
+    One :func:`deflated_continuation` over plan.start and ``plan.values()``
+    in the norm of ``deflation`` (Euclidean by default).  Step 0 is the
+    deflated search from ``guesses`` with ``config``, as in
+    :func:`deflated_search`; later steps solve with ``plan.config``.
+
+    Returns:
+        The branches at plan.end; empty when step 0 found no root.
 
     Raises:
-        AllBranchesLost: when no branch re-converges at some step.
+        ValueError: a guess does not have the problem's dimension; raised
+            before any solve.
+        AllBranchesLost: no branch re-converges at some step.
     """
-    if len(initial) == 0:
-        raise ValueError("continuation requires a nonempty initial solution set")
-    current = initial
-    deflation = DeflationState(power=plan.power, shift=plan.shift)
-    for step_idx, value in enumerate(plan.values(), start=1):
-        system = _ReformulatedSystem(family(float(value)), plan.ncp)
-        current = advance_branches(
-            system.residual, system.jacobian, current, deflation=deflation, config=plan.config,
-            parameter=float(value), step=step_idx, events=events,
+    state = deflation if deflation is not None else DeflationState()
+    search_config = config or SolverConfig()
+
+    def step_at(step: int, mu: float, branches: list[RootRecord]) -> ContinuationStep:
+        system = _ReformulatedSystem(family(mu), ncp)
+        pool = checked_guesses(guesses, system.problem.dimension) if step == 0 else []
+        step_config = plan.config if step > 0 else search_config
+        return ContinuationStep(
+            system.residual, system.jacobian, step_config, state.norm, branches, pool, ""
         )
-    return current
+
+    return deflated_continuation(
+        [plan.start, *plan.values()], step_at, state, max_roots, events, "parameter"
+    )

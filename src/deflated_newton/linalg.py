@@ -93,9 +93,6 @@ class BandedMatrix:
     def zeros(cls, n: int, hbw: int) -> "BandedMatrix":
         return cls(n, hbw, np.zeros((2 * hbw + 1, n)))
 
-    def copy(self) -> "BandedMatrix":
-        return BandedMatrix(self.n, self.hbw, self.data.copy())
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """``A v`` for a vector ``v`` of length n, or row by row for a ``(k, n)`` stack."""
         return _band_product(self.data, self.hbw, np.asarray(v, dtype=float))

@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .continuation import AllBranchesLost, SolutionSet, _emit, advance_branches, checked_guesses
+from .continuation import AllBranchesLost, ContinuationStep, SolutionSet, _emit, checked_guesses
+from .continuation import deflated_continuation
 from .deflation import DeflationState, NormSpec
 from .linalg import BandedMatrix, all_finite
 from .solver import SolverConfig
@@ -185,10 +186,9 @@ def hermite_basis(h: float, xi: np.ndarray):
 class BeamDiscretization:
     """Assembled matrices and penalty evaluation for one problem and mesh."""
 
-    def __init__(self, problem: BeamProblem, mesh: HermiteMesh1D, reduced: bool = True):
+    def __init__(self, problem: BeamProblem, mesh: HermiteMesh1D):
         self.problem = problem
         self.mesh = mesh
-        self.reduced = reduced
         m, h = mesh.elements, mesh.h
 
         self.basis, self.basis_d1, self.basis_d2 = hermite_basis(h, GAUSS_POINTS)
@@ -197,16 +197,10 @@ class BeamDiscretization:
         elem = np.arange(m)
         self.elem_dofs = 2 * elem[:, None] + np.arange(4)[None, :]  # full numbering
 
-        if reduced:
-            freemap = np.full(mesh.full_dofs, -1, dtype=int)
-            free = mesh.free_indices()
-            freemap[free] = np.arange(free.size)
-            self.free = free
-            self.n = free.size
-        else:
-            freemap = np.arange(mesh.full_dofs)
-            self.free = freemap
-            self.n = mesh.full_dofs
+        self.free = mesh.free_indices()
+        self.n = self.free.size
+        freemap = np.full(mesh.full_dofs, -1, dtype=int)
+        freemap[self.free] = np.arange(self.n)
         self._red = freemap[self.elem_dofs]  # (m, 4), -1 marks pinned unknowns
 
         # Element pair (a, b) lands at one flat band index; pairs on a pinned
@@ -314,16 +308,6 @@ class BeamDiscretization:
         self._last_trace = (key, result)
         return result
 
-    def _overshoot(self, yq: np.ndarray) -> np.ndarray:
-        """How far each value in ``yq`` lies above (+) or below (-) the channel.
-
-        ``yq`` minus its clip to [-alpha, alpha] is yq - alpha above, yq +
-        alpha below and +0.0 inside: the same bits as max(yq - alpha, 0)
-        - max(-alpha - yq, 0).
-        """
-        alpha = self.problem.half_width
-        return yq - np.minimum(np.maximum(yq, -alpha), alpha)
-
     def residual(self, gamma: float, y: np.ndarray) -> np.ndarray:
         """Weak-form residual of the penalized energy at y.
 
@@ -337,7 +321,12 @@ class BeamDiscretization:
         if gamma != 0.0:
             yq, inside = self._quadrature(y)
             if not (inside and math.isfinite(gamma)):
-                contrib = (self._overshoot(yq) * self.quad_weights) @ self.basis.T
+                # how far each value lies above (+) or below (-) the channel:
+                # yq minus its clip, the same bits as max(yq - alpha, 0) -
+                # max(-alpha - yq, 0), and +0.0 inside
+                alpha = self.problem.half_width
+                overshoot = yq - np.minimum(np.maximum(yq, -alpha), alpha)
+                contrib = (overshoot * self.quad_weights) @ self.basis.T
                 out += gamma * self._scatter_vector(contrib)
         return out
 
@@ -356,18 +345,6 @@ class BeamDiscretization:
             return self._linear
         blocks = gamma * self._penalty_table[pattern[hit]]
         return self._add_blocks(self._linear, blocks, hit)
-
-    def energy(self, gamma: float, y: np.ndarray) -> float:
-        """Discrete penalized energy (quadrature consistent with the residual)."""
-        y = np.asarray(y, dtype=float)
-        value = float(
-            y @ self.stiffness.matvec(y) - y @ self.geometric.matvec(y) - self.load_vector @ y
-        )
-        if gamma != 0.0:
-            # the square of the overshoot is upper**2 + lower**2, one of them 0
-            overshoot = self._overshoot(self.values_at_quadrature(y))
-            value += 0.5 * gamma * float((overshoot**2 * self.quad_weights).sum())
-        return value
 
     def active_fraction(self, y: np.ndarray) -> float:
         yq = self.values_at_quadrature(y)
@@ -515,15 +492,15 @@ def path_follow(
 ) -> PathState:
     """Collect distinct penalized equilibria and continue them to gamma_max.
 
-    The path visits gamma0 and then the values of :func:`gamma_schedule`.
-    At each it refines the mesh until h <= 1/sqrt(gamma), prolonging the
-    branches and the guess pool, and makes one
-    :func:`~deflated_newton.continuation.advance_branches` step: the known
-    branches are re-solved and a deflated search runs from their points and
-    then from the guess pool, deflating in the L2 norm induced by the mass
-    matrix.  At gamma0 there are no branches yet, so that step is the
-    search from the pool alone.  The pool holds the supplied guesses
-    (default: the flat beam), given on the initial mesh.
+    One :func:`~deflated_newton.continuation.deflated_continuation` over
+    gamma0 and then the values of :func:`gamma_schedule`.  At each penalty
+    the mesh is refined until h <= 1/sqrt(gamma), prolonging the branches
+    and the guess pool, and the step deflates in the L2 norm induced by the
+    mass matrix.  Every step searches from the branch points and then from
+    the pool, so equilibria that only appear at larger penalties are picked
+    up; at gamma0 there are no branches yet, so that step is the search
+    from the pool alone.  The pool holds the supplied guesses (default: the
+    flat beam), given on the initial mesh.
 
     Returns:
         PathState with the solution set at gamma_max; record parameters hold
@@ -539,36 +516,33 @@ def path_follow(
             or the beam data overflow the assembled operator or load; all but
             the last are raised before any assembly.
     """
-    schedule = gamma_schedule(gamma0, gamma_max, q)
+    values = [gamma0] + gamma_schedule(gamma0, gamma_max, q)
     mesh = HermiteMesh1D(initial_elements, problem.length)
     final_elements(mesh, gamma0, gamma_max)
     operator = DeflationState(power=power, shift=shift)
     pool = [np.zeros(mesh.dofs)] if guesses is None else checked_guesses(guesses, mesh.dofs)
-    solutions, disc = [], None
-    for step_idx, gamma in enumerate([gamma0] + schedule):
-        while _too_coarse(mesh.h, gamma, step_idx):
-            solutions = [replace(rec, z=prolong(mesh, rec.z)) for rec in solutions]
+    disc = None
+
+    def step_at(step: int, gamma: float, branches: list) -> ContinuationStep:
+        nonlocal mesh, pool, disc
+        while _too_coarse(mesh.h, gamma, step):
+            branches = [replace(rec, z=prolong(mesh, rec.z)) for rec in branches]
             pool = [prolong(mesh, guess) for guess in pool]
             mesh = mesh.refined()
-            if step_idx > 0:
-                _emit(events, kind="refine", step=step_idx, parameter=gamma,
+            if step > 0:
+                _emit(events, kind="refine", step=step, parameter=gamma,
                       detail=f"elements={mesh.elements}")
-        if disc is None or disc.mesh != mesh:
+        if disc is None or disc.mesh != mesh:  # assemble a mesh once
             disc = _discretization(problem, mesh)
-            cfg = beam_solver_config(disc, config)
-            norm = NormSpec(disc.mass)
-
-        # after the previous branch points (the inactive branch's point
-        # re-hits its own deflated root at once; the others run until they
-        # stall) the original guess pool is searched again, so equilibria
-        # that only appear at larger penalties are picked up
-        solutions = advance_branches(
-            lambda z: (disc.residual(gamma, z), z), lambda z: disc.derivative(gamma, z),
-            solutions, deflation=replace(operator, norm=norm), config=cfg, parameter=gamma,
-            step=step_idx, extra_guesses=pool, max_roots=max_roots, events=events,
-            detail=f"elements={mesh.elements}", name="penalty",
+        at = disc
+        return ContinuationStep(
+            lambda z: (at.residual(gamma, z), z), lambda z: at.derivative(gamma, z),
+            beam_solver_config(at, config), NormSpec(at.mass), branches, pool,
+            f"elements={mesh.elements}",
         )
-        if len(solutions) == 0:  # only a search without branches ends empty
-            raise AllBranchesLost(f"no solution found at the initial penalty {gamma0}")
 
-    return PathState(gamma, mesh, solutions)
+    solutions = deflated_continuation(values, step_at, operator, max_roots, events, "penalty")
+    if len(solutions) == 0:  # only the search at gamma0 can end empty
+        message = f"no solution found at the initial penalty {gamma0}"
+        raise AllBranchesLost(message, solutions, None)
+    return PathState(values[-1], mesh, solutions)

@@ -137,7 +137,7 @@ def beam_derivative(disc, gamma, y) -> BandedMatrix:
     pattern = ((yq > alpha) | (yq < -alpha)) @ obstacle1d._PATTERN_WEIGHTS
     hit = np.flatnonzero(pattern)
     if gamma == 0.0 or hit.size == 0:
-        return disc._linear.copy()
+        return BandedMatrix(disc.n, disc._linear.hbw, disc._linear.data.copy())
     blocks = gamma * penalty_table(disc)[pattern[hit]]
     return add_blocks(disc, disc._linear, blocks, hit)
 

@@ -108,12 +108,14 @@ def test_criterion_2_gould():
 
 def test_criterion_3_aggarwal_continuation(aggarwal_search):
     issues = []
-    sols, _, _ = aggarwal_search
+    sols, config, _ = aggarwal_search
     if len(sols) != 3:
         issues.append(f"search at mu=1/1000 found {len(sols)} roots, expected 3")
     else:
+        # step 0 repeats the fixture's search, with its config
         plan = ContinuationPlan(start=1e-3, end=1.0, steps=50, config=SolverConfig())
-        final = continue_parameter(lambda mu: problems.build("aggarwal", mu=mu), plan, sols)
+        final = continue_parameter(lambda mu: problems.build("aggarwal", mu=mu), plan,
+                                   [problems.initial_guess("aggarwal")], config=config)
         if len(final) != 3:
             issues.append(f"continuation ended with {len(final)} branches")
         issues += match_as_set(final.vectors(), AGGARWAL_ROOTS, tol=1e-6)

@@ -291,6 +291,20 @@ def test_continue_reports_residuals_where_its_roots_live(capsys):
         assert root["residual_norm"] <= doc["settings"]["atol"]
 
 
+@pytest.mark.parametrize("cap", [1, 2])
+def test_continue_max_roots_caps_every_step(capsys, cap):
+    code, out = run_cli(
+        capsys, "continue", "aggarwal", "--max-roots", str(cap), "--deterministic"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["roots"]) == cap
+    # the roots come from step 0, and no later step adds one
+    assert [root["discovered_at_parameter"] for root in doc["roots"]] == [1e-3] * cap
+    found = [ev["step"] for ev in doc["events"] if ev["kind"] == "root-found"]
+    assert found == [0] * cap
+
+
 # Property test: the JSON writer against json.loads, and against the
 # recursive writer it replaced, kept in reference_kernels as the reference.
 

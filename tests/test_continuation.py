@@ -12,7 +12,7 @@ from deflated_newton.continuation import (
     continue_parameter,
     deflated_search,
 )
-from deflated_newton.deflation import GUARD, DeflationState
+from deflated_newton.deflation import EUCLIDEAN, GUARD, DeflationState
 from deflated_newton.reformulate import (
     MixedComplementarityProblem,
     NcpFunction,
@@ -107,10 +107,12 @@ def test_aggarwal_search_finds_three(aggarwal_search):
 
 
 def test_aggarwal_continuation_to_unit_parameter(aggarwal_search):
-    sols, config, _ = aggarwal_search
+    # step 0 is the search of the fixture, with its config
+    _, config, _ = aggarwal_search
     plan = ContinuationPlan(start=1e-3, end=1.0, steps=50, config=SolverConfig())
     final = continue_parameter(
-        lambda mu: problems.build("aggarwal", mu=mu), plan, sols
+        lambda mu: problems.build("aggarwal", mu=mu), plan,
+        [problems.initial_guess("aggarwal")], config=config,
     )
     assert len(final) == 3
     match_as_set(final.vectors(), AGGARWAL_ROOTS, tol=1e-6)
@@ -120,12 +122,9 @@ def test_aggarwal_continuation_to_unit_parameter(aggarwal_search):
 
 
 def test_single_step_continuation_is_fixed_point():
-    prob = problems.build("aggarwal", mu=1.0)
-    initial = SolutionSet()
-    for root in AGGARWAL_ROOTS:
-        initial.add(root, iterations=0, parameter=1.0)
+    # step 0 finds the roots from themselves, step 1 re-solves them
     plan = ContinuationPlan(start=1.0, end=1.0, steps=1)
-    final = continue_parameter(lambda mu: problems.build("aggarwal", mu=mu), plan, initial)
+    final = continue_parameter(lambda mu: problems.build("aggarwal", mu=mu), plan, AGGARWAL_ROOTS)
     assert len(final) == 3
     match_as_set(final.vectors(), AGGARWAL_ROOTS, tol=1e-9)
 
@@ -141,24 +140,27 @@ def test_all_branches_lost():
             parameter=mu,
         )
 
-    initial = SolutionSet()
-    initial.add(np.zeros(1), iterations=0, parameter=0.0)
     plan = ContinuationPlan(start=0.0, end=1.0, steps=4)
     with pytest.raises(AllBranchesLost):
-        continue_parameter(family, plan, initial)
+        continue_parameter(family, plan, [np.zeros(1)])
 
 
 def test_branch_step_event_stream():
     """Every kind of branch-step event, in order, on a one-unknown family.
 
-    At mu = 1, F = z^2 - 1: the branch at 0 has a singular Jacobian, the
-    branch at 1 re-solves in place, the branch at 2 converges onto 1, and a
-    deflated search from 2 lands on -1 in one step.  At mu = 2,
-    F = (z - 1)^2 + 1 has no real root, so both branches are lost.
+    At mu = 0, F = z (z - 1) (z - 2): step 0 finds the three roots from
+    themselves.  At mu = 1, F = z^2 - 1: the branch at 0 has a singular
+    Jacobian, the branch at 1 re-solves in place, the branch at 2 converges
+    onto 1, and a deflated search from 2 lands on -1 in one step.  At
+    mu = 2, F = (z - 1)^2 + 1 has no real root, so both branches are lost,
+    and the error carries the set of mu = 1.
     """
 
     def family(mu):
-        if mu == 1.0:
+        if mu == 0.0:
+            residual = lambda z: np.array([z[0] * (z[0] - 1.0) * (z[0] - 2.0)])  # noqa: E731
+            derivative = lambda z: np.array([[3.0 * z[0] ** 2 - 6.0 * z[0] + 2.0]])  # noqa: E731
+        elif mu == 1.0:
             residual = lambda z: np.array([z[0] ** 2 - 1.0])  # noqa: E731
             derivative = lambda z: np.array([[2.0 * z[0]]])  # noqa: E731
         else:
@@ -169,14 +171,22 @@ def test_branch_step_event_stream():
             lower=np.array([-np.inf]), parameter=mu,
         )
 
-    initial = SolutionSet()
-    for z in (0.0, 1.0, 2.0):
-        initial.add(np.array([z]), iterations=0, parameter=0.0)
     plan = ContinuationPlan(start=0.0, end=2.0, steps=2, config=SolverConfig(max_iter=10))
     events = []
-    with pytest.raises(AllBranchesLost, match=r"^all branches failed at parameter 2\.0$"):
-        continue_parameter(family, plan, initial, events=events)
-    assert [(e.kind, e.step, e.parameter, e.branch, e.status, e.detail) for e in events] == [
+    with pytest.raises(AllBranchesLost, match=r"^all branches failed at parameter 2\.0$") as err:
+        continue_parameter(family, plan, [np.array([z]) for z in (0.0, 1.0, 2.0)],
+                           config=SolverConfig(max_iter=10), events=events)
+    step_0 = [(e.kind, e.step, e.parameter, e.branch, e.status, e.detail) for e in events[:9]]
+    assert step_0 == [
+        ev
+        for branch in range(3)
+        for ev in (
+            ("deflated-solve", 0, 0.0, branch, "converged", ""),
+            ("root-found", 0, 0.0, branch, None, ""),
+            ("deflated-solve", 0, 0.0, branch, "deflated-root-hit", ""),
+        )
+    ]
+    assert [(e.kind, e.step, e.parameter, e.branch, e.status, e.detail) for e in events[9:]] == [
         ("branch-lost", 1, 1.0, 0, "singular-jacobian", ""),
         ("branch-resolved", 1, 1.0, 1, None, ""),
         ("branch-collision", 1, 1.0, 2, None, ""),
@@ -188,6 +198,10 @@ def test_branch_step_event_stream():
         ("branch-lost", 2, 2.0, 0, "singular-jacobian", ""),
         ("branch-lost", 2, 2.0, 1, "max-iterations", ""),
     ]
+    # the last step that kept a branch: the re-solved 1 (found at mu = 0)
+    # and the newcomer -1
+    assert err.value.parameter == 1.0
+    assert [(rec.z[0], rec.parameter) for rec in err.value.solutions] == [(1.0, 0.0), (-1.0, 1.0)]
 
 
 @pytest.mark.parametrize(
@@ -200,10 +214,15 @@ def test_branch_step_event_stream():
 )
 def test_branch_step_without_branches_is_the_search_alone(shift, branches, roots):
     records = [continuation.RootRecord(np.array([z]), 0, 0.0) for z in branches]
-    step = lambda: continuation.advance_branches(  # noqa: E731
-        lambda z: (z**2 + shift, z), lambda z: np.array([[2.0 * z[0]]]), records,
-        deflation=DeflationState(), config=SolverConfig(max_iter=10), parameter=1.0, step=1,
-        extra_guesses=[np.array([2.0])],
+
+    def setup(step, value, known):
+        return continuation.ContinuationStep(
+            lambda z: (z**2 + shift, z), lambda z: np.array([[2.0 * z[0]]]),
+            SolverConfig(max_iter=10), EUCLIDEAN, records, [np.array([2.0])], "",
+        )
+
+    step = lambda: continuation.deflated_continuation(  # noqa: E731
+        [1.0], setup, DeflationState(), None, None, "parameter"
     )
     if roots is None:
         with pytest.raises(AllBranchesLost, match=r"^all branches failed at parameter 1\.0$"):
@@ -306,10 +325,27 @@ def test_root_inside_a_known_roots_radius_is_rejected_as_a_duplicate():
     assert len(sols) == 1
 
 
-def test_continuation_needs_an_initial_root():
-    plan = ContinuationPlan(start=0.0, end=1.0, steps=1)
-    with pytest.raises(ValueError, match="nonempty"):
-        continue_parameter(lambda mu: problems.build("aggarwal", mu=mu), plan, SolutionSet())
+def test_empty_step_zero_ends_the_path_at_plan_start():
+    # z^2 + 1 has no real root: step 0 finds nothing and no later value is visited
+    visited = []
+
+    def family(mu):
+        visited.append(mu)
+        return MixedComplementarityProblem(
+            dimension=1,
+            residual=lambda z: np.array([z[0] ** 2 + 1.0]),
+            derivative=lambda z: np.array([[2.0 * z[0]]]),
+            lower=np.array([-np.inf]),
+            parameter=mu,
+        )
+
+    events = []
+    plan = ContinuationPlan(start=0.5, end=1.0, steps=4)
+    final = continue_parameter(family, plan, [np.array([3.0])],
+                               config=SolverConfig(max_iter=30), events=events)
+    assert len(final) == 0
+    assert visited == [0.5]
+    assert [(ev.kind, ev.step, ev.parameter) for ev in events] == [("deflated-solve", 0, 0.5)]
 
 
 def test_solution_set_rejects_duplicates():

@@ -139,10 +139,9 @@ def test_banded_deflation_terms_and_gradient(roots):
 def test_scatter_matches_bincount():
     rng = np.random.default_rng(11)
     for elements in (1, 2, 3, 64):
-        for reduced in (True, False):
-            disc = BeamDiscretization(BeamProblem(), HermiteMesh1D(elements), reduced=reduced)
-            contrib = awkward(rng, (elements, 4))
-            assert same_bits(disc._scatter_vector(contrib), ref.scatter_vector(disc, contrib))
+        disc = BeamDiscretization(BeamProblem(), HermiteMesh1D(elements))
+        contrib = awkward(rng, (elements, 4))
+        assert same_bits(disc._scatter_vector(contrib), ref.scatter_vector(disc, contrib))
 
 
 @pytest.mark.parametrize("elements", [1, 2, 3, 16])

@@ -44,11 +44,21 @@ def hermite_eval(mesh, y_reduced, points):
 
 
 def test_element_matrices_match_closed_forms():
+    # three elements: the middle one has all four unknowns free, and each
+    # closed form is assembled with the end values pinned, as the program does
     problem = BeamProblem(bending_stiffness=2.0, load=3.0, density=1.5, gravity=2.0)
-    mesh = HermiteMesh1D(1, length=0.25)
+    mesh = HermiteMesh1D(3, length=0.75)
     h = mesh.h
-    disc = BeamDiscretization(problem, mesh, reduced=False)
+    disc = BeamDiscretization(problem, mesh)
     stiffness, geometric, load, mass = disc.stiffness, disc.geometric, disc.load_vector, disc.mass
+    free = mesh.free_indices()
+
+    def assembled(element):
+        full = np.zeros((mesh.full_dofs,) * element.ndim)
+        for e in range(mesh.elements):
+            full[(slice(2 * e, 2 * e + 4),) * element.ndim] += element
+        return full[np.ix_(*(free,) * element.ndim)]
+
     b, p = problem.bending_stiffness, problem.load
     ke = (b / h**3) * np.array(
         [
@@ -75,10 +85,13 @@ def test_element_matrices_match_closed_forms():
         ]
     )
     fe = problem.density * problem.gravity * h * np.array([0.5, h / 12, 0.5, -h / 12])
-    np.testing.assert_allclose(stiffness.to_dense(), ke, rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(geometric.to_dense(), ge, rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(mass.to_dense(), me, rtol=1e-13, atol=1e-16)
-    np.testing.assert_allclose(load, fe, rtol=1e-13)
+    np.testing.assert_allclose(stiffness.to_dense(), assembled(ke), rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(geometric.to_dense(), assembled(ge), rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(mass.to_dense(), assembled(me), rtol=1e-13, atol=1e-16)
+    # an inner slope row sums h^2/12 and -h^2/12, which leaves only rounding;
+    # the end slope rows hold those terms alone
+    rows = [0, 1, 3, 5]
+    np.testing.assert_allclose(load[rows], assembled(fe)[rows], rtol=1e-13)
 
 
 def test_stiffness_positive_definite_on_pinned_space():
@@ -104,10 +117,14 @@ def test_pure_bending_matches_simply_supported_closed_form():
 def test_mass_partition_of_unity():
     problem = BeamProblem()
     mesh = HermiteMesh1D(13, length=2.5)
-    mass = BeamDiscretization(problem, mesh, reduced=False).mass
-    ones = np.zeros(mesh.full_dofs)
-    ones[0::2] = 1.0  # value unknowns only
-    assert ones @ mass.matvec(ones) == pytest.approx(mesh.length, abs=1e-13)
+    mass = BeamDiscretization(problem, mesh).mass
+    # the free value unknowns set to 1 give the function 1 on every element
+    # but the two end ones; a node off those has rows (int phi, int psi)
+    ones = np.zeros(mesh.dofs)
+    ones[1:-1:2] = 1.0  # reduced order: slope 0, then (value, slope) per inner node
+    rows = mass.matvec(ones)[3:-3].reshape(-1, 2)
+    assert len(rows) == mesh.elements - 3
+    np.testing.assert_allclose(rows, [[mesh.h, 0.0]] * len(rows), rtol=0, atol=1e-13)
 
 
 def test_residual_at_flat_beam_is_minus_load():
@@ -128,6 +145,15 @@ def test_zero_penalty_is_plain_beam_residual():
     np.testing.assert_allclose(disc.residual(0.0, y), expected, atol=1e-12)
 
 
+def beam_energy(disc, gamma, y):
+    """Discrete penalized energy, with the quadrature of the residual."""
+    value = y @ disc.stiffness.matvec(y) - y @ disc.geometric.matvec(y) - disc.load_vector @ y
+    yq = disc.values_at_quadrature(y)
+    alpha = disc.problem.half_width
+    overshoot = yq - np.clip(yq, -alpha, alpha)
+    return float(value) + 0.5 * gamma * float((overshoot**2 * disc.quad_weights).sum())
+
+
 def test_residual_is_gradient_of_energy():
     problem = BeamProblem()
     mesh = HermiteMesh1D(8)
@@ -143,7 +169,7 @@ def test_residual_is_gradient_of_energy():
             yp, ym = y.copy(), y.copy()
             yp[j] += h
             ym[j] -= h
-            fd[j] = (disc.energy(gamma, yp) - disc.energy(gamma, ym)) / (2 * h)
+            fd[j] = (beam_energy(disc, gamma, yp) - beam_energy(disc, gamma, ym)) / (2 * h)
         assert np.linalg.norm(fd - res) <= 1e-5 * max(1.0, np.linalg.norm(res))
 
 
