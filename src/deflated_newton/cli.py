@@ -201,7 +201,6 @@ def _root_entries(solutions: SolutionSet, residual_norm) -> list[dict]:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--atol", type=float, default=None, help="absolute residual tolerance")
-    parser.add_argument("--rtol", type=float, default=None, help="relative residual tolerance")
     parser.add_argument("--max-iter", type=int, default=None, help="Newton iteration cap")
     parser.add_argument("--max-roots", type=int, default=None, help="stop after this many roots")
     parser.add_argument("--out", default=None, help="write JSON here instead of stdout")
@@ -281,8 +280,6 @@ def _solver_config(args) -> SolverConfig:
     changes = {}
     if args.atol is not None:
         changes["atol"] = args.atol
-    if args.rtol is not None:
-        changes["rtol"] = args.rtol
     if args.max_iter is not None:
         changes["max_iter"] = args.max_iter
     return SolverConfig(**changes)
@@ -353,7 +350,6 @@ def _run_solve(args, parser) -> int:
             "shift": shift,
             "line_search": line_search,
             "atol": config.atol,
-            "rtol": config.rtol,
             "max_iter": config.max_iter,
             "mu": problem.parameter,
         },
@@ -411,7 +407,6 @@ def _run_continue(args, parser) -> int:
             "mu_end": args.mu_end,
             "mu_steps": args.mu_steps,
             "atol": config.atol,
-            "rtol": config.rtol,
         },
         "roots": _root_entries(
             final, lambda z: float(np.linalg.norm(assemble_residual(last, z, kind)))

@@ -1,8 +1,9 @@
 """Deflated search over a guess pool and deflated parameter continuation.
 
 The search loop follows a greedy protocol: solve the deflated problem from a
-guess; on success verify the root against the undeflated residual, deflate
-it, and retry the same guess; move on at the first failure.
+guess; when the solve converges and the undeflated residual is at most atol
+there too, deflate the root and retry the same guess; move on at the first
+failure.
 :func:`deflated_continuation` is the one continuation loop, shared by the
 ``mu`` continuation of :func:`continue_parameter` and the beam's penalty
 path: step 0 is a search from a guess pool, and each later step re-solves
@@ -18,7 +19,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .deflation import EUCLIDEAN, DeflatedSystem, DeflationState, NormSpec
+from .deflation import EUCLIDEAN, DeflatedSystem, DeflationState, NormSpec, deflation_factor
 from .reformulate import (
     MixedComplementarityProblem,
     NcpFunction,
@@ -26,16 +27,9 @@ from .reformulate import (
     assemble_residual,
     evaluate,
 )
-from .solver import SolveStatus, SolverConfig, plain_derivative, solve
+from .solver import SolveResult, SolveStatus, SolverConfig, plain_derivative, solve
 
 DISTINCTNESS_TOL = 1e-6  # see SolutionSet
-
-# A candidate root is polished with a few plain Newton steps before it is
-# accepted: the deflated solve stops at max(atol, rtol * ||G(z0)||), while
-# membership requires the undeflated residual to reach atol.  Warm-started
-# polishing gets there in one or two steps; anything needing more than this
-# cap was not actually a root.
-POLISH_MAX_ITER = 5
 
 
 class AllBranchesLost(Exception):
@@ -137,24 +131,14 @@ class _ReformulatedSystem:
         return assemble_newton_derivative(self.problem, z, self.ncp, value)
 
 
-def polish_root(
-    residual: Callable[[np.ndarray], tuple],
-    jacobian: Callable,
-    z: np.ndarray,
-    config: SolverConfig,
-) -> Optional[tuple[np.ndarray, int]]:
-    """Refine a candidate root on the undeflated problem down to atol.
+def polish_root(result: SolveResult, deflation: DeflationState, atol: float) -> bool:
+    """Whether a converged deflated solve ends at a root of the undeflated residual.
 
-    Returns the polished root and the number of extra Newton iterations, or
-    None when the candidate cannot be verified as a root.
+    The solve stops at ||G|| <= atol; a root also needs ||F|| = ||G|| / alpha
+    <= atol at its final iterate.  With shift 1, alpha >= 1 and this always
+    holds; with shift 0 it rejects solves that run off to where alpha vanishes.
     """
-    cfg = replace(config, max_iter=POLISH_MAX_ITER)
-    result = solve(residual, plain_derivative(jacobian), z, cfg)
-    if result.status is not SolveStatus.CONVERGED:
-        return None
-    if result.residual_history[-1] > config.atol:
-        return None
-    return result.solution, result.iterations
+    return result.residual_history[-1] / deflation_factor(deflation, result.solution) <= atol
 
 
 def checked_guesses(guesses: Sequence[np.ndarray], n: int) -> list[np.ndarray]:
@@ -204,21 +188,19 @@ def deflated_search_callables(
             )
             if result.status is not SolveStatus.CONVERGED:
                 break
-            polished = polish_root(residual, jacobian, result.solution, config)
-            if polished is None:
+            if not polish_root(result, deflation, config.atol):
                 _emit(events, kind="rejected-unverified", step=step, parameter=parameter,
                       branch=gi)
                 break
-            root, extra = polished
+            root = result.solution
             if not sols.is_distinct(root):
                 # converged back into a known root's neighborhood despite deflation
                 _emit(events, kind="rejected-duplicate", step=step, parameter=parameter, branch=gi)
                 break
-            iterations = result.iterations + extra
-            sols.add(root, iterations=iterations, parameter=parameter)
+            sols.add(root, iterations=result.iterations, parameter=parameter)
             deflation.add_root(root)
             _emit(events, kind="root-found", step=step, parameter=parameter, branch=gi,
-                  iterations=iterations)
+                  iterations=result.iterations)
         if max_roots is not None and len(sols) >= max_roots:
             break
     return sols
@@ -316,8 +298,8 @@ def deflated_continuation(
 
     ``setup(step, value, records)`` gives the :class:`ContinuationStep` at
     each value from the records of the step before.  Each branch is
-    re-solved (undeflated) and polished, or dropped with an event when that
-    fails or it collides with an already re-solved branch.  A deflated
+    re-solved (undeflated, down to ``atol``), or dropped with an event when
+    that fails or it collides with an already re-solved branch.  A deflated
     search from the branch points, then from the guesses, looks for
     newcomers, with ``deflation``'s power and shift, up to ``max_roots``
     roots in all.  Re-solved branches keep their discovery metadata;
@@ -334,21 +316,16 @@ def deflated_continuation(
         resolved = SolutionSet(norm=at.norm)
         for bi, record in enumerate(at.branches):
             result = solve(at.residual, plain_derivative(at.jacobian), record.z, at.config)
-            moved = None
-            if result.status is SolveStatus.CONVERGED:
-                moved = polish_root(at.residual, at.jacobian, result.solution, at.config)
-            if moved is None:
-                why = "unverified" if result.status is SolveStatus.CONVERGED else result.status.value
+            if result.status is not SolveStatus.CONVERGED:
                 _emit(events, kind="branch-lost", step=step, parameter=value, branch=bi,
-                      status=why)
+                      status=result.status.value)
                 continue
-            z_new, extra = moved
-            if not resolved.is_distinct(z_new):
+            if not resolved.is_distinct(result.solution):
                 _emit(events, kind="branch-collision", step=step, parameter=value, branch=bi)
                 continue
-            resolved.add(z_new, iterations=record.iterations, parameter=record.parameter)
+            resolved.add(result.solution, iterations=record.iterations, parameter=record.parameter)
             _emit(events, kind="branch-resolved", step=step, parameter=value, branch=bi,
-                  iterations=result.iterations + extra, detail=at.detail)
+                  iterations=result.iterations, detail=at.detail)
         if len(at.branches) > 0 and len(resolved) == 0:
             raise AllBranchesLost(f"all branches failed at {name} {value}", solutions, previous)
 

@@ -46,12 +46,12 @@ DIVERGENCE_SCALE_FACTOR = 1e4
 # A deflated solve on the beam that has found nothing new reaches its best
 # residual within about ten iterations and then drifts away, so it is
 # stopped once 25 iterations pass without halving its best residual.  On the
-# default path no converged solve goes more than 7 iterations without such a
-# halving, and polishing (5 iterations) and branch re-solves (at most 4)
-# cannot reach the window.  Other schedules have rarer, longer wanders (48
-# iterations at gamma_max = 1e4); such a root is then found at a later
-# penalty step.  The stop is not global: one Aggarwal search solve converges
-# after 652 iterations without halving its best residual.
+# default path no converged solve goes more than 6 iterations without such a
+# halving, and branch re-solves (at most 4 iterations) cannot reach the
+# window.  Other schedules have rarer, longer wanders (48 iterations at
+# gamma_max = 1e4); such a root is then found at a later penalty step.
+# The stop is not global: one Aggarwal search solve converges after 652
+# iterations without halving its best residual.
 STALL_WINDOW = 25
 
 PENALTY_STEPS = 9  # of the default schedule; the CLI's --q sets another ratio

@@ -56,12 +56,15 @@ LS_REDUCTION = 0.5
 LS_SUFFICIENT_DECREASE = 1e-4
 LS_MIN_STEP = 1e-10
 
+SMALL_NORM = 1e-150  # squares of entries this small approach the subnormal range
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Tolerances and globalization settings for :func:`solve`.
 
-    Convergence is declared when ||F(z_k)||_2 <= max(atol, rtol * ||F(z_0)||_2).
+    Convergence is declared when ||r(z_k)||_2 <= atol, where r is what the
+    ``residual`` callable returns (G = alpha F for a deflated system).
     ``singular_action`` selects what to do when the Newton matrix is flagged
     singular: fail with SINGULAR_JACOBIAN, or take a minimum-norm
     least-squares step (useful for degenerate starting points).
@@ -73,7 +76,6 @@ class SolverConfig:
     """
 
     atol: float = 1e-10
-    rtol: float = 1e-8
     max_iter: int = 100
     divergence_tol: float = 1e8
     line_search: str = LINE_SEARCH_NONE
@@ -81,7 +83,7 @@ class SolverConfig:
     stall_window: Optional[int] = None
 
     def __post_init__(self):
-        if not all(0.0 < tol < math.inf for tol in (self.atol, self.rtol, self.divergence_tol)):
+        if not all(0.0 < tol < math.inf for tol in (self.atol, self.divergence_tol)):
             raise ValueError("tolerances must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
@@ -127,6 +129,17 @@ def _least_squares_step(scale, matrix, w, r) -> np.ndarray:
     return -np.linalg.lstsq(full, r, rcond=None)[0]
 
 
+def _norm(r: np.ndarray) -> float:
+    """sqrt(r . r), which np.vdot reads as inf past the double range without
+    a numpy warning; a tiny r is scaled by its largest entry first, so that
+    a nonzero G = alpha F with a tiny alpha never reads 0 (and converged)."""
+    norm = math.sqrt(np.vdot(r, r))
+    if norm < SMALL_NORM and r.any():
+        big = float(np.abs(r).max())
+        norm = big * math.sqrt(np.vdot(r / big, r / big))
+    return norm
+
+
 def solve(
     residual: Callable[[np.ndarray], tuple],
     derivative: Callable,
@@ -158,16 +171,13 @@ def solve(
     except NonFiniteResidual:
         return SolveResult(SolveStatus.DIVERGED, z, 0, [math.inf])
 
-    # np.vdot gives the bits of r @ r, but a square past the double range
-    # reads inf without a numpy overflow warning
-    rnorm = math.sqrt(np.vdot(r, r))
+    rnorm = _norm(r)
     history = [rnorm]
-    threshold = max(cfg.atol, cfg.rtol * rnorm) if math.isfinite(rnorm) else cfg.atol
     iterations = 0
     best, best_at = rnorm, 0
 
     while True:
-        if math.isfinite(rnorm) and rnorm <= threshold:
+        if rnorm <= cfg.atol:
             return SolveResult(SolveStatus.CONVERGED, z, iterations, history)
         if not math.isfinite(rnorm) or rnorm > cfg.divergence_tol:
             return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
@@ -212,7 +222,7 @@ def solve(
                 return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
 
         z, r, point = z_new, r_new, point_new
-        rnorm = math.sqrt(np.vdot(r, r))
+        rnorm = _norm(r)
         iterations += 1
         history.append(rnorm)
 

@@ -7,6 +7,12 @@ import numpy as np
 import pytest
 
 from deflated_newton.cli import _build_parser, _write_json, main
+from deflated_newton.obstacle1d import (
+    BeamProblem,
+    HermiteMesh1D,
+    _discretization,
+    beam_solver_config,
+)
 
 
 def run_cli(capsys, *argv):
@@ -94,7 +100,6 @@ def test_usage_error_exit_code(capsys):
         ["solve", "kojima-shindoh", "--max-iter", "0"],
         ["solve", "kojima-shindoh", "--atol", "-1"],
         ["solve", "kojima-shindoh", "--atol", "nan"],
-        ["solve", "kojima-shindoh", "--rtol", "nan"],
         ["solve", "gould", "--p", "nan"],
         ["solve", "aggarwal", "--mu", "nan"],
         ["solve", "aggarwal", "--mu", "inf"],
@@ -289,6 +294,32 @@ def test_continue_reports_residuals_where_its_roots_live(capsys):
     assert len(doc["roots"]) == 3
     for root in doc["roots"]:
         assert root["residual_norm"] <= doc["settings"]["atol"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "kojima-shindoh"], ["solve", "gould"], ["solve", "gerard"],
+     ["continue", "aggarwal"], ["beam"]],
+    ids=" ".join,
+)
+def test_shifted_runs_accept_every_converged_solve_as_a_root_at_atol(argv, capsys):
+    # with shift 1 the deflation factor is at least 1, so a deflated solve
+    # that converges at ||G|| <= atol ends at ||F|| <= atol too: no solve is
+    # rejected as unverified, and every root's residual is within atol
+    code, out = run_cli(capsys, *argv, "--deterministic")
+    assert code == 0
+    doc = json.loads(out)
+    settings = doc["settings"]
+    assert settings["shift"] == 1.0
+    assert "rejected-unverified" not in [ev["kind"] for ev in doc["events"]]
+    if argv[0] == "beam":
+        problem = BeamProblem()
+        mesh = HermiteMesh1D(settings["final_elements"], problem.length)
+        atol = beam_solver_config(_discretization(problem, mesh)).atol
+    else:
+        atol = settings["atol"]
+    assert doc["roots"]
+    assert all(root["residual_norm"] <= atol for root in doc["roots"])
 
 
 @pytest.mark.parametrize("cap", [1, 2])

@@ -18,7 +18,7 @@ from deflated_newton.reformulate import (
     NcpFunction,
     assemble_residual,
 )
-from deflated_newton.solver import SolverConfig, plain_derivative, solve
+from deflated_newton.solver import SolverConfig
 
 FB = NcpFunction.FISCHER_BURMEISTER
 
@@ -288,20 +288,24 @@ def test_nan_guess_ends_as_diverged_solve():
     assert [(ev.kind, ev.status) for ev in events] == [("deflated-solve", "diverged")]
 
 
-def test_polish_rejects_a_solve_that_converges_above_atol():
-    # Newton on z^3 shrinks z by 2/3 per step: with rtol = 0.5 the solve
-    # converges at |F| = 8/27 after one step, far above atol
-    config = SolverConfig(rtol=0.5)
-
-    def residual(z):
-        return z**3, z
-
-    def jacobian(z):
-        return np.diag(3.0 * z**2)
-
-    result = solve(residual, plain_derivative(jacobian), np.ones(1), config)
-    assert result.converged and result.residual_history[-1] > config.atol
-    assert continuation.polish_root(residual, jacobian, np.ones(1), config) is None
+def test_unshifted_search_rejects_a_solve_that_ends_above_atol_in_f():
+    # with root 1 of F(z) = z - 1 deflated at shift 0, G = F / |z - 1|^2 =
+    # 1 / (z - 1): Newton doubles z - 1 each step, so ||G|| reaches atol
+    # far out, where ||F|| = ||G|| / alpha is about 1e10
+    events = []
+    sols = continuation.deflated_search_callables(
+        residual=lambda z: (z - 1.0, z),
+        jacobian=lambda z: np.eye(1),
+        guesses=[np.array([3.0])],
+        deflation=DeflationState(shift=0.0, roots=[np.ones(1)]),
+        config=SolverConfig(),
+        events=events,
+    )
+    assert [(ev.kind, ev.status) for ev in events] == [
+        ("deflated-solve", "converged"), ("rejected-unverified", None)
+    ]
+    assert events[0].iterations == 33
+    assert len(sols) == 0
 
 
 def test_root_inside_a_known_roots_radius_is_rejected_as_a_duplicate():
@@ -316,7 +320,7 @@ def test_root_inside_a_known_roots_radius_is_rejected_as_a_duplicate():
         jacobian=lambda z: np.array([[1e7 * (2.0 * z[0] - a - b)]]),
         guesses=[np.array([-1.0])],
         deflation=DeflationState(),
-        config=SolverConfig(rtol=1e-18),
+        config=SolverConfig(),
         events=events,
     )
     assert [ev.kind for ev in events] == [

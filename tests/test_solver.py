@@ -53,6 +53,20 @@ def test_zero_iterations_at_root():
     assert len(result.residual_history) == 1
 
 
+def test_tiny_nonzero_residual_does_not_read_as_zero():
+    # the squares of 2e-170 underflow to 0, so sqrt(r . r) alone would stop
+    # this solve at its start, 2 away from the root
+    result = solve(
+        at_z(lambda z: 1e-170 * (z - 1.0)),
+        plain_derivative(lambda z: np.array([[1e-170]])),
+        np.array([3.0]),
+        SolverConfig(atol=1e-300),
+    )
+    assert result.residual_history[0] == pytest.approx(2e-170, rel=1e-15, abs=0.0)
+    assert result.converged and result.iterations == 1
+    assert result.solution[0] == 1.0
+
+
 def test_kojima_from_published_start():
     prob = problems.build("kojima-shindoh")
     residual, derivative = mcp_callables(prob)
@@ -295,7 +309,7 @@ def test_stall_window_validation(window):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(atol=0.0)
-    for field in ("atol", "rtol", "divergence_tol"):
+    for field in ("atol", "divergence_tol"):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="positive and finite"):
                 SolverConfig(**{field: value})

@@ -20,25 +20,25 @@ import run  # noqa: E402
 
 PINNED = {
     "aggarwal-continuation": {
-        "solver.solves": 469,
-        "solver.iters": 9846,
-        "solver.iters_failed": 8124,
-        "reformulate.residual.calls": 10318,
-        "reformulate.derivative.calls": 9902,
+        "solver.solves": 304,
+        "solver.iters": 9826,
+        "solver.iters_failed": 8376,
+        "reformulate.residual.calls": 10133,
+        "reformulate.derivative.calls": 9892,
     },
     "mcp-search": {
-        "solver.solves": 19,
+        "solver.solves": 11,
         "solver.iters": 308,
         "solver.iters_failed": 230,
-        "reformulate.residual.calls": 831,
+        "reformulate.residual.calls": 812,
         "reformulate.derivative.calls": 309,
     },
     "beam-path": {
-        "solver.solves": 92,
-        "solver.iters": 923,
-        "solver.iters_failed": 826,
-        "obstacle1d.residual.calls": 1018,
-        "obstacle1d.derivative.calls": 923,
+        "solver.solves": 63,
+        "solver.iters": 943,
+        "solver.iters_failed": 870,
+        "obstacle1d.residual.calls": 1009,
+        "obstacle1d.derivative.calls": 943,
     },
 }
 
