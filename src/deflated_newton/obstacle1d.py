@@ -45,13 +45,17 @@ DIVERGENCE_SCALE_FACTOR = 1e4
 
 # A deflated solve on the beam that has found nothing new reaches its best
 # residual within about ten iterations and then drifts away, so it is
-# stopped once 25 iterations pass without halving its best residual.  On the
-# default path no converged solve goes more than 6 iterations without such a
-# halving, and branch re-solves (at most 4 iterations) cannot reach the
-# window.  Other schedules have rarer, longer wanders (48 iterations at
-# gamma_max = 1e4); such a root is then found at a later penalty step.
-# The stop is not global: one Aggarwal search solve converges after 652
-# iterations without halving its best residual.
+# stopped once 25 iterations pass without halving its best residual.  The
+# window counts the undeflated ||F|| = ||G|| / alpha (see SolverConfig): a
+# search started next to a deflated root first escapes from it, and on
+# each escape step ||G|| halves only because alpha falls.  The longest run
+# of a converged deflated solve without halving its best ||F|| is 8
+# iterations on the default path, 19 at gamma_max = 1e4, 21 at 3e5 and 13
+# at 1e7, and branch re-solves (at most 4 iterations) cannot reach the
+# window.  At gamma_max = 3e6 one converging solve goes 55 iterations
+# without halving, so the path keeps only two of the three equilibria.
+# The stop is not global: one Aggarwal search solve converges 297
+# iterations after it last halved its best ||F||.
 STALL_WINDOW = 25
 
 PENALTY_STEPS = 9  # of the default schedule; the CLI's --q sets another ratio

@@ -10,8 +10,9 @@ form of every deflated residual r = alpha F (scale = alpha, w = grad alpha);
 back-substitutes once (:func:`deflated_newton.linalg.solve_rank_one_update`).
 :func:`solve` hands ``derivative`` the point of the iterate each step starts
 from, so one evaluation serves both.  Rejected line-search trials and the
-final iterate get no derivative.  :func:`solve` never modifies an array it
-has passed to ``residual``, so a point may hold ``z``.
+final iterate get no derivative, except an iterate at which the solve stops
+as STALLED: the stall test reads ``scale`` from it.  :func:`solve` never
+modifies an array it has passed to ``residual``, so a point may hold ``z``.
 """
 
 from __future__ import annotations
@@ -70,9 +71,13 @@ class SolverConfig:
     least-squares step (useful for degenerate starting points).
 
     With ``stall_window`` set, a solve also stops, as STALLED, once that many
-    iterations have passed since the residual norm last fell to half of its
-    best value so far (the best is only moved on such a halving).  ``None``
-    never stops a solve for lack of progress.
+    iterations have passed since ||r|| / scale last fell to half of its best
+    value so far (the best is only moved on such a halving).  ``scale`` is
+    the one the ``derivative`` callable returns, so for a deflated system
+    this is the undeflated ||F|| = ||G|| / alpha: a step away from a
+    deflated root that shrinks G only through alpha is no progress.  For a
+    plain system (scale 1) it is ||r||.  ``None`` never stops a solve for
+    lack of progress.
     """
 
     atol: float = 1e-10
@@ -174,7 +179,7 @@ def solve(
     rnorm = _norm(r)
     history = [rnorm]
     iterations = 0
-    best, best_at = rnorm, 0
+    best, best_at = math.inf, 0
 
     while True:
         if rnorm <= cfg.atol:
@@ -183,15 +188,17 @@ def solve(
             return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
         if iterations >= cfg.max_iter:
             return SolveResult(SolveStatus.MAX_ITERATIONS, z, iterations, history)
-        if rnorm <= 0.5 * best:
-            best, best_at = rnorm, iterations
-        if cfg.stall_window is not None and iterations - best_at >= cfg.stall_window:
-            return SolveResult(SolveStatus.STALLED, z, iterations, history)
 
         try:
             scale, matrix, w = derivative(point)
         except NonFiniteResidual:
             return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
+
+        progress = rnorm / scale
+        if progress <= 0.5 * best:
+            best, best_at = progress, iterations
+        if cfg.stall_window is not None and iterations - best_at >= cfg.stall_window:
+            return SolveResult(SolveStatus.STALLED, z, iterations, history)
 
         try:
             fac = lu_factor(matrix)

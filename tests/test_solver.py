@@ -299,6 +299,20 @@ def test_stall_window_counts_iterations_since_the_last_halving(script, status, i
         assert unbounded.residual_history == result.residual_history
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_stall_window_counts_the_undeflated_residual(n):
+    # next to a deflated root of F(z) = z - r, each deflated Newton step
+    # doubles the distance from r: ||F|| doubles while ||G|| = alpha ||F||
+    # halves, so the window must see no progress at all
+    r = np.arange(1.0, n + 1.0)
+    system = DeflatedSystem(DeflationState(roots=[r]), lambda z: (z - r, z), lambda z: np.eye(len(z)))
+    result = solve(system.residual, system.derivative, r + 1e-6, SolverConfig(stall_window=5))
+    assert result.status is SolveStatus.STALLED
+    assert result.iterations == 5
+    history = result.residual_history
+    assert all(later < earlier for earlier, later in zip(history, history[1:]))
+
+
 @pytest.mark.parametrize("window", [0, -1])
 def test_stall_window_validation(window):
     with pytest.raises(ValueError, match="stall_window"):

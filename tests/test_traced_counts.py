@@ -35,10 +35,10 @@ PINNED = {
     },
     "beam-path": {
         "solver.solves": 63,
-        "solver.iters": 943,
-        "solver.iters_failed": 870,
-        "obstacle1d.residual.calls": 1009,
-        "obstacle1d.derivative.calls": 943,
+        "solver.iters": 750,
+        "solver.iters_failed": 677,
+        "obstacle1d.residual.calls": 816,
+        "obstacle1d.derivative.calls": 777,
     },
 }
 
