@@ -246,7 +246,8 @@ def _beam_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gamma0", type=float, default=10.0, help="initial penalty")
     parser.add_argument("--gamma-max", type=float, default=1e6, help="final penalty")
     parser.add_argument("--q", type=float, default=None, help="penalty growth ratio")
-    parser.add_argument("--mesh", type=int, default=64, help="initial element count")
+    parser.add_argument("--mesh", type=int, default=64,
+                        help="initial element count, the mesh of every search")
     parser.add_argument("--p", type=float, default=2.0, help="deflation power")
     parser.add_argument("--shift", type=float, default=1.0, choices=[0.0, 1.0])
     parser.add_argument("--load", type=float, default=10.4, help="compressive load")

@@ -8,7 +8,9 @@ failure.
 ``mu`` continuation of :func:`continue_parameter` and the beam's penalty
 path: step 0 is a search from a guess pool, and each later step re-solves
 every known branch and then runs a deflated search from the branch points
-(and any guesses) to pick up newcomers.
+(and any guesses) to pick up newcomers.  A step may give a coarser
+:class:`SearchLevel`; its newcomer search then runs there, and what it finds
+is lifted back and re-solved on the step's own unknowns.
 """
 
 from __future__ import annotations
@@ -270,11 +272,31 @@ class ContinuationPlan:
         return np.linspace(self.start, self.end, self.steps + 1)[1:]
 
 
+class SearchLevel(NamedTuple):
+    """A coarser discretization that a step's newcomer search runs on.
+
+    ``residual``, ``jacobian``, ``config`` and ``norm`` are as in
+    :class:`ContinuationStep`, in the search level's unknowns.  ``restrict``
+    maps the step's unknowns to the search level's, and ``lift`` maps them
+    back.
+    """
+
+    residual: Callable[[np.ndarray], tuple]
+    jacobian: Callable
+    config: SolverConfig
+    norm: NormSpec
+    restrict: Callable[[np.ndarray], np.ndarray]
+    lift: Callable[[np.ndarray], np.ndarray]
+
+
 class ContinuationStep(NamedTuple):
     """What :func:`deflated_continuation` solves at one parameter value.
 
     ``branches`` are the known records in this step's unknowns, ``norm``
     deflates and tells roots apart, ``detail`` labels branch-resolved events.
+    The newcomer search runs on the ``search`` level when there is one, and
+    on the step's unknowns otherwise; ``guesses`` are in the unknowns of
+    the level it runs on.
     """
 
     residual: Callable[[np.ndarray], tuple]
@@ -284,6 +306,7 @@ class ContinuationStep(NamedTuple):
     branches: Sequence[RootRecord]
     guesses: Sequence[np.ndarray]
     detail: str
+    search: Optional[SearchLevel] = None
 
 
 def deflated_continuation(
@@ -302,9 +325,11 @@ def deflated_continuation(
     that fails or it collides with an already re-solved branch.  A deflated
     search from the branch points, then from the guesses, looks for
     newcomers, with ``deflation``'s power and shift, up to ``max_roots``
-    roots in all.  Re-solved branches keep their discovery metadata;
-    newcomers record the value.  Step 0 has no branches, so it is the search
-    alone; when it finds nothing the path ends there, with an empty set.
+    roots in all.  A step with a search level runs that search there and
+    keeps only the newcomers that lift back (see :func:`_search_and_lift`).
+    Re-solved branches keep their discovery metadata; newcomers record the
+    value.  Step 0 has no branches, so it is the search alone; when it finds
+    nothing the path ends there, with an empty set.
 
     Raises:
         AllBranchesLost: a step had branches and none re-converges
@@ -329,16 +354,78 @@ def deflated_continuation(
         if len(at.branches) > 0 and len(resolved) == 0:
             raise AllBranchesLost(f"all branches failed at {name} {value}", solutions, previous)
 
-        solutions = deflated_search_callables(
-            at.residual, at.jacobian, [record.z for record in at.branches] + list(at.guesses),
-            deflation=replace(deflation, norm=at.norm, roots=resolved.vectors()),
-            config=at.config, solutions=resolved, parameter=value, max_roots=max_roots,
-            events=events, step=step,
-        )
+        if at.search is not None:
+            solutions = _search_and_lift(at, resolved, deflation, value, max_roots, events, step)
+        else:
+            solutions = deflated_search_callables(
+                at.residual, at.jacobian, [record.z for record in at.branches] + list(at.guesses),
+                deflation=replace(deflation, norm=at.norm, roots=resolved.vectors()),
+                config=at.config, solutions=resolved, parameter=value, max_roots=max_roots,
+                events=events, step=step,
+            )
         if len(solutions) == 0:  # only a step without branches ends empty
             break
         previous = value
     return solutions
+
+
+def _search_and_lift(
+    at: ContinuationStep,
+    resolved: SolutionSet,
+    deflation: DeflationState,
+    value: float,
+    max_roots: Optional[int],
+    events: Optional[list],
+    step: int,
+) -> SolutionSet:
+    """``resolved`` plus the newcomers that a search on ``at.search`` finds and lifts.
+
+    Nested iteration for deflation (Adler, Emerson, Farrell & MacLachlan,
+    SIAM J. Sci. Comput. 39, 2017).  Each re-solved branch is restricted to
+    the search level and re-solved there, undeflated and without an event;
+    the ones that converge to distinct roots are deflated on that level.
+    The deflated search runs from the restricted branch points, then from
+    the guesses, for at most as many newcomers as ``max_roots`` leaves room
+    for.  Each newcomer is lifted and re-solved, undeflated, on the step's
+    unknowns.  It is kept only when that converges to a root distinct from
+    ``resolved``; its ``root-found`` event then stands where the search
+    found it, and otherwise that event is ``branch-lost`` (with the status
+    of the re-solve) or ``rejected-duplicate``.
+    """
+    if max_roots is not None and len(resolved) >= max_roots:
+        return resolved
+    level = at.search
+    coarse = SolutionSet(norm=level.norm)
+    for record in resolved:
+        result = solve(level.residual, plain_derivative(level.jacobian),
+                       level.restrict(record.z), level.config)
+        if result.status is SolveStatus.CONVERGED and coarse.is_distinct(result.solution):
+            coarse.add(result.solution, iterations=record.iterations, parameter=record.parameter)
+    known, found = len(coarse), []
+    deflated_search_callables(
+        level.residual, level.jacobian,
+        [level.restrict(record.z) for record in at.branches] + list(at.guesses),
+        deflation=replace(deflation, norm=level.norm, roots=coarse.vectors()),
+        config=level.config, solutions=coarse, parameter=value,
+        max_roots=None if max_roots is None else known + max_roots - len(resolved),
+        events=found, step=step,
+    )
+    newcomers = iter(coarse.records[known:])
+    for event in found:
+        if event.kind == "root-found":
+            record = next(newcomers)
+            result = solve(at.residual, plain_derivative(at.jacobian), level.lift(record.z),
+                           at.config)
+            if result.status is not SolveStatus.CONVERGED:
+                event = replace(event, kind="branch-lost", iterations=None,
+                                status=result.status.value)
+            elif not resolved.is_distinct(result.solution):
+                event = replace(event, kind="rejected-duplicate", iterations=None)
+            else:
+                resolved.add(result.solution, iterations=record.iterations, parameter=value)
+        if events is not None:
+            events.append(event)
+    return resolved
 
 
 def continue_parameter(

@@ -11,7 +11,9 @@ giving a semismooth residual whose roots approach the constrained equilibria
 as gamma grows.  Discretization uses C^1 cubic Hermite elements (value and
 slope unknowns per node); path-following drives gamma to gamma_max with the
 mesh refined so that h <= 1/sqrt(gamma), deflating in the L2 norm to collect
-distinct equilibria.
+distinct equilibria.  The search for new equilibria stays on the mesh of the
+initial penalty: its roots are prolonged to the current mesh and re-solved
+there, and nodal injection (:func:`restrict`) takes branches the other way.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .continuation import AllBranchesLost, ContinuationStep, SolutionSet, _emit, checked_guesses
-from .continuation import deflated_continuation
+from .continuation import AllBranchesLost, ContinuationStep, SearchLevel, SolutionSet, _emit
+from .continuation import checked_guesses, deflated_continuation
 from .deflation import DeflationState, NormSpec
 from .linalg import BandedMatrix, all_finite
 from .solver import SolverConfig
@@ -390,6 +392,26 @@ def prolong(mesh: HermiteMesh1D, y: np.ndarray) -> np.ndarray:
     return fine_full[fine.free_indices()]
 
 
+def prolong_to(mesh: HermiteMesh1D, fine: HermiteMesh1D, y: np.ndarray) -> np.ndarray:
+    """Prolong reduced unknowns on ``mesh`` through each refinement up to ``fine``."""
+    while mesh != fine:
+        y, mesh = prolong(mesh, y), mesh.refined()
+    return y
+
+
+def restrict(mesh: HermiteMesh1D, coarse: HermiteMesh1D, y: np.ndarray) -> np.ndarray:
+    """Inject reduced unknowns on ``mesh`` into a coarser mesh nested in it.
+
+    The nodes of ``coarse`` are nodes of ``mesh``, and their (value, slope)
+    pairs are copied.  Slope unknowns are physical derivatives, so this is
+    exact at the coarse nodes and undoes :func:`prolong`.
+    """
+    y_full = np.zeros(mesh.full_dofs)
+    y_full[mesh.free_indices()] = np.asarray(y, dtype=float)
+    nodes = y_full.reshape(-1, 2)[:: mesh.elements // coarse.elements]
+    return nodes.ravel()[coarse.free_indices()]
+
+
 def gamma_schedule(gamma0: float, gamma_max: float, q: Optional[float] = None):
     """Geometric penalty schedule from gamma0 (exclusive) to gamma_max.
 
@@ -498,13 +520,20 @@ def path_follow(
 
     One :func:`~deflated_newton.continuation.deflated_continuation` over
     gamma0 and then the values of :func:`gamma_schedule`.  At each penalty
-    the mesh is refined until h <= 1/sqrt(gamma), prolonging the branches
-    and the guess pool, and the step deflates in the L2 norm induced by the
-    mass matrix.  Every step searches from the branch points and then from
-    the pool, so equilibria that only appear at larger penalties are picked
-    up; at gamma0 there are no branches yet, so that step is the search
-    from the pool alone.  The pool holds the supplied guesses (default: the
-    flat beam), given on the initial mesh.
+    the mesh is refined until h <= 1/sqrt(gamma), prolonging the branches,
+    and the step deflates in the L2 norm induced by the mass matrix.  Every
+    step searches from the branch points and then from the pool, so
+    equilibria that only appear at larger penalties are picked up; at gamma0
+    there are no branches yet, so that step is the search from the pool
+    alone.  The pool holds the supplied guesses (default: the flat beam),
+    given on the initial mesh and prolonged to the mesh of gamma0.
+
+    Every search runs on that mesh of gamma0, with its own tolerances and
+    mass norm.  On a step whose mesh is finer the branches are re-solved
+    on the step's mesh, then restricted (:func:`restrict`) and re-solved
+    again on the search mesh, where they are deflated.  A root the search
+    finds there is prolonged to the step's mesh and re-solved, and is kept
+    only when that converges to an equilibrium distinct from the branches.
 
     Returns:
         PathState with the solution set at gamma_max; record parameters hold
@@ -525,24 +554,32 @@ def path_follow(
     final_elements(mesh, gamma0, gamma_max)
     operator = DeflationState(power=power, shift=shift)
     pool = [np.zeros(mesh.dofs)] if guesses is None else checked_guesses(guesses, mesh.dofs)
-    disc = None
+    while _too_coarse(mesh.h, gamma0, 0):  # refining for gamma0 emits no event
+        pool = [prolong(mesh, guess) for guess in pool]
+        mesh = mesh.refined()
+    # step 0's mesh: every newcomer search runs on it, from the pool
+    base = disc = _discretization(problem, mesh)
+    search_config, search_norm = beam_solver_config(base, config), NormSpec(base.mass)
 
     def step_at(step: int, gamma: float, branches: list) -> ContinuationStep:
-        nonlocal mesh, pool, disc
+        nonlocal mesh, disc
         while _too_coarse(mesh.h, gamma, step):
-            branches = [replace(rec, z=prolong(mesh, rec.z)) for rec in branches]
-            pool = [prolong(mesh, guess) for guess in pool]
             mesh = mesh.refined()
-            if step > 0:
-                _emit(events, kind="refine", step=step, parameter=gamma,
-                      detail=f"elements={mesh.elements}")
-        if disc is None or disc.mesh != mesh:  # assemble a mesh once
+            _emit(events, kind="refine", step=step, parameter=gamma,
+                  detail=f"elements={mesh.elements}")
+        if disc.mesh != mesh:  # assemble a mesh once
+            branches = [replace(rec, z=prolong_to(disc.mesh, mesh, rec.z)) for rec in branches]
             disc = _discretization(problem, mesh)
-        at = disc
+        at, fine = disc, mesh
+        search = None if at is base else SearchLevel(
+            lambda z: (base.residual(gamma, z), z), lambda z: base.derivative(gamma, z),
+            search_config, search_norm,
+            lambda z: restrict(fine, base.mesh, z), lambda z: prolong_to(base.mesh, fine, z),
+        )
         return ContinuationStep(
             lambda z: (at.residual(gamma, z), z), lambda z: at.derivative(gamma, z),
             beam_solver_config(at, config), NormSpec(at.mass), branches, pool,
-            f"elements={mesh.elements}",
+            f"elements={mesh.elements}", search,
         )
 
     solutions = deflated_continuation(values, step_at, operator, max_roots, events, "penalty")

@@ -233,6 +233,68 @@ def test_branch_step_without_branches_is_the_search_alone(shift, branches, roots
         assert [rec.parameter for rec in found] == [1.0] * len(roots)
 
 
+def _two_level_setup(step, value, known):
+    """Step 0 solves F = z - 1 alone; step 1 solves F = (z - 1)(z - 5) and
+    searches on a level with roots 1, 1.05, 2 and 3, lifted by z -> 2z - 1.
+
+    Lifted, the coarse root 3 starts at 5, a new root; 2 starts at 3, where
+    the step's Jacobian is singular; 1.05 starts at 1.1, next to the branch.
+    """
+    config = SolverConfig(max_iter=20)
+    if step == 0:
+        return continuation.ContinuationStep(
+            lambda z: (z - 1.0, z), lambda z: np.eye(1), config, EUCLIDEAN, known,
+            [np.array([0.0])], "",
+        )
+    roots = np.array([1.0, 1.05, 2.0, 3.0])
+    level = continuation.SearchLevel(
+        lambda z: (np.array([np.prod(z[0] - roots)]), z),
+        lambda z: np.array([[sum(np.prod(np.delete(z[0] - roots, i)) for i in range(4))]]),
+        config, EUCLIDEAN, lambda z: z, lambda z: 2.0 * z - 1.0,
+    )
+    return continuation.ContinuationStep(
+        lambda z: ((z - 1.0) * (z - 5.0), z), lambda z: np.array([[2.0 * z[0] - 6.0]]), config,
+        EUCLIDEAN, known, [np.array([z]) for z in (3.1, 2.05, 1.06)], "", level,
+    )
+
+
+def test_search_level_newcomers_are_kept_only_when_they_lift():
+    events = []
+    found = continuation.deflated_continuation(
+        [0.0, 1.0], _two_level_setup, DeflationState(), None, events, "parameter"
+    )
+    assert [rec.z[0] for rec in found] == pytest.approx([1.0, 5.0], abs=1e-9)
+    assert [(rec.iterations, rec.parameter) for rec in found] == [(1, 0.0), (4, 1.0)]
+    # the branch's re-solve on the search level emits nothing; each coarse
+    # root's event tells what its lift came to, where the search found it
+    assert [(e.kind, e.branch, e.status, e.iterations) for e in events if e.step == 1] == [
+        ("branch-resolved", 0, None, 0),
+        ("deflated-solve", 0, "deflated-root-hit", 0),
+        ("deflated-solve", 1, "converged", 4),
+        ("root-found", 1, None, 4),
+        ("deflated-solve", 1, "converged", 7),
+        ("branch-lost", 1, "singular-jacobian", None),
+        ("deflated-solve", 1, "max-iterations", 20),
+        ("deflated-solve", 2, "max-iterations", 20),
+        ("deflated-solve", 3, "converged", 4),
+        ("rejected-duplicate", 3, None, None),
+        ("deflated-solve", 3, "max-iterations", 20),
+    ]
+    assert sum(e.kind == "root-found" for e in events) == len(found)
+
+
+@pytest.mark.parametrize("max_roots, searches", [(1, 0), (2, 2)])
+def test_search_level_stops_at_max_roots(max_roots, searches):
+    # one branch is known at step 1: a cap of 1 leaves no room for a search,
+    # and a cap of 2 ends it at the first newcomer
+    events = []
+    found = continuation.deflated_continuation(
+        [0.0, 1.0], _two_level_setup, DeflationState(), max_roots, events, "parameter"
+    )
+    assert len(found) == max_roots
+    assert sum(e.kind == "deflated-solve" and e.step == 1 for e in events) == searches
+
+
 def test_gerard_roots_satisfy_mixed_complementarity(gerard_solutions):
     prob = problems.build("gerard")
     assert len(gerard_solutions) == 3

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky_banded
 
-from deflated_newton import obstacle1d
+from deflated_newton import continuation, obstacle1d
 from deflated_newton.continuation import AllBranchesLost
 from deflated_newton.linalg import lu_factor
 from deflated_newton.obstacle1d import (
@@ -24,6 +24,8 @@ from deflated_newton.obstacle1d import (
     hermite_basis,
     path_follow,
     prolong,
+    prolong_to,
+    restrict,
 )
 from deflated_newton.obstacle1d import _discretization
 from deflated_newton.solver import SolverConfig
@@ -293,6 +295,22 @@ def test_prolongation_is_exact():
     fine_values = hermite_eval(mesh.refined(), fine, points)
     assert np.abs(coarse_values - fine_values).max() <= 1e-13
     assert problem.length == mesh.length
+
+
+def test_restriction_injects_the_coarse_nodes():
+    mesh, fine = HermiteMesh1D(8, 2.5), HermiteMesh1D(64, 2.5)
+    y = np.random.RandomState(5).randn(mesh.dofs)
+    lifted = prolong_to(mesh, fine, y)
+    assert lifted.shape == (fine.dofs,)
+    # the coarse nodes keep their (value, slope) pairs through every refinement
+    np.testing.assert_array_equal(restrict(fine, mesh, lifted), y)
+    np.testing.assert_array_equal(restrict(fine, fine, lifted), lifted)
+    np.testing.assert_array_equal(prolong_to(mesh, mesh, y), y)
+    # injection reads the nodal pairs of any fine function, not only a prolonged one
+    z = np.random.RandomState(6).randn(fine.dofs)
+    table = BeamDiscretization(BeamProblem(length=2.5), fine).node_table(z)[::8]
+    coarse = BeamDiscretization(BeamProblem(length=2.5), mesh).node_table(restrict(fine, mesh, z))
+    np.testing.assert_array_equal(coarse, table)
 
 
 from fractions import Fraction  # noqa: E402
@@ -585,6 +603,57 @@ def test_stall_window_keeps_the_short_path_roots():
 
 def test_stall_window_keeps_the_default_path_roots():
     _assert_stall_window_keeps_the_roots(1e6)
+
+
+def test_newcomer_searches_run_on_the_initial_mesh(monkeypatch):
+    unknowns = []
+    original = continuation.deflated_search_callables
+
+    def recording(residual, jacobian, guesses, *args, **kwargs):
+        unknowns.append((kwargs["step"], {len(guess) for guess in guesses}))
+        return original(residual, jacobian, guesses, *args, **kwargs)
+
+    monkeypatch.setattr(continuation, "deflated_search_callables", recording)
+    events = []
+    state = path_follow(BeamProblem(), events=events)
+    assert len(state.solutions) == 3
+    # one search per step, each from the 128 unknowns of 64 elements,
+    # while the branches are re-solved on 64 to 1024 elements
+    assert unknowns == [(step, {128}) for step in range(10)]
+    meshes = {ev.detail for ev in events if ev.kind == "branch-resolved"}
+    assert meshes == {f"elements={m}" for m in (64, 128, 256, 512, 1024)}
+
+
+# Discovery penalties of the two buckled equilibria along the default
+# schedule to each gamma_max: the first and second steps after gamma0 = 10
+DISCOVERED_AT = {
+    1e3: 16.68, 3e3: 18.85, 1e4: 21.54, 3e4: 24.34, 1e5: 27.83, 3e5: 31.44, 1e6: 35.94,
+    1e7: 46.42,
+}
+
+
+@pytest.mark.parametrize("gamma_max", [1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6, 3e6, 1e7])
+def test_discovery_penalties_over_the_gamma_max_sweep(gamma_max):
+    events = []
+    state = path_follow(BeamProblem(), gamma_max=gamma_max, events=events)
+    found = [round(rec.parameter, 2) for rec in state.solutions]
+    if gamma_max == 3e6:
+        # The path loses one buckled equilibrium here (ROADMAP item 2); the
+        # change that finds it again must expect three roots, as elsewhere.
+        assert found == [10.0, 40.6]
+    else:
+        assert found == [10.0, DISCOVERED_AT[gamma_max], DISCOVERED_AT[gamma_max]]
+    assert sum(ev.kind == "root-found" for ev in events) == len(state.solutions)
+
+
+def test_a_search_root_that_lifts_onto_a_branch_is_not_found():
+    # On 8 elements the search at gamma = 1e6 converges to a root the lift
+    # re-solves onto a known branch on 1024 elements: a duplicate, not a root
+    events = []
+    state = path_follow(BeamProblem(), initial_elements=8, events=events)
+    assert len(state.solutions) == sum(ev.kind == "root-found" for ev in events) == 3
+    rejected = [(ev.step, ev.branch) for ev in events if ev.kind == "rejected-duplicate"]
+    assert rejected == [(9, 2)]
 
 
 def test_path_finds_three_equilibria(beam_path):

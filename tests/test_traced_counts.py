@@ -34,11 +34,11 @@ PINNED = {
         "reformulate.derivative.calls": 309,
     },
     "beam-path": {
-        "solver.solves": 63,
-        "solver.iters": 750,
-        "solver.iters_failed": 677,
-        "obstacle1d.residual.calls": 816,
-        "obstacle1d.derivative.calls": 777,
+        "solver.solves": 78,
+        "solver.iters": 836,
+        "solver.iters_failed": 750,
+        "obstacle1d.residual.calls": 917,
+        "obstacle1d.derivative.calls": 866,
     },
 }
 
