@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -57,17 +57,9 @@ class NormSpec:
             )
 
     def norm(self, v: np.ndarray) -> float:
-        return self.weigh(np.asarray(v, dtype=float))[0]
-
-    def weigh(self, v: np.ndarray) -> tuple[float, np.ndarray]:
-        """``(||v||, W v)`` from a single application of the weight.
-
-        ``v`` is a float array; for the Euclidean norm ``W v`` is ``v`` itself.
-        """
-        if self.weight is None:
-            return math.sqrt(v @ v), v
-        wv = self.weight.matvec(v)
-        return math.sqrt(max(v @ wv, 0.0)), wv
+        v = np.asarray(v, dtype=float)
+        wv = v if self.weight is None else self.weight.matvec(v)
+        return math.sqrt(max(v @ wv, 0.0))
 
 
 EUCLIDEAN = NormSpec()
@@ -108,49 +100,32 @@ class DeflationState:
 class _Terms(NamedTuple):
     """Everything deflation needs at one point, from one pass over the roots.
 
-    ``weighted[i]`` is W(z - r_i), ``distances[i]`` its norm and
-    ``factors[i]`` the factor ||z - r_i||^-p + shift; ``alpha`` is their
-    product.  With a banded weight ``weighted`` is one ``(k, n)`` array.
+    ``weighted`` is the ``(k, n)`` stack of W(z - r_i), ``distances[i]`` the
+    norm of z - r_i and ``factors[i]`` the factor ||z - r_i||^-p + shift;
+    ``alpha`` is their product.
     """
 
     alpha: float
     distances: list[float]
     factors: list[float]
-    weighted: Union[list[np.ndarray], np.ndarray]
+    weighted: np.ndarray
 
 
 def _deflation_terms(state: DeflationState, z: np.ndarray) -> _Terms:
-    """Apply the norm weight once per root and collect the deflation terms at z.
+    """Apply the norm weight once to the stack of all z - r_i and collect the
+    deflation terms at z; each squared distance is the dot product of a row
+    and its weighted row, with the bits of a single ``v @ W v``.
 
     Raises:
         AtDeflatedRoot: z lies within :data:`GUARD` of a deflated root.
     """
-    if state.roots and state.norm.weight is not None:
-        return _banded_terms(state, z)
-    alpha = 1.0
-    distances, factors, weighted = [], [], []
-    for root in state.roots:
-        d, wv = state.norm.weigh(z - root)
-        if d <= GUARD:
-            raise AtDeflatedRoot(f"point within {GUARD:.1e} of a deflated root (d={d:.3e})")
-        m = d ** (-state.power) + state.shift
-        alpha *= m
-        distances.append(d)
-        factors.append(m)
-        weighted.append(wv)
-    return _Terms(alpha, distances, factors, weighted)
-
-
-def _banded_terms(state: DeflationState, z: np.ndarray) -> _Terms:
-    """:func:`_deflation_terms` for a banded weight, applied to all k
-    differences z - r_i in one stacked product whose rows are the single
-    products; each distance still comes from its own dot product."""
-    differences = z - np.array(state.roots)
-    weighted = state.norm.weight.matvec(differences)
-    alpha = 1.0
-    distances, factors = [], []
-    for v, wv in zip(differences, weighted):
-        d = math.sqrt(max(v @ wv, 0.0))
+    differences = z - np.array(state.roots).reshape(len(state.roots), z.size)
+    weight = state.norm.weight
+    weighted = differences if weight is None else weight.matvec(differences)
+    squares = np.matmul(differences[:, None, :], weighted[:, :, None])
+    alpha, distances, factors = 1.0, [], []
+    for square in squares.ravel().tolist():
+        d = math.sqrt(max(square, 0.0))
         if d <= GUARD:
             raise AtDeflatedRoot(f"point within {GUARD:.1e} of a deflated root (d={d:.3e})")
         m = d ** (-state.power) + state.shift
@@ -158,20 +133,24 @@ def _banded_terms(state: DeflationState, z: np.ndarray) -> _Terms:
         distances.append(d)
         factors.append(m)
     return _Terms(alpha, distances, factors, weighted)
+
+
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent``, with inf where the power overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
 
 
 def _gradient(state: DeflationState, z: np.ndarray, terms: _Terms) -> np.ndarray:
+    # the terms of all roots, then one sum over them in root order; a term
+    # whose d ** (p + 2) overflows is below every float and reads +-0
     p = state.power
-    if isinstance(terms.weighted, np.ndarray):
-        # the terms of all roots, then one sum over them in root order
-        scales = np.array([(terms.alpha / m) * (-p) for m in terms.factors])
-        divisors = np.array([d ** (p + 2.0) for d in terms.distances])
-        parts = scales[:, None] * terms.weighted / divisors[:, None]
-        return np.add.reduce(parts, axis=0, initial=0.0)
-    grad = np.zeros(z.shape)
-    for wv, d, m in zip(terms.weighted, terms.distances, terms.factors):
-        grad += (terms.alpha / m) * (-p) * wv / d ** (p + 2.0)
-    return grad
+    scales = np.array([(terms.alpha / m) * (-p) for m in terms.factors])
+    divisors = np.array([_power(d, p + 2.0) for d in terms.distances])
+    parts = scales[:, None] * terms.weighted / divisors[:, None]
+    return np.add.reduce(parts, axis=0, initial=0.0)
 
 
 def deflation_factor(state: DeflationState, z: np.ndarray) -> float:

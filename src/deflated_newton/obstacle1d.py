@@ -255,6 +255,7 @@ class BeamDiscretization:
         if not (math.isfinite(self.operator_scale) and all_finite(self.load_vector)):
             raise ValueError("beam data overflow: the assembled operator or load is not finite")
         self._linear.data.flags.writeable = False
+        self.mass_norm = NormSpec(self.mass)  # the L2 norm the beam deflates in
 
     def _assemble_constant(self, element_matrix: np.ndarray) -> BandedMatrix:
         block = element_matrix.reshape(16)[_PAIR_ORDER]
@@ -559,7 +560,7 @@ def path_follow(
         mesh = mesh.refined()
     # step 0's mesh: every newcomer search runs on it, from the pool
     base = disc = _discretization(problem, mesh)
-    search_config, search_norm = beam_solver_config(base, config), NormSpec(base.mass)
+    search_config = beam_solver_config(base, config)
 
     def step_at(step: int, gamma: float, branches: list) -> ContinuationStep:
         nonlocal mesh, disc
@@ -573,12 +574,12 @@ def path_follow(
         at, fine = disc, mesh
         search = None if at is base else SearchLevel(
             lambda z: (base.residual(gamma, z), z), lambda z: base.derivative(gamma, z),
-            search_config, search_norm,
+            search_config, base.mass_norm,
             lambda z: restrict(fine, base.mesh, z), lambda z: prolong_to(base.mesh, fine, z),
         )
         return ContinuationStep(
             lambda z: (at.residual(gamma, z), z), lambda z: at.derivative(gamma, z),
-            beam_solver_config(at, config), NormSpec(at.mass), branches, pool,
+            beam_solver_config(at, config), at.mass_norm, branches, pool,
             f"elements={mesh.elements}", search,
         )
 

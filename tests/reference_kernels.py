@@ -51,7 +51,12 @@ def deflation_terms(state, z):
     alpha = 1.0
     distances, factors, weighted = [], [], []
     for root in state.roots:
-        d, wv = state.norm.weigh(z - root)
+        v = z - root
+        if state.norm.weight is None:
+            d, wv = math.sqrt(v @ v), v
+        else:
+            wv = state.norm.weight.matvec(v)
+            d = math.sqrt(max(v @ wv, 0.0))
         if d <= deflation.GUARD:
             raise deflation.AtDeflatedRoot(
                 f"point within {deflation.GUARD:.1e} of a deflated root (d={d:.3e})"

@@ -219,6 +219,18 @@ def test_overflowing_deflation_ends_the_solve_diverged(argv, capsys):
     assert "diverged" in statuses
 
 
+def test_an_overflowing_gradient_term_lets_the_search_step(capsys):
+    # at p = 1000 the first root's d ** (p + 2) overflows at the second
+    # search's start; its gradient term reads 0, so that search takes two
+    # steps before it diverges, where it used to end at its first derivative
+    code, out = run_cli(capsys, "solve", "kojima-shindoh", "--p", "1000", "--deterministic")
+    assert code == 0
+    solves = [ev for ev in json.loads(out)["events"] if ev["kind"] == "deflated-solve"]
+    assert [(ev["status"], ev["iterations"]) for ev in solves] == [
+        ("converged", 7), ("diverged", 2)
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -122,6 +122,19 @@ def test_gradient_symmetry_between_two_roots():
     np.testing.assert_allclose(deflation_gradient(swapped, z), grad, atol=1e-14)
 
 
+def test_gradient_term_of_an_overflowing_power_reads_zero():
+    # at p = 1000 the far root's d ** (p + 2) overflows (d = 4): its term lies
+    # below every float and reads 0, where it used to raise OverflowError
+    z, far, near = np.array([4.0, 0.0]), np.zeros(2), np.array([3.01, 0.0])
+    state = DeflationState(power=1000.0, roots=[far])
+    np.testing.assert_array_equal(deflation_gradient(state, z), np.zeros(2))
+    state.add_root(near)  # d = 0.99: a finite term, times the far factor 1.0
+    only_near = DeflationState(power=1000.0, roots=[near])
+    grad = deflation_gradient(only_near, z)
+    assert np.isfinite(grad).all() and grad[0] < 0.0
+    np.testing.assert_array_equal(deflation_gradient(state, z), grad)
+
+
 def test_residual_empty_state_passthrough():
     value = np.array([1.0, -2.0])
     out, _ = system_at(DeflationState(), value, None).residual(np.zeros(2))
@@ -347,12 +360,12 @@ def test_overflowing_deflation_is_a_nonfinite_residual():
     # each factor finite (0.5^-600 = 4e180), their product infinite
     with pytest.raises(NonFiniteResidual, match="factor"):
         system(600.0, np.zeros(2), np.array([1.0, 0.0])).residual(np.array([0.5, 0.0]))
-    # a finite factor whose gradient overflows: at d = 4, 4^(p + 2) does
+    # at d = 4 only the divisor 4^(p + 2) overflows: the gradient term lies
+    # below every float and reads 0
     far = system(1000.0, np.zeros(2))
     value, point = far.residual(np.array([4.0, 0.0]))
     np.testing.assert_array_equal(value, [4.0, 0.0])
-    with pytest.raises(NonFiniteResidual, match="gradient"):
-        far.derivative(point)
+    np.testing.assert_array_equal(far.derivative(point)[2], np.zeros(2))
     # and 0.4918^-1000 is finite, its gradient beyond the double range
     near = system(1000.0, np.zeros(2))
     _, point = near.residual(np.array([0.4918, 0.0]))

@@ -14,6 +14,7 @@ import pytest
 import reference_kernels as ref
 from deflated_newton.cli import _write_json, main
 from deflated_newton.deflation import (
+    AtDeflatedRoot,
     DeflationState,
     NormSpec,
     _deflation_terms,
@@ -116,24 +117,55 @@ def test_staged_gbtrf_matches_the_copying_one(n):
             factor(bad)
 
 
+def outcome(kernel, *args):
+    """What ``kernel`` returns, or the type of the error it raises."""
+    try:
+        with np.errstate(all="ignore"):  # inf and NaN from the awkward values
+            return kernel(*args)
+    except (AtDeflatedRoot, OverflowError, ZeroDivisionError) as error:
+        return type(error)
+
+
+def same_outcome(a, b) -> bool:
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return same_bits(a, b)
+
+
 @pytest.mark.parametrize("roots", range(5))
 def test_banded_deflation_terms_and_gradient(roots):
+    # both norms, one kernel: the stacked terms against one weighted norm per root
     disc = BeamDiscretization(BeamProblem(), HermiteMesh1D(16))
     rng = np.random.default_rng(roots)
-    state = DeflationState(
-        power=float(rng.choice([1.0, 2.0, 3.5])),
-        shift=float(rng.choice([0.0, 1.0])),
-        norm=NormSpec(disc.mass),
-        roots=[rng.standard_normal(disc.n) for _ in range(roots)],
-    )
-    for _ in range(10):
-        z = rng.standard_normal(disc.n) * 10.0 ** rng.integers(-3, 4)
-        got, want = _deflation_terms(state, z), ref.deflation_terms(state, z)
-        assert got.alpha == want.alpha
-        assert got.distances == want.distances and got.factors == want.factors
-        for row, wv in zip(got.weighted, want.weighted):
-            assert same_bits(row, wv)
-        assert same_bits(_gradient(state, z, got), ref.gradient(state, z, want))
+    for norm in (NormSpec(), NormSpec(disc.mass)):
+        for draw in (rng.standard_normal, lambda n: awkward(rng, n)):
+            state = DeflationState(
+                power=float(rng.choice([1.0, 2.0, 3.5])),
+                shift=float(rng.choice([0.0, 1.0])),
+                norm=norm,
+                roots=[draw(disc.n) for _ in range(roots)],
+            )
+            points = [rng.standard_normal(disc.n) * 10.0 ** rng.integers(-3, 4) for _ in range(10)]
+            # exact zeros in z - r_i: the gradient's signed zeros
+            points += [root + (np.arange(disc.n) % 2 == 0) for root in state.roots]
+            for z in points + [awkward(rng, disc.n) for _ in range(10)]:
+                got, want = outcome(_deflation_terms, state, z), outcome(ref.deflation_terms, state, z)
+                if isinstance(want, type):
+                    assert got is want
+                    continue
+                assert same_bits([got.alpha], [want.alpha])
+                assert same_bits(got.distances, want.distances)
+                assert same_bits(got.factors, want.factors)
+                assert len(got.weighted) == len(want.weighted)
+                for row, wv in zip(got.weighted, want.weighted):
+                    assert same_bits(row, wv)
+                gradient = outcome(ref.gradient, state, z, want)
+                if gradient is not OverflowError:  # d ** (p + 2) now reads inf there
+                    assert same_outcome(outcome(_gradient, state, z, got), gradient)
+            for root in state.roots:
+                for kernel in (_deflation_terms, ref.deflation_terms):
+                    with pytest.raises(AtDeflatedRoot):
+                        kernel(state, root + 1e-12)
 
 
 def test_scatter_matches_bincount():
@@ -201,7 +233,10 @@ def run_cli(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [["beam", "--gamma-max", "1e3"], ["solve", "gerard"]], ids=["beam", "gerard"]
+    "argv",
+    [["beam", "--gamma-max", "1e3"], ["solve", "gerard"], ["solve", "kojima-shindoh"],
+     ["solve", "gould"]],
+    ids=["beam", "gerard", "kojima-shindoh", "gould"],
 )
 def test_cli_output_is_unchanged_on_the_reference_kernels(argv, capsys, monkeypatch):
     new = run_cli(capsys, argv)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky_banded
 
-from deflated_newton import continuation, obstacle1d
+from deflated_newton import continuation, deflation, obstacle1d
 from deflated_newton.continuation import AllBranchesLost
 from deflated_newton.linalg import lu_factor
 from deflated_newton.obstacle1d import (
@@ -528,6 +528,23 @@ def test_one_assembly_per_solved_mesh(monkeypatch, initial_elements, gamma_max, 
     assert built == assembled
     refined = [(ev.step, ev.detail) for ev in events if ev.kind == "refine"]
     assert refined == [(step, f"elements={elements}") for step, elements in refines]
+
+
+def test_one_mass_norm_validation_per_assembled_mesh(monkeypatch):
+    # each discretization validates its mass norm (symmetry scan and banded
+    # Cholesky) once; the path's steps take it from there
+    validated = []
+    original = deflation.NormSpec.__post_init__
+
+    def recording(norm):
+        if norm.weight is not None:
+            validated.append(norm.weight.n)
+        original(norm)
+
+    monkeypatch.setattr(deflation.NormSpec, "__post_init__", recording)
+    _discretization.cache_clear()
+    path_follow(BeamProblem(), gamma_max=1e5, q=100.0)
+    assert validated == [128, 1024]  # the unknowns of 64 and 512 elements
 
 
 def test_wrong_length_guess_fails_before_any_solve():
