@@ -199,21 +199,17 @@ def _root_entries(solutions: SolutionSet, residual_norm) -> list[dict]:
     return entries
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--atol", type=float, default=None, help="absolute residual tolerance")
-    parser.add_argument("--max-iter", type=int, default=None, help="Newton iteration cap")
-    parser.add_argument("--max-roots", type=int, default=None, help="stop after this many roots")
-    parser.add_argument("--out", default=None, help="write JSON here instead of stdout")
-    parser.add_argument(
-        "--deterministic", action="store_true",
-        help="omit the timestamp so identical runs produce identical bytes",
-    )
-
-
 def _list_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write JSON here instead of stdout")
     parser.add_argument("--deterministic", action="store_true",
                         help="omit the timestamp so identical runs produce identical bytes")
+
+
+def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--atol", type=float, default=None, help="absolute residual tolerance")
+    parser.add_argument("--max-iter", type=int, default=None, help="Newton iteration cap")
+    parser.add_argument("--max-roots", type=int, default=None, help="stop after this many roots")
+    _list_arguments(parser)
 
 
 def _solve_arguments(parser: argparse.ArgumentParser) -> None:
@@ -286,6 +282,25 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(**changes)
 
 
+def _registry_settings(args, parser):
+    """Benchmark, registry record, deflation, config and search config of a
+    `solve` or `continue` command line: the flags over the registry's values,
+    and the registry's max_iter in the search config unless --max-iter is given."""
+    try:
+        bench = problems.resolve(args.benchmark)
+    except problems.UnknownBenchmark as err:
+        parser.error(str(err))
+    rec = problems.defaults(bench)
+    try:
+        config = replace(_solver_config(args), singular_action=rec.singular_action)
+        deflation = DeflationState(power=rec.power if args.p is None else args.p,
+                                   shift=rec.shift if args.shift is None else args.shift)
+    except ValueError as err:
+        parser.error(str(err))
+    search_config = config if args.max_iter is not None else replace(config, max_iter=rec.max_iter)
+    return bench, rec, deflation, config, search_config
+
+
 def _finish(doc: dict, args, parser, n_roots: int) -> int:
     if not args.deterministic:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
@@ -312,25 +327,13 @@ def _run_list(args, parser) -> int:
 
 
 def _run_solve(args, parser) -> int:
-    try:
-        bench = problems.resolve(args.benchmark)
-    except problems.UnknownBenchmark as err:
-        parser.error(str(err))
-    rec = problems.defaults(bench)
+    bench, rec, deflation, _, config = _registry_settings(args, parser)
     kind = NcpFunction(args.ncp) if args.ncp else rec.ncp
-    power = args.p if args.p is not None else rec.power
-    shift = args.shift if args.shift is not None else rec.shift
     line_search = rec.line_search if args.line_search is None else args.line_search
+    mode = LINE_SEARCH_BACKTRACKING if line_search else LINE_SEARCH_NONE
+    config = replace(config, line_search=mode)
     try:
         problem = problems.build(bench, mu=args.mu)
-        config = replace(
-            _solver_config(args),
-            line_search=LINE_SEARCH_BACKTRACKING if line_search else LINE_SEARCH_NONE,
-            singular_action=rec.singular_action,
-        )
-        if args.max_iter is None and rec.max_iter != config.max_iter:
-            config = replace(config, max_iter=rec.max_iter)
-        deflation = DeflationState(power=power, shift=shift)
     except ValueError as err:
         parser.error(str(err))
     events: list = []
@@ -347,8 +350,8 @@ def _run_solve(args, parser) -> int:
         "problem": bench.value,
         "settings": {
             "ncp": kind.value,
-            "p": power,
-            "shift": shift,
+            "p": deflation.power,
+            "shift": deflation.shift,
             "line_search": line_search,
             "atol": config.atol,
             "max_iter": config.max_iter,
@@ -363,20 +366,11 @@ def _run_solve(args, parser) -> int:
 
 
 def _run_continue(args, parser) -> int:
-    try:
-        bench = problems.resolve(args.benchmark)
-    except problems.UnknownBenchmark as err:
-        parser.error(str(err))
-    rec = problems.defaults(bench)
+    bench, rec, deflation, config, search_config = _registry_settings(args, parser)
     if not rec.parameterized:
         parser.error(f"{bench.value} has no continuation parameter")
     kind = rec.ncp
-    power = args.p if args.p is not None else rec.power
-    shift = args.shift if args.shift is not None else rec.shift
     try:
-        config = replace(_solver_config(args), singular_action=rec.singular_action)
-        search_config = replace(config, max_iter=rec.max_iter) if args.max_iter is None else config
-        deflation = DeflationState(power=power, shift=shift)
         plan = ContinuationPlan(
             start=args.mu_start, end=args.mu_end, steps=args.mu_steps, config=config
         )
@@ -402,8 +396,8 @@ def _run_continue(args, parser) -> int:
         "problem": bench.value,
         "settings": {
             "ncp": kind.value,
-            "p": power,
-            "shift": shift,
+            "p": deflation.power,
+            "shift": deflation.shift,
             "mu_start": args.mu_start,
             "mu_end": args.mu_end,
             "mu_steps": args.mu_steps,
@@ -427,8 +421,7 @@ def _run_beam(args, parser) -> int:
             gamma_max=args.gamma_max,
             q=args.q,
             initial_elements=args.mesh,
-            power=args.p,
-            shift=args.shift,
+            deflation=DeflationState(power=args.p, shift=args.shift),
             config=_solver_config(args),
             max_roots=args.max_roots,
             events=events,

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .deflation import EUCLIDEAN, DeflatedSystem, DeflationState, NormSpec, deflation_factor
+from .deflation import DeflatedSystem, DeflationState, NormSpec, deflation_factor
 from .reformulate import (
     MixedComplementarityProblem,
     NcpFunction,
@@ -57,15 +57,17 @@ class RootRecord:
 
 
 class SolutionSet:
-    """Ordered collection of pairwise distinct roots.
+    """Ordered collection of pairwise distinct roots, and the deflation of them.
 
-    Distinctness is measured in ``norm`` with radius
-    ``DISTINCTNESS_TOL * (1 + ||z||)`` around each member; adding a vector
-    inside an existing radius raises ValueError.
+    :meth:`add` is the one place a root enters a :class:`DeflationState`:
+    ``deflation.roots`` (a fresh shifted p=2 state by default) is the roots
+    the state came with, then :meth:`vectors`.  Distinctness is measured in
+    its norm with radius ``DISTINCTNESS_TOL * (1 + ||z||)`` around each
+    member; adding a vector inside a radius raises ValueError.
     """
 
-    def __init__(self, norm: NormSpec = EUCLIDEAN):
-        self.norm = norm
+    def __init__(self, deflation: Optional[DeflationState] = None):
+        self.deflation = deflation if deflation is not None else DeflationState()
         self.records: list[RootRecord] = []
 
     def __len__(self) -> int:
@@ -77,19 +79,18 @@ class SolutionSet:
     def vectors(self) -> list[np.ndarray]:
         return [rec.z for rec in self.records]
 
-    def radius(self, z: np.ndarray) -> float:
-        return DISTINCTNESS_TOL * (1.0 + self.norm.norm(z))
-
     def is_distinct(self, z: np.ndarray) -> bool:
         if not self.records:
             return True
-        radius = self.radius(z)
-        return all(self.norm.norm(z - rec.z) > radius for rec in self.records)
+        norm = self.deflation.norm.norm
+        radius = DISTINCTNESS_TOL * (1.0 + norm(z))
+        return all(norm(z - rec.z) > radius for rec in self.records)
 
     def add(self, z: np.ndarray, iterations: int, parameter: Optional[float]) -> RootRecord:
         z = np.array(z, dtype=float)
         if not self.is_distinct(z):
             raise ValueError("root is not distinct from the set")
+        self.deflation.add_root(z)
         record = RootRecord(z, iterations, parameter)
         self.records.append(record)
         return record
@@ -160,9 +161,8 @@ def deflated_search_callables(
     residual: Callable[[np.ndarray], tuple],
     jacobian: Callable,
     guesses: Sequence[np.ndarray],
-    deflation: DeflationState,
     config: SolverConfig,
-    solutions: Optional[SolutionSet] = None,
+    solutions: SolutionSet,
     parameter: Optional[float] = None,
     max_roots: Optional[int] = None,
     events: Optional[list] = None,
@@ -171,13 +171,12 @@ def deflated_search_callables(
     """Core deflated search over ``guesses`` for a residual given as callables.
 
     ``residual`` and ``jacobian`` follow the point contract of
-    :mod:`deflated_newton.solver`.  ``deflation`` must already contain the
-    roots of ``solutions``; both are grown in place as new roots are found.
+    :mod:`deflated_newton.solver`.  The solves deflate with
+    ``solutions.deflation``, and each root found is added to ``solutions``.
     """
-    sols = solutions if solutions is not None else SolutionSet(norm=deflation.norm)
-    system = DeflatedSystem(deflation, residual, jacobian)
+    system = DeflatedSystem(solutions.deflation, residual, jacobian)
     for gi, guess in enumerate(guesses):
-        while max_roots is None or len(sols) < max_roots:
+        while max_roots is None or len(solutions) < max_roots:
             result = solve(system.residual, system.derivative, guess, config)
             _emit(
                 events,
@@ -190,22 +189,21 @@ def deflated_search_callables(
             )
             if result.status is not SolveStatus.CONVERGED:
                 break
-            if not polish_root(result, deflation, config.atol):
+            if not polish_root(result, solutions.deflation, config.atol):
                 _emit(events, kind="rejected-unverified", step=step, parameter=parameter,
                       branch=gi)
                 break
             root = result.solution
-            if not sols.is_distinct(root):
+            if not solutions.is_distinct(root):
                 # converged back into a known root's neighborhood despite deflation
                 _emit(events, kind="rejected-duplicate", step=step, parameter=parameter, branch=gi)
                 break
-            sols.add(root, iterations=result.iterations, parameter=parameter)
-            deflation.add_root(root)
+            solutions.add(root, iterations=result.iterations, parameter=parameter)
             _emit(events, kind="root-found", step=step, parameter=parameter, branch=gi,
                   iterations=result.iterations)
-        if max_roots is not None and len(sols) >= max_roots:
+        if max_roots is not None and len(solutions) >= max_roots:
             break
-    return sols
+    return solutions
 
 
 def deflated_search(
@@ -224,7 +222,8 @@ def deflated_search(
         guesses: starting points, tried in order; each is retried after every
             root it produces, so one guess can yield several roots.
         ncp: NCP function used for the semismooth reformulation.
-        deflation: operator state (fresh shifted p=2 state by default).
+        deflation: operator state (fresh shifted p=2 state by default); its
+            roots are deflated too, and the returned set grows it in place.
         config: solver settings.
         max_roots: optional cap on the number of roots returned.
         events: optional list collecting :class:`Event` records.
@@ -237,19 +236,26 @@ def deflated_search(
             before any solve.
     """
     guesses = checked_guesses(guesses, problem.dimension)
-    state = deflation if deflation is not None else DeflationState()
-    cfg = config or SolverConfig()
     system = _ReformulatedSystem(problem, ncp)
     return deflated_search_callables(
         residual=system.residual,
         jacobian=system.jacobian,
         guesses=guesses,
-        deflation=state,
-        config=cfg,
+        config=config or SolverConfig(),
+        solutions=SolutionSet(deflation),
         parameter=problem.parameter,
         max_roots=max_roots,
         events=events,
     )
+
+
+def unrooted(deflation: Optional[DeflationState]) -> DeflationState:
+    """``deflation`` (shifted p=2 when None) to start a continuation with; one that
+    holds roots raises ValueError, as each step deflates only its own branches."""
+    if deflation is not None and deflation.roots:
+        raise ValueError(f"a continuation deflates only its own branches; this deflation "
+                         f"state holds {len(deflation.roots)} root(s)")
+    return deflation if deflation is not None else DeflationState()
 
 
 @dataclass(frozen=True)
@@ -324,9 +330,9 @@ def deflated_continuation(
     re-solved (undeflated, down to ``atol``), or dropped with an event when
     that fails or it collides with an already re-solved branch.  A deflated
     search from the branch points, then from the guesses, looks for
-    newcomers, with ``deflation``'s power and shift, up to ``max_roots``
-    roots in all.  A step with a search level runs that search there and
-    keeps only the newcomers that lift back (see :func:`_search_and_lift`).
+    newcomers, up to ``max_roots`` roots in all, deflating the step's set in
+    its norm with ``deflation``'s power and shift.  A search level runs it
+    there and keeps the newcomers that lift (see :func:`_search_and_lift`).
     Re-solved branches keep their discovery metadata; newcomers record the
     value.  Step 0 has no branches, so it is the search alone; when it finds
     nothing the path ends there, with an empty set.
@@ -338,7 +344,7 @@ def deflated_continuation(
     solutions, previous = SolutionSet(), None
     for step, value in enumerate(map(float, values)):
         at = setup(step, value, list(solutions))
-        resolved = SolutionSet(norm=at.norm)
+        resolved = SolutionSet(replace(deflation, norm=at.norm, roots=[]))
         for bi, record in enumerate(at.branches):
             result = solve(at.residual, plain_derivative(at.jacobian), record.z, at.config)
             if result.status is not SolveStatus.CONVERGED:
@@ -355,11 +361,10 @@ def deflated_continuation(
             raise AllBranchesLost(f"all branches failed at {name} {value}", solutions, previous)
 
         if at.search is not None:
-            solutions = _search_and_lift(at, resolved, deflation, value, max_roots, events, step)
+            solutions = _search_and_lift(at, resolved, value, max_roots, events, step)
         else:
             solutions = deflated_search_callables(
                 at.residual, at.jacobian, [record.z for record in at.branches] + list(at.guesses),
-                deflation=replace(deflation, norm=at.norm, roots=resolved.vectors()),
                 config=at.config, solutions=resolved, parameter=value, max_roots=max_roots,
                 events=events, step=step,
             )
@@ -372,7 +377,6 @@ def deflated_continuation(
 def _search_and_lift(
     at: ContinuationStep,
     resolved: SolutionSet,
-    deflation: DeflationState,
     value: float,
     max_roots: Optional[int],
     events: Optional[list],
@@ -383,7 +387,8 @@ def _search_and_lift(
     Nested iteration for deflation (Adler, Emerson, Farrell & MacLachlan,
     SIAM J. Sci. Comput. 39, 2017).  Each re-solved branch is restricted to
     the search level and re-solved there, undeflated and without an event;
-    the ones that converge to distinct roots are deflated on that level.
+    the ones that converge to distinct roots are deflated on that level,
+    with the power and shift of ``resolved.deflation``.
     The deflated search runs from the restricted branch points, then from
     the guesses, for at most as many newcomers as ``max_roots`` leaves room
     for.  Each newcomer is lifted and re-solved, undeflated, on the step's
@@ -395,7 +400,7 @@ def _search_and_lift(
     if max_roots is not None and len(resolved) >= max_roots:
         return resolved
     level = at.search
-    coarse = SolutionSet(norm=level.norm)
+    coarse = SolutionSet(replace(resolved.deflation, norm=level.norm, roots=[]))
     for record in resolved:
         result = solve(level.residual, plain_derivative(level.jacobian),
                        level.restrict(record.z), level.config)
@@ -405,7 +410,6 @@ def _search_and_lift(
     deflated_search_callables(
         level.residual, level.jacobian,
         [level.restrict(record.z) for record in at.branches] + list(at.guesses),
-        deflation=replace(deflation, norm=level.norm, roots=coarse.vectors()),
         config=level.config, solutions=coarse, parameter=value,
         max_roots=None if max_roots is None else known + max_roots - len(resolved),
         events=found, step=step,
@@ -441,19 +445,20 @@ def continue_parameter(
     """Find the roots of ``family(plan.start)`` and continue them to plan.end.
 
     One :func:`deflated_continuation` over plan.start and ``plan.values()``
-    in the norm of ``deflation`` (Euclidean by default).  Step 0 is the
+    with the power, shift and norm of ``deflation`` (a shifted p=2
+    Euclidean state by default), which must hold no roots.  Step 0 is the
     deflated search from ``guesses`` with ``config``, as in
     :func:`deflated_search`; later steps solve with ``plan.config``.
 
     Returns:
-        The branches at plan.end; empty when step 0 found no root.
+        The branches at plan.end, deflated by its ``deflation``; empty when none.
 
     Raises:
-        ValueError: a guess does not have the problem's dimension; raised
-            before any solve.
+        ValueError: ``deflation`` holds roots, or a guess does not have the
+            problem's dimension; raised before any solve.
         AllBranchesLost: no branch re-converges at some step.
     """
-    state = deflation if deflation is not None else DeflationState()
+    state = unrooted(deflation)
     search_config = config or SolverConfig()
 
     def step_at(step: int, mu: float, branches: list[RootRecord]) -> ContinuationStep:

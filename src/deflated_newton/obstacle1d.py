@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .continuation import AllBranchesLost, ContinuationStep, SearchLevel, SolutionSet, _emit
-from .continuation import checked_guesses, deflated_continuation
+from .continuation import checked_guesses, deflated_continuation, unrooted
 from .deflation import DeflationState, NormSpec
 from .linalg import BandedMatrix, all_finite
 from .solver import SolverConfig
@@ -511,8 +511,7 @@ def path_follow(
     gamma_max: float = 1e6,
     q: Optional[float] = None,
     initial_elements: int = 64,
-    power: float = 2.0,
-    shift: float = 1.0,
+    deflation: Optional[DeflationState] = None,
     config: Optional[SolverConfig] = None,
     max_roots: Optional[int] = None,
     events: Optional[list] = None,
@@ -522,7 +521,9 @@ def path_follow(
     One :func:`~deflated_newton.continuation.deflated_continuation` over
     gamma0 and then the values of :func:`gamma_schedule`.  At each penalty
     the mesh is refined until h <= 1/sqrt(gamma), prolonging the branches,
-    and the step deflates in the L2 norm induced by the mass matrix.  Every
+    and the step deflates in the L2 norm of the mass matrix with the power
+    and shift of ``deflation`` (p=2, shift 1 by default), which must hold
+    no roots.  Every
     step searches from the branch points and then from the pool, so
     equilibria that only appear at larger penalties are picked up; at gamma0
     there are no branches yet, so that step is the search from the pool
@@ -537,23 +538,23 @@ def path_follow(
     only when that converges to an equilibrium distinct from the branches.
 
     Returns:
-        PathState with the solution set at gamma_max; record parameters hold
-        the penalty value at discovery.
+        PathState with the solution set at gamma_max, deflated in the final
+        mass norm; record parameters hold the penalty value at discovery.
 
     Raises:
         AllBranchesLost: no solution at the initial penalty, or every branch
             failed to re-converge at some step.
         ValueError: the penalty schedule is invalid (see :func:`gamma_schedule`),
             the final mesh would exceed :data:`MAX_ELEMENTS` elements (see
-            :func:`final_elements`), the deflation power or shift is invalid,
-            a guess does not have the length of the initial mesh's unknowns,
+            :func:`final_elements`), ``deflation`` holds roots, a guess
+            does not have the length of the initial mesh's unknowns,
             or the beam data overflow the assembled operator or load; all but
             the last are raised before any assembly.
     """
     values = [gamma0] + gamma_schedule(gamma0, gamma_max, q)
     mesh = HermiteMesh1D(initial_elements, problem.length)
     final_elements(mesh, gamma0, gamma_max)
-    operator = DeflationState(power=power, shift=shift)
+    operator = unrooted(deflation)
     pool = [np.zeros(mesh.dofs)] if guesses is None else checked_guesses(guesses, mesh.dofs)
     while _too_coarse(mesh.h, gamma0, 0):  # refining for gamma0 emits no event
         pool = [prolong(mesh, guess) for guess in pool]

@@ -359,8 +359,8 @@ def test_unshifted_search_rejects_a_solve_that_ends_above_atol_in_f():
         residual=lambda z: (z - 1.0, z),
         jacobian=lambda z: np.eye(1),
         guesses=[np.array([3.0])],
-        deflation=DeflationState(shift=0.0, roots=[np.ones(1)]),
         config=SolverConfig(),
+        solutions=SolutionSet(DeflationState(shift=0.0, roots=[np.ones(1)])),
         events=events,
     )
     assert [(ev.kind, ev.status) for ev in events] == [
@@ -381,8 +381,8 @@ def test_root_inside_a_known_roots_radius_is_rejected_as_a_duplicate():
         residual=lambda z: (1e7 * (z - a) * (z - b), z),
         jacobian=lambda z: np.array([[1e7 * (2.0 * z[0] - a - b)]]),
         guesses=[np.array([-1.0])],
-        deflation=DeflationState(),
         config=SolverConfig(),
+        solutions=SolutionSet(),
         events=events,
     )
     assert [ev.kind for ev in events] == [
@@ -460,3 +460,91 @@ def test_one_residual_evaluation_per_point(monkeypatch):
     assert len(sols) == 2
     assert len(points) > 0
     assert len(f_calls) == len(points)
+
+
+def test_search_deflates_the_callers_roots_and_grows_its_state():
+    prob = problems.build("kojima-shindoh")
+    known = KOJIMA_ROOTS[0]
+    state = DeflationState(roots=[known])
+    sols = deflated_search(prob, [np.full(4, 0.7)], deflation=state)
+    assert sols.deflation is state
+    match_as_set(sols.vectors(), KOJIMA_ROOTS[1:], 1e-6)
+    assert len(state.roots) == 2
+    np.testing.assert_array_equal(state.roots[0], known)
+    assert state.roots[1].tobytes() == sols.vectors()[0].tobytes()
+
+
+def test_continuation_refuses_a_deflation_that_holds_roots(monkeypatch):
+    # a continuation deflates only the branches it holds: a root given in
+    # the state would be dropped and found again, so it is refused up front
+    calls = []
+    monkeypatch.setattr(continuation, "solve", lambda *args: calls.append(args))
+    state = DeflationState(roots=[KOJIMA_ROOTS[0]])
+    plan = ContinuationPlan(start=0.0, end=1.0, steps=2)
+    message = r"^a continuation deflates only its own branches; this deflation state holds 1 "
+    with pytest.raises(ValueError, match=message):
+        continue_parameter(calls.append, plan, [np.full(4, 0.7)], deflation=state)
+    assert calls == []
+    assert len(state.roots) == 1
+
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+# points of a small grid, so that draws repeat, each moved by nothing, by
+# less than the guard, by less than the distinctness radius, or clear of it
+_grid_points = st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), min_size=2, max_size=2)
+_moves = st.sampled_from([0.0, 1e-12, 1e-8, 1e-3])
+_points = st.builds(lambda point, move: np.array(point) + move, _grid_points, _moves)
+
+
+def _bits(vectors):
+    return [v.tobytes() for v in vectors]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_grid_points, max_size=3, unique_by=tuple),
+    st.lists(_points, max_size=12),
+)
+def test_solution_set_holds_the_one_root_list_property(earlier, additions):
+    state = DeflationState(roots=[np.array(point) for point in earlier])
+    sols = SolutionSet(state)
+    before = _bits(state.roots)
+    for z in additions:
+        roots, vectors = _bits(state.roots), _bits(sols.vectors())
+        try:
+            sols.add(z, iterations=0, parameter=None)
+        except ValueError:
+            # a refused root, duplicate of a member or of an earlier root,
+            # changes neither list
+            assert _bits(state.roots) == roots and _bits(sols.vectors()) == vectors
+    assert sols.deflation is state
+    assert _bits(state.roots) == before + _bits(sols.vectors())
+
+
+_POLY_ROOTS = np.array([-2.0, -1.0, 0.5, 1.5, 3.0])
+_POLY = MixedComplementarityProblem(
+    dimension=1,
+    residual=lambda z: np.array([np.prod(z[0] - _POLY_ROOTS)]),
+    derivative=lambda z: np.array(
+        [[sum(np.prod(np.delete(z[0] - _POLY_ROOTS, i)) for i in range(_POLY_ROOTS.size))]]
+    ),
+    lower=np.array([-np.inf]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.sampled_from(list(_POLY_ROOTS)), min_size=1, max_size=4, unique=True),
+    st.floats(-3.0, 4.0),
+)
+def test_search_from_a_rooted_state_returns_none_of_its_roots_property(known, guess):
+    state = DeflationState(roots=[np.array([root]) for root in known])
+    sols = deflated_search(_POLY, [np.array([guess])], deflation=state,
+                           config=SolverConfig(max_iter=50))
+    for z in sols.vectors():
+        assert np.abs(z[0] - np.array(known)).min() > 1e-3
+    assert _bits(state.roots) == _bits(np.array([[root] for root in known])) + _bits(
+        sols.vectors()
+    )

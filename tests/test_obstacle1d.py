@@ -622,6 +622,19 @@ def test_stall_window_keeps_the_default_path_roots():
     _assert_stall_window_keeps_the_roots(1e6)
 
 
+def test_path_refuses_a_deflation_that_holds_roots(monkeypatch):
+    # each step deflates only the branches it holds; a root given in the
+    # state is refused before any mesh is assembled
+    calls = []
+    monkeypatch.setattr(obstacle1d, "_discretization", lambda *args: calls.append(args))
+    monkeypatch.setattr(continuation, "solve", lambda *args: calls.append(args))
+    state = deflation.DeflationState(roots=[np.zeros(128), np.ones(128)])
+    message = r"^a continuation deflates only its own branches; this deflation state holds 2 root"
+    with pytest.raises(ValueError, match=message):
+        path_follow(BeamProblem(), deflation=state)
+    assert calls == []
+
+
 def test_newcomer_searches_run_on_the_initial_mesh(monkeypatch):
     unknowns = []
     original = continuation.deflated_search_callables
