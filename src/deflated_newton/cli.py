@@ -31,11 +31,7 @@ from .continuation import (
 from .deflation import DeflationState
 from .obstacle1d import BeamProblem, _discretization, path_follow
 from .reformulate import NcpFunction, assemble_residual
-from .solver import (
-    LINE_SEARCH_BACKTRACKING,
-    LINE_SEARCH_NONE,
-    SolverConfig,
-)
+from .solver import SolverConfig
 
 EXIT_OK = 0
 EXIT_NO_ROOTS = 1
@@ -292,7 +288,7 @@ def _registry_settings(args, parser):
         parser.error(str(err))
     rec = problems.defaults(bench)
     try:
-        config = replace(_solver_config(args), singular_action=rec.singular_action)
+        config = replace(_solver_config(args), least_squares_fallback=rec.least_squares_fallback)
         deflation = DeflationState(power=rec.power if args.p is None else args.p,
                                    shift=rec.shift if args.shift is None else args.shift)
     except ValueError as err:
@@ -330,8 +326,7 @@ def _run_solve(args, parser) -> int:
     bench, rec, deflation, _, config = _registry_settings(args, parser)
     kind = NcpFunction(args.ncp) if args.ncp else rec.ncp
     line_search = rec.line_search if args.line_search is None else args.line_search
-    mode = LINE_SEARCH_BACKTRACKING if line_search else LINE_SEARCH_NONE
-    config = replace(config, line_search=mode)
+    config = replace(config, line_search=line_search)
     try:
         problem = problems.build(bench, mu=args.mu)
     except ValueError as err:

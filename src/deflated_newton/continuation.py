@@ -31,7 +31,7 @@ from .reformulate import (
 )
 from .solver import SolveResult, SolveStatus, SolverConfig, plain_derivative, solve
 
-DISTINCTNESS_TOL = 1e-6  # see SolutionSet
+DISTINCTNESS_TOL = 1e-6  # see SolutionSet.add
 
 
 class AllBranchesLost(Exception):
@@ -59,11 +59,10 @@ class RootRecord:
 class SolutionSet:
     """Ordered collection of pairwise distinct roots, and the deflation of them.
 
-    :meth:`add` is the one place a root enters a :class:`DeflationState`:
-    ``deflation.roots`` (a fresh shifted p=2 state by default) is the roots
-    the state came with, then :meth:`vectors`.  Distinctness is measured in
-    its norm with radius ``DISTINCTNESS_TOL * (1 + ||z||)`` around each
-    member; adding a vector inside a radius raises ValueError.
+    :meth:`add` is the one place a root enters a :class:`DeflationState`
+    and the one place distinctness is decided: ``deflation.roots`` (a fresh
+    shifted p=2 state by default) is the roots the state came with, then
+    :meth:`vectors`, so the members are its last ``len(self)`` roots.
     """
 
     def __init__(self, deflation: Optional[DeflationState] = None):
@@ -79,17 +78,19 @@ class SolutionSet:
     def vectors(self) -> list[np.ndarray]:
         return [rec.z for rec in self.records]
 
-    def is_distinct(self, z: np.ndarray) -> bool:
-        if not self.records:
-            return True
-        norm = self.deflation.norm.norm
-        radius = DISTINCTNESS_TOL * (1.0 + norm(z))
-        return all(norm(z - rec.z) > radius for rec in self.records)
-
-    def add(self, z: np.ndarray, iterations: int, parameter: Optional[float]) -> RootRecord:
+    def add(self, z: np.ndarray, iterations: int,
+            parameter: Optional[float]) -> Optional[RootRecord]:
+        """Append and deflate ``z`` and return its :class:`RootRecord`, or return
+        None, changing nothing, when ``z`` lies within ``DISTINCTNESS_TOL *
+        (1 + ||z||)`` of a member in the deflation norm (one ``norm.distances``
+        pass).  A ValueError from :meth:`DeflationState.add_root` passes on."""
         z = np.array(z, dtype=float)
-        if not self.is_distinct(z):
-            raise ValueError("root is not distinct from the set")
+        if self.records:
+            norm = self.deflation.norm
+            distances, _ = norm.distances(z, self.deflation.roots[-len(self.records):])
+            radius = DISTINCTNESS_TOL * (1.0 + norm.norm(z))
+            if not all(d > radius for d in distances):
+                return None
         self.deflation.add_root(z)
         record = RootRecord(z, iterations, parameter)
         self.records.append(record)
@@ -193,12 +194,10 @@ def deflated_search_callables(
                 _emit(events, kind="rejected-unverified", step=step, parameter=parameter,
                       branch=gi)
                 break
-            root = result.solution
-            if not solutions.is_distinct(root):
+            if solutions.add(result.solution, result.iterations, parameter) is None:
                 # converged back into a known root's neighborhood despite deflation
                 _emit(events, kind="rejected-duplicate", step=step, parameter=parameter, branch=gi)
                 break
-            solutions.add(root, iterations=result.iterations, parameter=parameter)
             _emit(events, kind="root-found", step=step, parameter=parameter, branch=gi,
                   iterations=result.iterations)
         if max_roots is not None and len(solutions) >= max_roots:
@@ -351,10 +350,9 @@ def deflated_continuation(
                 _emit(events, kind="branch-lost", step=step, parameter=value, branch=bi,
                       status=result.status.value)
                 continue
-            if not resolved.is_distinct(result.solution):
+            if resolved.add(result.solution, record.iterations, record.parameter) is None:
                 _emit(events, kind="branch-collision", step=step, parameter=value, branch=bi)
                 continue
-            resolved.add(result.solution, iterations=record.iterations, parameter=record.parameter)
             _emit(events, kind="branch-resolved", step=step, parameter=value, branch=bi,
                   iterations=result.iterations, detail=at.detail)
         if len(at.branches) > 0 and len(resolved) == 0:
@@ -404,8 +402,8 @@ def _search_and_lift(
     for record in resolved:
         result = solve(level.residual, plain_derivative(level.jacobian),
                        level.restrict(record.z), level.config)
-        if result.status is SolveStatus.CONVERGED and coarse.is_distinct(result.solution):
-            coarse.add(result.solution, iterations=record.iterations, parameter=record.parameter)
+        if result.status is SolveStatus.CONVERGED:
+            coarse.add(result.solution, record.iterations, record.parameter)
     known, found = len(coarse), []
     deflated_search_callables(
         level.residual, level.jacobian,
@@ -423,10 +421,8 @@ def _search_and_lift(
             if result.status is not SolveStatus.CONVERGED:
                 event = replace(event, kind="branch-lost", iterations=None,
                                 status=result.status.value)
-            elif not resolved.is_distinct(result.solution):
+            elif resolved.add(result.solution, record.iterations, value) is None:
                 event = replace(event, kind="rejected-duplicate", iterations=None)
-            else:
-                resolved.add(result.solution, iterations=record.iterations, parameter=value)
         if events is not None:
             events.append(event)
     return resolved

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +61,19 @@ class NormSpec:
         wv = v if self.weight is None else self.weight.matvec(v)
         return math.sqrt(max(v @ wv, 0.0))
 
+    def distances(self, z: np.ndarray, roots: Sequence[np.ndarray]) -> tuple[list, np.ndarray]:
+        """The norms of z - r_i over ``roots``, and the ``(k, n)`` stack of W(z - r_i).
+
+        ``z`` is a vector; each root is taken flat.  The weight is applied
+        once to the stack of all z - r_i (an empty ``(0, n)`` stack with no
+        roots); each squared distance is the dot product of a row and its
+        weighted row, with the bits of the single ``v @ W v`` of :meth:`norm`.
+        """
+        differences = z - np.array(roots).reshape(len(roots), z.size)
+        weighted = differences if self.weight is None else self.weight.matvec(differences)
+        squares = np.matmul(differences[:, None, :], weighted[:, :, None])
+        return [math.sqrt(max(square, 0.0)) for square in squares.ravel().tolist()], weighted
+
 
 EUCLIDEAN = NormSpec()
 
@@ -71,6 +84,8 @@ class DeflationState:
 
     Append roots between solves with :meth:`add_root`; never mutate during a
     solve.  ``power`` >= 1 and ``shift`` >= 0; defaults are power 2, shift 1.
+    Every distance to the roots, for the operator as for the guard, is
+    measured by ``norm.distances``.
     """
 
     power: float = 2.0
@@ -88,12 +103,14 @@ class DeflationState:
             self.add_root(r)
 
     def add_root(self, root: np.ndarray) -> None:
+        """Deflate a copy of ``root``; ValueError when it has another shape than
+        the roots held or lies within :data:`GUARD` of one of them."""
         root = np.array(root, dtype=float)
-        for known in self.roots:
-            if known.shape != root.shape:
-                raise ValueError("all deflated roots must share one dimension")
-            if self.norm.norm(root - known) <= GUARD:
-                raise ValueError("new root coincides with an already deflated root")
+        if any(known.shape != root.shape for known in self.roots):
+            raise ValueError("all deflated roots must share one dimension")
+        distances, _ = self.norm.distances(root.ravel(), self.roots)
+        if any(d <= GUARD for d in distances):
+            raise ValueError("new root coincides with an already deflated root")
         self.roots.append(root)
 
 
@@ -112,25 +129,18 @@ class _Terms(NamedTuple):
 
 
 def _deflation_terms(state: DeflationState, z: np.ndarray) -> _Terms:
-    """Apply the norm weight once to the stack of all z - r_i and collect the
-    deflation terms at z; each squared distance is the dot product of a row
-    and its weighted row, with the bits of a single ``v @ W v``.
+    """The deflation terms at z, from one ``state.norm.distances`` pass.
 
     Raises:
         AtDeflatedRoot: z lies within :data:`GUARD` of a deflated root.
     """
-    differences = z - np.array(state.roots).reshape(len(state.roots), z.size)
-    weight = state.norm.weight
-    weighted = differences if weight is None else weight.matvec(differences)
-    squares = np.matmul(differences[:, None, :], weighted[:, :, None])
-    alpha, distances, factors = 1.0, [], []
-    for square in squares.ravel().tolist():
-        d = math.sqrt(max(square, 0.0))
+    distances, weighted = state.norm.distances(z, state.roots)
+    alpha, factors = 1.0, []
+    for d in distances:
         if d <= GUARD:
             raise AtDeflatedRoot(f"point within {GUARD:.1e} of a deflated root (d={d:.3e})")
         m = d ** (-state.power) + state.shift
         alpha *= m
-        distances.append(d)
         factors.append(m)
     return _Terms(alpha, distances, factors, weighted)
 
@@ -143,7 +153,7 @@ def _power(base: float, exponent: float) -> float:
         return math.inf
 
 
-def _gradient(state: DeflationState, z: np.ndarray, terms: _Terms) -> np.ndarray:
+def _gradient(state: DeflationState, terms: _Terms) -> np.ndarray:
     # the terms of all roots, then one sum over them in root order; a term
     # whose d ** (p + 2) overflows is below every float and reads +-0
     p = state.power
@@ -166,14 +176,14 @@ def deflation_gradient(state: DeflationState, z: np.ndarray) -> np.ndarray:
     where W is the norm weight (identity for the Euclidean norm).
     """
     z = np.asarray(z, dtype=float)
-    return _gradient(state, z, _deflation_terms(state, z))
+    return _gradient(state, _deflation_terms(state, z))
 
 
 class DeflatedSystem:
     """The deflated residual G = alpha F and its Newton derivative parts.
 
     ``residual(z)`` evaluates F and the deflation terms once and returns G
-    with the point ``(z, inner, terms)``, where ``inner`` is the point the
+    with the point ``(inner, terms)``, where ``inner`` is the point the
     undeflated ``residual`` returned; ``derivative`` builds its parts from
     that point, calling the undeflated ``jacobian`` on ``inner``.  ``z`` is
     a float array, as the solver passes it.  A deflation factor or gradient
@@ -194,17 +204,17 @@ class DeflatedSystem:
             raise NonFiniteResidual("deflation factor overflows") from None
         if not terms.alpha < math.inf:
             raise NonFiniteResidual("deflation factor overflows")
-        return terms.alpha * np.asarray(value, dtype=float), (z, inner, terms)
+        return terms.alpha * np.asarray(value, dtype=float), (inner, terms)
 
     def derivative(self, point):
         """``(alpha, H_F, grad alpha)``: at G = alpha F the Newton matrix is
         ``alpha H_F + outer(G / alpha, grad alpha)``, the system that
         :func:`deflated_newton.linalg.solve_rank_one_update` solves."""
-        z, inner, terms = point
+        inner, terms = point
         jac = self._jacobian(inner)
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                grad = _gradient(self.state, z, terms)
+                grad = _gradient(self.state, terms)
         except (OverflowError, FloatingPointError):
             raise NonFiniteResidual("deflation gradient overflows") from None
         return terms.alpha, jac, grad

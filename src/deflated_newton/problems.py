@@ -17,7 +17,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .reformulate import MixedComplementarityProblem, NcpFunction
-from .solver import SINGULAR_ERROR, SINGULAR_LEAST_SQUARES
 
 
 class UnknownBenchmark(Exception):
@@ -39,7 +38,7 @@ class BenchmarkDefaults:
     power: float = 2.0
     shift: float = 1.0
     line_search: bool = False
-    singular_action: str = SINGULAR_ERROR
+    least_squares_fallback: bool = False
     parameterized: bool = False
     max_iter: int = 100
 
@@ -218,8 +217,7 @@ _REGISTRY = {
         # the all-zero start makes several rows of the Newton matrix vanish,
         # so singular systems are solved in the minimum-norm sense there
         BenchmarkDefaults(
-            ncp=NcpFunction.MIN_MAX, power=1.0, line_search=True,
-            singular_action=SINGULAR_LEAST_SQUARES,
+            ncp=NcpFunction.MIN_MAX, power=1.0, line_search=True, least_squares_fallback=True,
         ),
         guess=np.zeros(10),
         functions=lambda mu: (_gerard_f, _gerard_jac),

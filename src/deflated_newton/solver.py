@@ -45,12 +45,6 @@ class SolveStatus(Enum):
     STALLED = "stalled"
 
 
-LINE_SEARCH_NONE = "none"
-LINE_SEARCH_BACKTRACKING = "backtracking"
-
-SINGULAR_ERROR = "error"
-SINGULAR_LEAST_SQUARES = "least-squares"
-
 # Armijo backtracking (see _backtrack): the step factor per rejected trial,
 # the sufficient-decrease constant c and the step below which it fails
 LS_REDUCTION = 0.5
@@ -66,9 +60,10 @@ class SolverConfig:
 
     Convergence is declared when ||r(z_k)||_2 <= atol, where r is what the
     ``residual`` callable returns (G = alpha F for a deflated system).
-    ``singular_action`` selects what to do when the Newton matrix is flagged
-    singular: fail with SINGULAR_JACOBIAN, or take a minimum-norm
-    least-squares step (useful for degenerate starting points).
+    ``line_search`` turns on Armijo backtracking.  A Newton matrix flagged
+    singular fails the solve with SINGULAR_JACOBIAN, or, with
+    ``least_squares_fallback``, gives a minimum-norm least-squares step
+    (useful for degenerate starting points).
 
     With ``stall_window`` set, a solve also stops, as STALLED, once that many
     iterations have passed since ||r|| / scale last fell to half of its best
@@ -83,8 +78,8 @@ class SolverConfig:
     atol: float = 1e-10
     max_iter: int = 100
     divergence_tol: float = 1e8
-    line_search: str = LINE_SEARCH_NONE
-    singular_action: str = SINGULAR_ERROR
+    line_search: bool = False
+    least_squares_fallback: bool = False
     stall_window: Optional[int] = None
 
     def __post_init__(self):
@@ -94,10 +89,9 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if self.stall_window is not None and self.stall_window < 1:
             raise ValueError("stall_window must be at least 1")
-        if self.line_search not in (LINE_SEARCH_NONE, LINE_SEARCH_BACKTRACKING):
-            raise ValueError(f"unknown line search mode {self.line_search!r}")
-        if self.singular_action not in (SINGULAR_ERROR, SINGULAR_LEAST_SQUARES):
-            raise ValueError(f"unknown singular action {self.singular_action!r}")
+        for name in ("line_search", "least_squares_fallback"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -207,13 +201,13 @@ def solve(
         try:
             step = -solve_rank_one_update(fac, scale, w, r)
         except SingularMatrix:
-            if cfg.singular_action != SINGULAR_LEAST_SQUARES:
+            if not cfg.least_squares_fallback:
                 return SolveResult(SolveStatus.SINGULAR_JACOBIAN, z, iterations, history)
             step = _least_squares_step(scale, matrix, w, r)
         if not all_finite(step):
             return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
 
-        if cfg.line_search == LINE_SEARCH_BACKTRACKING:
+        if cfg.line_search:
             accepted = _backtrack(residual, z, step, rnorm)
             if accepted is None:
                 return SolveResult(SolveStatus.LINE_SEARCH_FAILED, z, iterations, history)

@@ -42,7 +42,7 @@ def gould_roots():
 def gerard_solutions():
     rec = problems.defaults("gerard")
     config = SolverConfig(
-        line_search="backtracking", singular_action=rec.singular_action, max_iter=rec.max_iter
+        line_search=True, least_squares_fallback=rec.least_squares_fallback, max_iter=rec.max_iter
     )
     sols = deflated_search(
         problems.build("gerard"),

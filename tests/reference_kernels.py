@@ -46,32 +46,40 @@ def lu_factor_banded(matrix: BandedMatrix) -> LuFactorization:
     return LuFactorization(n, lu, ipiv, singular, banded=True, hbw=hbw)
 
 
-def deflation_terms(state, z):
-    """One weighted norm, hence one matvec, per root."""
-    alpha = 1.0
-    distances, factors, weighted = [], [], []
-    for root in state.roots:
+def distances(norm, z, roots):
+    """One weighted norm, hence one matvec, per root; the weighted rows stacked."""
+    out, weighted = [], []
+    for root in roots:
         v = z - root
-        if state.norm.weight is None:
+        if norm.weight is None:
             d, wv = math.sqrt(v @ v), v
         else:
-            wv = state.norm.weight.matvec(v)
+            wv = norm.weight.matvec(v)
             d = math.sqrt(max(v @ wv, 0.0))
+        out.append(d)
+        weighted.append(wv)
+    return out, np.array(weighted).reshape(len(roots), z.size)
+
+
+def deflation_terms(state, z):
+    """The factors one root at a time, from the per-root distances."""
+    alpha = 1.0
+    ds, weighted = distances(state.norm, z, state.roots)
+    factors = []
+    for d in ds:
         if d <= deflation.GUARD:
             raise deflation.AtDeflatedRoot(
                 f"point within {deflation.GUARD:.1e} of a deflated root (d={d:.3e})"
             )
         m = d ** (-state.power) + state.shift
         alpha *= m
-        distances.append(d)
         factors.append(m)
-        weighted.append(wv)
-    return deflation._Terms(alpha, distances, factors, weighted)
+    return deflation._Terms(alpha, ds, factors, weighted)
 
 
-def gradient(state, z, terms) -> np.ndarray:
+def gradient(state, terms) -> np.ndarray:
     p = state.power
-    grad = np.zeros(z.shape)
+    grad = np.zeros(terms.weighted.shape[1])
     for wv, d, m in zip(terms.weighted, terms.distances, terms.factors):
         grad += (terms.alpha / m) * (-p) * wv / d ** (p + 2.0)
     return grad
@@ -226,6 +234,7 @@ def install(monkeypatch) -> None:
     """Patch every reference kernel into the package for one test."""
     monkeypatch.setattr(BandedMatrix, "matvec", banded_matvec)
     monkeypatch.setattr(linalg, "_lu_factor_banded", lu_factor_banded)
+    monkeypatch.setattr(deflation.NormSpec, "distances", distances)
     monkeypatch.setattr(deflation, "_deflation_terms", deflation_terms)
     monkeypatch.setattr(deflation, "_gradient", gradient)
     disc = obstacle1d.BeamDiscretization

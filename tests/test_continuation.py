@@ -6,6 +6,7 @@ import pytest
 
 from deflated_newton import continuation, problems
 from deflated_newton.continuation import (
+    DISTINCTNESS_TOL,
     AllBranchesLost,
     ContinuationPlan,
     SolutionSet,
@@ -13,6 +14,7 @@ from deflated_newton.continuation import (
     deflated_search,
 )
 from deflated_newton.deflation import EUCLIDEAN, GUARD, DeflationState
+from deflated_newton.obstacle1d import BeamDiscretization, BeamProblem, HermiteMesh1D
 from deflated_newton.reformulate import (
     MixedComplementarityProblem,
     NcpFunction,
@@ -416,10 +418,12 @@ def test_empty_step_zero_ends_the_path_at_plan_start():
 
 def test_solution_set_rejects_duplicates():
     sols = SolutionSet()
-    sols.add(np.array([1.0, 0.0]), iterations=1, parameter=None)
-    with pytest.raises(ValueError):
-        sols.add(np.array([1.0, 1e-9]), iterations=1, parameter=None)
-    assert sols.is_distinct(np.array([2.0, 0.0]))
+    first = sols.add(np.array([1.0, 0.0]), iterations=1, parameter=None)
+    assert sols.add(np.array([1.0, 1e-9]), iterations=1, parameter=None) is None
+    assert sols.records == [first] and len(sols.deflation.roots) == 1
+    second = sols.add(np.array([2.0, 0.0]), iterations=2, parameter=0.5)
+    assert sols.records == [first, second]
+    assert (second.iterations, second.parameter) == (2, 0.5)
 
 
 def test_plan_validation():
@@ -514,13 +518,76 @@ def test_solution_set_holds_the_one_root_list_property(earlier, additions):
     for z in additions:
         roots, vectors = _bits(state.roots), _bits(sols.vectors())
         try:
-            sols.add(z, iterations=0, parameter=None)
+            refused = sols.add(z, iterations=0, parameter=None) is None
         except ValueError:
+            refused = True
+        if refused:
             # a refused root, duplicate of a member or of an earlier root,
             # changes neither list
             assert _bits(state.roots) == roots and _bits(sols.vectors()) == vectors
     assert sols.deflation is state
     assert _bits(state.roots) == before + _bits(sols.vectors())
+
+
+# a few fixed points of the 4-element beam's 8 unknowns, each moved along a
+# fixed direction by nothing, by less than the guard, by about the
+# distinctness radius or clear of it
+_BEAM = BeamDiscretization(BeamProblem(), HermiteMesh1D(4))
+_BASES = np.random.default_rng(7).standard_normal((3, _BEAM.n))
+_DIRECTIONS = np.random.default_rng(8).standard_normal((2, _BEAM.n))
+_near_points = st.builds(
+    lambda base, direction, move: _BASES[base] + move * _DIRECTIONS[direction],
+    st.integers(0, 2),
+    st.integers(0, 1),
+    st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-6, 1e-5, 1e-3, 1.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["euclidean", "mass"]),
+    st.lists(_near_points, max_size=3),
+    st.lists(_near_points, max_size=4),
+    _near_points,
+)
+def test_add_refuses_exactly_the_roots_within_the_distinctness_radius_property(
+    norm_name, earlier, members, z
+):
+    norm = EUCLIDEAN if norm_name == "euclidean" else _BEAM.mass_norm
+    state = DeflationState(norm=norm)
+    for root in earlier:
+        try:
+            state.add_root(root)
+        except ValueError:  # within the guard of an earlier root
+            pass
+    sols = SolutionSet(state)
+    for member in members:
+        try:
+            sols.add(member, iterations=0, parameter=None)
+        except ValueError:
+            pass
+    roots, vectors = _bits(state.roots), _bits(sols.vectors())
+
+    # the kernel's distances are the per-root norms, bit for bit
+    per_root = [norm.norm(z - r) for r in state.roots]
+    assert np.array(norm.distances(z, state.roots)[0]).tobytes() == np.array(per_root).tobytes()
+
+    radius = DISTINCTNESS_TOL * (1.0 + norm.norm(z))
+    duplicate = any(norm.norm(z - r) <= radius for r in sols.vectors())
+    guarded = any(norm.norm(z - r) <= GUARD for r in state.roots)
+    if duplicate:
+        assert sols.add(z, iterations=1, parameter=None) is None
+    elif guarded:
+        with pytest.raises(ValueError, match="coincides with an already deflated root"):
+            sols.add(z, iterations=1, parameter=None)
+    else:
+        record = sols.add(z, iterations=3, parameter=0.25)
+        assert record is sols.records[-1]
+        assert (record.iterations, record.parameter) == (3, 0.25)
+        assert _bits(state.roots) == roots + _bits([z])
+        assert _bits(sols.vectors()) == vectors + _bits([z])
+        return
+    assert _bits(state.roots) == roots and _bits(sols.vectors()) == vectors
 
 
 _POLY_ROOTS = np.array([-2.0, -1.0, 0.5, 1.5, 3.0])

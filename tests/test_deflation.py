@@ -71,6 +71,16 @@ def test_factor_tends_to_one_far_away():
     assert abs(far - 1.0) <= 1e-11
 
 
+def test_guard_measures_column_roots_as_vectors():
+    # the guard measures a column root as the vector it holds
+    state = DeflationState(roots=[np.zeros((2, 1))])
+    with pytest.raises(ValueError, match="coincides with an already deflated root"):
+        state.add_root(np.full((2, 1), 1e-12))
+    state.add_root(np.array([[1.0], [0.0]]))
+    assert len(state.roots) == 2
+    assert deflation_factor(state, np.array([0.0, 1.0])) == pytest.approx(2.0 * 1.5, rel=1e-15)
+
+
 def test_factor_guard_raises():
     state = DeflationState()
     state.add_root(np.zeros(2))

@@ -159,9 +159,9 @@ def test_banded_deflation_terms_and_gradient(roots):
                 assert len(got.weighted) == len(want.weighted)
                 for row, wv in zip(got.weighted, want.weighted):
                     assert same_bits(row, wv)
-                gradient = outcome(ref.gradient, state, z, want)
+                gradient = outcome(ref.gradient, state, want)
                 if gradient is not OverflowError:  # d ** (p + 2) now reads inf there
-                    assert same_outcome(outcome(_gradient, state, z, got), gradient)
+                    assert same_outcome(outcome(_gradient, state, got), gradient)
             for root in state.roots:
                 for kernel in (_deflation_terms, ref.deflation_terms):
                     with pytest.raises(AtDeflatedRoot):

@@ -111,12 +111,13 @@ def test_unknown_benchmark():
 def test_registry_defaults():
     assert problems.defaults(Benchmark.GERARD).ncp is NcpFunction.MIN_MAX
     assert problems.defaults(Benchmark.GERARD).power == 1.0
-    assert problems.defaults(Benchmark.GERARD).line_search
+    assert problems.defaults(Benchmark.GERARD).line_search is True
+    assert problems.defaults(Benchmark.GERARD).least_squares_fallback is True
     for name in ("kojima-shindoh", "gould", "aggarwal"):
         rec = problems.defaults(name)
         assert rec.ncp is NcpFunction.FISCHER_BURMEISTER
         assert rec.power == 2.0 and rec.shift == 1.0
-        assert not rec.line_search
+        assert rec.line_search is False and rec.least_squares_fallback is False
     assert problems.list_benchmarks() == ["kojima-shindoh", "gould", "aggarwal", "gerard"]
 
 

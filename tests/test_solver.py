@@ -115,7 +115,7 @@ def test_deterministic_iteration_history():
 
 def test_backtracking_merit_nonincreasing():
     prob = problems.build("gerard")
-    config = SolverConfig(line_search="backtracking", singular_action="least-squares")
+    config = SolverConfig(line_search=True, least_squares_fallback=True)
     residual, derivative = mcp_callables(prob, NcpFunction.MIN_MAX)
     result = solve(residual, derivative, np.zeros(10), config)
     assert result.status is SolveStatus.CONVERGED
@@ -184,7 +184,7 @@ def test_singular_jacobian_status():
 
 def test_singular_least_squares_fallback():
     # minimum-norm steps ignore the dead component and solve the live one
-    config = SolverConfig(singular_action="least-squares", max_iter=10)
+    config = SolverConfig(least_squares_fallback=True, max_iter=10)
     result = solve(
         at_z(lambda z: np.array([0.0, z[1] - 2.0])),
         plain_derivative(lambda z: np.array([[0.0, 0.0], [0.0, 1.0]])),
@@ -197,7 +197,7 @@ def test_singular_least_squares_fallback():
 
 def test_line_search_failed_on_stationary_merit():
     # constant residual: no step length can decrease the merit
-    config = SolverConfig(line_search="backtracking")
+    config = SolverConfig(line_search=True)
     result = solve(
         at_z(lambda z: np.array([1.0])),
         plain_derivative(lambda z: np.array([[1.0]])),
@@ -331,8 +331,11 @@ def test_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(line_search="cubic")
-    with pytest.raises(ValueError):
-        SolverConfig(singular_action="pinv")
+    # each switch is a bool: a former mode string, truthy or not, is refused
+    for field in ("line_search", "least_squares_fallback"):
+        for value in ("none", "backtracking", "error", "least-squares", 1, None):
+            with pytest.raises(ValueError, match=f"^{field} must be a bool"):
+                SolverConfig(**{field: value})
 
 
 class PointProbe:
@@ -396,7 +399,7 @@ def test_rejected_trial_points_never_reach_derivative():
         return np.arctan(z)
 
     probe = PointProbe(residual, lambda z: np.array([[1.0 / (1.0 + z[0] ** 2)]]))
-    config = SolverConfig(line_search="backtracking")
+    config = SolverConfig(line_search=True)
     result = solve(probe.residual, probe.derivative, np.array([3.0]), config)
     assert result.converged
     assert raised
@@ -420,7 +423,7 @@ def least_squares_probe():
         (
             least_squares_probe,
             np.array([1.0, 0.0]),
-            SolverConfig(singular_action="least-squares", max_iter=10),
+            SolverConfig(least_squares_fallback=True, max_iter=10),
             SolveStatus.CONVERGED,
         ),
     ],
@@ -491,7 +494,7 @@ def test_singular_deflated_step_falls_back_on_the_assembled_matrix(case):
     expected = -np.linalg.lstsq(scaled + rank_one, g0, rcond=None)[0]
     without = -np.linalg.lstsq(scaled, g0, rcond=None)[0]
     assert np.linalg.norm(without - expected) > 1e-3 * np.linalg.norm(expected)
-    result, step = first_step(system, 3, singular_action="least-squares")
+    result, step = first_step(system, 3, least_squares_fallback=True)
     assert result.status is SolveStatus.MAX_ITERATIONS and result.iterations == 1
     np.testing.assert_allclose(step, expected, rtol=1e-12, atol=1e-15)
     result, step = first_step(system, 3)
