@@ -56,14 +56,9 @@ def _json_string(text) -> str:
     return json.dumps(str(text), ensure_ascii=False)
 
 
-# Values formatted per ``%`` call: one call per number costs a Python call
-# each, one call per document holds the whole text twice in memory.
-_FLOAT_CHUNK = 512
-
-
 def _float_text(obj, pad: str, table: bool) -> str:
-    """The items of a list of floats, or with ``table`` of float lists, as
-    :func:`_write_json` lays them out at ``pad``, from one ``%`` call.
+    """A non-empty list of floats, or with ``table`` of float lists, as
+    :func:`_write_json` lays it out at ``pad``, from one ``%`` call.
 
     For a finite value :func:`_format_number` gives ``%.17g``, plus ".0"
     when that shows no point and no exponent, which happens exactly for
@@ -71,16 +66,17 @@ def _float_text(obj, pad: str, table: bool) -> str:
     A non-finite value prints as "nan" or "inf", and then every value goes
     through :func:`_format_number`.
     """
+    inner, end = pad + "  ", "\n" + pad + "]"
     if table:
-        inner = pad + "  "
-        first, sep, close = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
-        row_end = (close + ",\n" + pad + "  " + first,)
+        row, sep, close = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
+        first = "[\n" + inner + row
+        row_end = (close + ",\n" + inner + row,)
         values = list(chain.from_iterable(obj))
-        seps = list(chain.from_iterable((sep,) * (len(row) - 1) + row_end for row in obj))
-        seps[-1] = close
+        seps = list(chain.from_iterable((sep,) * (len(r) - 1) + row_end for r in obj))
+        seps[-1] = close + end
     else:
-        first, values = "", obj
-        seps = [",\n" + pad + "  "] * (len(obj) - 1) + [""]
+        first, values = "[\n" + inner, obj
+        seps = [",\n" + inner] * (len(obj) - 1) + [end]
     specs = ["%.17g"] * len(values)
     for i in compress(range(len(values)), map(float.is_integer, values)):
         if abs(values[i]) < 1e17:
@@ -90,17 +86,6 @@ def _float_text(obj, pad: str, table: bool) -> str:
         template = first + "".join(chain.from_iterable(zip(repeat("%s"), seps)))
         text = template % tuple(map(_format_number, values))
     return text
-
-
-def _write_floats(obj, out, pad: str, table: bool) -> None:
-    """Write a non-empty list of floats, or with ``table`` of float lists."""
-    step = max(1, _FLOAT_CHUNK // len(obj[0])) if table else _FLOAT_CHUNK
-    out.write("[\n" + pad + "  ")
-    for start in range(0, len(obj), step):
-        if start:
-            out.write(",\n" + pad + "  ")
-        out.write(_float_text(obj[start : start + step], pad, table))
-    out.write("\n" + pad + "]")
 
 
 def _all_floats(values) -> bool:
@@ -125,11 +110,11 @@ def _write_json(obj, out, indent: int = 0) -> None:
             return
         # solution vectors and node tables: one write per list or table
         if _all_floats(obj):
-            _write_floats(obj, out, pad, table=False)
+            out.write(_float_text(obj, pad, table=False))
             return
         rows = all(map(isinstance, obj, repeat((list, tuple)))) and all(obj)
         if rows and _all_floats(chain.from_iterable(obj)):
-            _write_floats(obj, out, pad, table=True)
+            out.write(_float_text(obj, pad, table=True))
             return
         out.write("[\n")
         for i, value in enumerate(obj):

@@ -153,6 +153,12 @@ class HermiteMesh1D:
     def refined(self) -> "HermiteMesh1D":
         return HermiteMesh1D(2 * self.elements, self.length)
 
+    def full_vector(self, y: np.ndarray) -> np.ndarray:
+        """The reduced unknowns ``y`` with the pinned end values (0) put back."""
+        full = np.zeros(self.full_dofs)
+        full[self.free_indices()] = y
+        return full
+
 
 def hermite_basis(h: float, xi: np.ndarray):
     """Cubic Hermite shape functions and x-derivatives at reference points.
@@ -284,11 +290,6 @@ class BeamDiscretization:
         nodes[:-1] += contrib[:, :2]
         return full[self.free]
 
-    def full_vector(self, y: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.mesh.full_dofs)
-        full[self.free] = y
-        return full
-
     def values_at_quadrature(self, y: np.ndarray) -> np.ndarray:
         """Trace of the finite element function at all quadrature points, (m, 4)."""
         return self._quadrature(y)[0]
@@ -360,7 +361,7 @@ class BeamDiscretization:
 
     def node_table(self, y: np.ndarray) -> np.ndarray:
         """Per-node (coordinate, value, slope) table for export."""
-        full = self.full_vector(y)
+        full = self.mesh.full_vector(y)
         return np.column_stack([self.mesh.nodes(), full[0::2], full[1::2]])
 
 
@@ -376,8 +377,7 @@ def prolong(mesh: HermiteMesh1D, y: np.ndarray) -> np.ndarray:
     the cubic is evaluated exactly, so prolongation is exact for the
     represented function.
     """
-    y_full = np.zeros(mesh.full_dofs)
-    y_full[mesh.free_indices()] = np.asarray(y, dtype=float)
+    y_full = mesh.full_vector(y)
 
     mid_n, mid_dn, _ = hermite_basis(mesh.h, np.array([0.5]))
     elems = y_full[2 * np.arange(mesh.elements)[:, None] + np.arange(4)[None, :]]
@@ -407,9 +407,7 @@ def restrict(mesh: HermiteMesh1D, coarse: HermiteMesh1D, y: np.ndarray) -> np.nd
     pairs are copied.  Slope unknowns are physical derivatives, so this is
     exact at the coarse nodes and undoes :func:`prolong`.
     """
-    y_full = np.zeros(mesh.full_dofs)
-    y_full[mesh.free_indices()] = np.asarray(y, dtype=float)
-    nodes = y_full.reshape(-1, 2)[:: mesh.elements // coarse.elements]
+    nodes = mesh.full_vector(y).reshape(-1, 2)[:: mesh.elements // coarse.elements]
     return nodes.ravel()[coarse.free_indices()]
 
 
@@ -450,35 +448,28 @@ def gamma_schedule(gamma0: float, gamma_max: float, q: Optional[float] = None):
         values.append(g)
 
 
-def _too_coarse(h: float, gamma: float, step: int) -> bool:
-    """Whether elements of width ``h`` break the mesh rule at penalty ``gamma``.
+def path_meshes(mesh: HermiteMesh1D, values: Sequence[float]) -> list[HermiteMesh1D]:
+    """The mesh of each penalty in ``values`` on a path that starts on ``mesh``.
 
-    The rule is h <= slack / sqrt(gamma), with slack 1 at the initial
-    penalty (step 0) and 1 + 1e-12 at the later steps of the path.
-    """
-    return h > (1.0 if step == 0 else 1.0 + 1e-12) / math.sqrt(gamma)
-
-
-def final_elements(mesh: HermiteMesh1D, gamma0: float, gamma_max: float) -> int:
-    """Element count of the last mesh of a penalty path that starts on ``mesh``.
-
-    Applies the refinement rule of :func:`path_follow` to the element count
-    alone, so no mesh is built.  Call it with a schedule that
-    :func:`gamma_schedule` accepts.
+    Each mesh is the previous one (``mesh`` for the first) refined until
+    h <= slack / sqrt(gamma), with slack 1 at the first penalty and
+    1 + 1e-12 after it.  Only mesh sizes are computed; nothing is assembled.
 
     Raises:
         ValueError: the path would need more than :data:`MAX_ELEMENTS` elements.
     """
-    elements = mesh.elements
-    for step, gamma in enumerate((gamma0, max(gamma0, gamma_max))):
-        while elements <= MAX_ELEMENTS and _too_coarse(mesh.length / elements, gamma, step):
-            elements *= 2
-    if elements > MAX_ELEMENTS:
-        raise ValueError(
-            f"a penalty path from {mesh.elements} elements to gamma = "
-            f"{max(gamma0, gamma_max):g} needs more than {MAX_ELEMENTS} elements (the cap)"
-        )
-    return elements
+    meshes, fine = [], mesh
+    for step, gamma in enumerate(values):
+        slack = 1.0 if step == 0 else 1.0 + 1e-12
+        while fine.elements <= MAX_ELEMENTS and fine.h > slack / math.sqrt(gamma):
+            fine = fine.refined()
+        if fine.elements > MAX_ELEMENTS:
+            raise ValueError(
+                f"a penalty path from {mesh.elements} elements to gamma = "
+                f"{max(values):g} needs more than {MAX_ELEMENTS} elements (the cap)"
+            )
+        meshes.append(fine)
+    return meshes
 
 
 def beam_solver_config(disc: BeamDiscretization, base: Optional[SolverConfig] = None) -> SolverConfig:
@@ -519,12 +510,13 @@ def path_follow(
     """Collect distinct penalized equilibria and continue them to gamma_max.
 
     One :func:`~deflated_newton.continuation.deflated_continuation` over
-    gamma0 and then the values of :func:`gamma_schedule`.  At each penalty
-    the mesh is refined until h <= 1/sqrt(gamma), prolonging the branches,
-    and the step deflates in the L2 norm of the mass matrix with the power
-    and shift of ``deflation`` (p=2, shift 1 by default), which must hold
-    no roots.  Every
-    step searches from the branch points and then from the pool, so
+    gamma0 and then the values of :func:`gamma_schedule`.  The mesh of each
+    penalty is decided up front by :func:`path_meshes` (h <= 1/sqrt(gamma)),
+    and each mesh is assembled once, in path order.  A step on a finer mesh
+    prolongs the branches to it.  Each step deflates in the L2 norm of the
+    mass matrix with the power and shift of ``deflation`` (p=2, shift 1 by
+    default), which must hold no roots.  Every step searches from the
+    branch points and then from the pool, so
     equilibria that only appear at larger penalties are picked up; at gamma0
     there are no branches yet, so that step is the search from the pool
     alone.  The pool holds the supplied guesses (default: the flat beam),
@@ -546,33 +538,30 @@ def path_follow(
             failed to re-converge at some step.
         ValueError: the penalty schedule is invalid (see :func:`gamma_schedule`),
             the final mesh would exceed :data:`MAX_ELEMENTS` elements (see
-            :func:`final_elements`), ``deflation`` holds roots, a guess
+            :func:`path_meshes`), ``deflation`` holds roots, a guess
             does not have the length of the initial mesh's unknowns,
             or the beam data overflow the assembled operator or load; all but
             the last are raised before any assembly.
     """
     values = [gamma0] + gamma_schedule(gamma0, gamma_max, q)
-    mesh = HermiteMesh1D(initial_elements, problem.length)
-    final_elements(mesh, gamma0, gamma_max)
+    initial = HermiteMesh1D(initial_elements, problem.length)
+    meshes = path_meshes(initial, values)
     operator = unrooted(deflation)
-    pool = [np.zeros(mesh.dofs)] if guesses is None else checked_guesses(guesses, mesh.dofs)
-    while _too_coarse(mesh.h, gamma0, 0):  # refining for gamma0 emits no event
-        pool = [prolong(mesh, guess) for guess in pool]
-        mesh = mesh.refined()
+    pool = [np.zeros(initial.dofs)] if guesses is None else checked_guesses(guesses, initial.dofs)
+    pool = [prolong_to(initial, meshes[0], guess) for guess in pool]  # emits no event
+    discs = {mesh: _discretization(problem, mesh) for mesh in dict.fromkeys(meshes)}
     # step 0's mesh: every newcomer search runs on it, from the pool
-    base = disc = _discretization(problem, mesh)
+    base = discs[meshes[0]]
     search_config = beam_solver_config(base, config)
 
     def step_at(step: int, gamma: float, branches: list) -> ContinuationStep:
-        nonlocal mesh, disc
-        while _too_coarse(mesh.h, gamma, step):
+        mesh, fine = meshes[max(step - 1, 0)], meshes[step]
+        while mesh != fine:
+            branches = [replace(rec, z=prolong(mesh, rec.z)) for rec in branches]
             mesh = mesh.refined()
             _emit(events, kind="refine", step=step, parameter=gamma,
                   detail=f"elements={mesh.elements}")
-        if disc.mesh != mesh:  # assemble a mesh once
-            branches = [replace(rec, z=prolong_to(disc.mesh, mesh, rec.z)) for rec in branches]
-            disc = _discretization(problem, mesh)
-        at, fine = disc, mesh
+        at = discs[fine]
         search = None if at is base else SearchLevel(
             lambda z: (base.residual(gamma, z), z), lambda z: base.derivative(gamma, z),
             search_config, base.mass_norm,
@@ -581,11 +570,11 @@ def path_follow(
         return ContinuationStep(
             lambda z: (at.residual(gamma, z), z), lambda z: at.derivative(gamma, z),
             beam_solver_config(at, config), at.mass_norm, branches, pool,
-            f"elements={mesh.elements}", search,
+            f"elements={fine.elements}", search,
         )
 
     solutions = deflated_continuation(values, step_at, operator, max_roots, events, "penalty")
     if len(solutions) == 0:  # only the search at gamma0 can end empty
         message = f"no solution found at the initial penalty {gamma0}"
         raise AllBranchesLost(message, solutions, None)
-    return PathState(values[-1], mesh, solutions)
+    return PathState(values[-1], meshes[-1], solutions)

@@ -267,7 +267,7 @@ def test_criterion_7_beam_path(beam_path, beam_path_subcritical, inactive_branch
         issues.append(f"{len(inactive)} inactive solutions, expected 1")
     else:
         rec = inactive[0]
-        values = disc.full_vector(rec.z)[0::2]
+        values = disc.mesh.full_vector(rec.z)[0::2]
         if np.abs(values).max() >= alpha:
             issues.append("inactive solution touches the bounds")
         # against the exact solution z* of (2K - 2G) y = f: the exactly evaluated
@@ -289,7 +289,7 @@ def test_criterion_7_beam_path(beam_path, beam_path_subcritical, inactive_branch
                 f"{ref.direct_gap:.2e} away)"
             )
 
-    node_values = [disc.full_vector(rec.z)[0::2] for rec in records]
+    node_values = [disc.mesh.full_vector(rec.z)[0::2] for rec in records]
     if not any(v.min() <= -alpha + 1e-4 for v in node_values):
         issues.append("no solution touches the lower bound")
     if not any(v.max() >= alpha - 1e-4 for v in node_values):

@@ -1,8 +1,11 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cholesky_banded
 
 from deflated_newton import continuation, deflation, obstacle1d
@@ -19,10 +22,10 @@ from deflated_newton.obstacle1d import (
     BeamProblem,
     HermiteMesh1D,
     beam_solver_config,
-    final_elements,
     gamma_schedule,
     hermite_basis,
     path_follow,
+    path_meshes,
     prolong,
     prolong_to,
     restrict,
@@ -393,7 +396,7 @@ def test_prolongation_trace_is_the_coarse_cubic(case):
     fine = mesh.refined()
     assert 2 * fine.h == mesh.h
     trace = _discretization(problem, fine).values_at_quadrature(prolong(mesh, y))
-    fine_full = _discretization(problem, fine).full_vector(prolong(mesh, y))
+    fine_full = fine.full_vector(prolong(mesh, y))
     basis = _discretization(problem, fine).basis  # (shape function, Gauss point)
 
     h, h_fine = Fraction(mesh.h), Fraction(fine.h)
@@ -481,26 +484,75 @@ def test_refinement_beyond_the_cap_fails_before_any_mesh(monkeypatch, gamma_max)
 
     monkeypatch.setattr(obstacle1d, "_discretization", no_mesh)
     with pytest.raises(ValueError, match=f"more than {MAX_ELEMENTS} elements"):
-        final_elements(HermiteMesh1D(64), 10.0, gamma_max)
+        path_meshes(HermiteMesh1D(64), [10.0] + gamma_schedule(10.0, gamma_max))
     events = []
     with pytest.raises(ValueError, match=f"more than {MAX_ELEMENTS} elements"):
         path_follow(BeamProblem(), gamma_max=gamma_max, events=events)
     assert events == []
 
 
-def test_final_elements_follows_the_mesh_rule(beam_path):
+def final_elements(elements, gamma0, gamma_max):
+    """Element count of the last mesh of the default path from gamma0 to gamma_max."""
+    values = [gamma0] + gamma_schedule(gamma0, gamma_max)
+    return path_meshes(HermiteMesh1D(elements), values)[-1].elements
+
+
+def test_path_meshes_follow_the_mesh_rule(beam_path):
     problem, state, events = beam_path
-    assert final_elements(HermiteMesh1D(64), 10.0, 1e6) == state.mesh.elements == 1024
+    assert final_elements(64, 10.0, 1e6) == state.mesh.elements == 1024
     # the cap itself is reachable: h = 2^-16 meets h <= 1/sqrt(gamma) at 2^32
-    assert final_elements(HermiteMesh1D(64), 10.0, 2.0**32) == MAX_ELEMENTS
+    assert final_elements(64, 10.0, 2.0**32) == MAX_ELEMENTS
     with pytest.raises(ValueError):
-        final_elements(HermiteMesh1D(64), 10.0, 2.0**32 * 1.01)
+        final_elements(64, 10.0, 2.0**32 * 1.01)
     # only gamma0 counts when the schedule is empty, and only gamma_max otherwise
-    assert final_elements(HermiteMesh1D(64), 1e6, 10.0) == 1024
-    assert final_elements(HermiteMesh1D(8), 10.0, 1e2) == 16
+    assert final_elements(64, 1e6, 10.0) == 1024
+    assert final_elements(8, 10.0, 1e2) == 16
+    # an initial mesh over the cap fails even where the rule asks for nothing finer
+    with pytest.raises(ValueError, match=f"from {2 * MAX_ELEMENTS} elements to gamma = 10 "):
+        path_meshes(HermiteMesh1D(2 * MAX_ELEMENTS), [10.0])
     for gamma_max, q, mesh in ((1e4, None, 64), (3e5, 10.0, 32), (50.0, None, 8)):
         short = path_follow(BeamProblem(), gamma_max=gamma_max, q=q, initial_elements=mesh)
-        assert short.mesh.elements == final_elements(HermiteMesh1D(mesh), 10.0, gamma_max)
+        assert short.mesh.elements == final_elements(mesh, 10.0, gamma_max)
+
+
+def _coarsest(mesh, gamma, slack):
+    """Element count of the coarsest refinement of ``mesh`` meeting the rule, uncapped."""
+    elements = mesh.elements
+    while mesh.length / elements > slack / math.sqrt(gamma):
+        elements *= 2
+    return elements
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    elements=st.integers(1, 64),
+    length=st.sampled_from([0.5, 1.0, 3.0]),
+    gamma0=st.floats(-2.0, 6.0).map(lambda e: 10.0**e),
+    q=st.floats(1e-3, 2.0).map(lambda e: 10.0**e),
+    steps=st.integers(0, 12),
+)
+def test_path_meshes_are_the_coarsest_meeting_the_rule(elements, length, gamma0, q, steps):
+    initial = HermiteMesh1D(elements, length)
+    values = [gamma0 * q**k for k in range(steps + 1)]
+    slacks = [1.0] + [1.0 + 1e-12] * steps
+    # the meshes of a path are nested, so the last is the finest any penalty asks for
+    needed = max(_coarsest(initial, g, s) for g, s in zip(values, slacks))
+    with mock.patch.object(obstacle1d, "_discretization", side_effect=AssertionError):
+        if needed > MAX_ELEMENTS:
+            with pytest.raises(ValueError, match=f"from {elements} elements to gamma = "):
+                path_meshes(initial, values)
+            return
+        meshes = path_meshes(initial, values)
+    assert len(meshes) == len(values)
+    previous = initial
+    for mesh, gamma, slack in zip(meshes, values, slacks):
+        ratio, rest = divmod(mesh.elements, previous.elements)
+        assert mesh.length == length and rest == 0 and ratio & (ratio - 1) == 0
+        assert mesh.h <= slack / math.sqrt(gamma)
+        if mesh != previous:
+            assert 2 * mesh.h > slack / math.sqrt(gamma)
+        previous = mesh
+    assert meshes[-1].elements == needed
 
 
 @pytest.mark.parametrize(
@@ -747,8 +799,8 @@ def test_violation_bound_invariant(beam_path):
         active = np.flatnonzero(depth > 0.0)
         if active.size == 0:
             continue
-        curvature = (disc.full_vector(rec.z)[disc.elem_dofs] @ disc.basis_d2).ravel()
-        elastic = disc.full_vector(disc.load_vector - linear.matvec(rec.z))[0::2]
+        curvature = (disc.mesh.full_vector(rec.z)[disc.elem_dofs] @ disc.basis_d2).ravel()
+        elastic = disc.mesh.full_vector(disc.load_vector - linear.matvec(rec.z))[0::2]
         for zone in np.split(active, np.flatnonzero(np.diff(active) > 1) + 1):
             first, last = zone[0] // 4, zone[-1] // 4  # elements, 4 points each
             force = abs(float(elastic[first : last + 2].sum()))
