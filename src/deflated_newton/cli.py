@@ -35,7 +35,6 @@ from .solver import SolverConfig
 
 EXIT_OK = 0
 EXIT_NO_ROOTS = 1
-EXIT_USAGE = 2
 
 
 def _format_number(x: float) -> str:
@@ -414,7 +413,7 @@ def _run_beam(args, parser) -> int:
         parser.error(str(err))
     disc = _discretization(problem, state.mesh)
     roots = _root_entries(
-        state.solutions, lambda z: float(np.linalg.norm(disc.residual(state.gamma, z)))
+        state.solutions, lambda z: float(np.linalg.norm(disc.residual(state.gamma, z)[0]))
     )
     for entry, rec in zip(roots, state.solutions):
         entry.update(gamma=state.gamma, active_fraction=disc.active_fraction(rec.z),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -241,7 +241,6 @@ class BeamDiscretization:
         for q in range(4):
             table += pattern_bits[:, q : q + 1] * products[q]
         self._penalty_table = table[:, _PAIR_ORDER]
-        self._last_trace = None
 
         wb = self.quad_weights
         # finite beam data can still overflow here; that is checked below
@@ -292,60 +291,50 @@ class BeamDiscretization:
 
     def values_at_quadrature(self, y: np.ndarray) -> np.ndarray:
         """Trace of the finite element function at all quadrature points, (m, 4)."""
-        return self._quadrature(y)[0]
-
-    def _quadrature(self, y: np.ndarray) -> tuple[np.ndarray, bool]:
-        """The trace at y, read-only, and whether all of it lies in the channel.
-
-        A NaN value counts as outside.  The last result is kept, keyed on
-        the bytes of y, so that a residual and a derivative at the same
-        point compute it once.
-        """
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n,):
             raise ValueError(f"y must have length {self.n}")
-        key = y.tobytes()
-        last = self._last_trace
-        if last is not None and last[0] == key:
-            return last[1]
         # a trailing zero stands in for the pinned unknowns (index -1)
-        trace = np.concatenate((y, _PINNED))[self._red] @ self.basis
-        trace.flags.writeable = False
-        alpha = self.problem.half_width
-        result = trace, bool(trace.max() <= alpha and trace.min() >= -alpha)
-        self._last_trace = (key, result)
-        return result
+        return np.concatenate((y, _PINNED))[self._red] @ self.basis
 
-    def residual(self, gamma: float, y: np.ndarray) -> np.ndarray:
-        """Weak-form residual of the penalized energy at y.
+    def residual(self, gamma: float, y: np.ndarray) -> tuple[np.ndarray, Optional[tuple]]:
+        """Weak-form residual of the penalized energy at y, and its point.
 
-        With every quadrature value inside the channel and a finite gamma
-        the penalty block adds only zeros, and adding a zero leaves the
-        linear part as it is: that part is never -0.0, being a band sum
-        started at +0.0 minus the load.  So the block is skipped then.
+        The point, read by :meth:`derivative`, is the trace at y and whether
+        all of it lies in the channel (a NaN value counts as outside); at
+        gamma = 0 no trace is needed and the point is None.  With the trace
+        inside and a finite gamma the penalty block adds only zeros, and
+        adding a zero leaves the linear part as it is: that part is never
+        -0.0, being a band sum started at +0.0 minus the load.  So the block
+        is skipped then.
         """
         y = np.asarray(y, dtype=float)
         out = self._linear.matvec(y) - self.load_vector
-        if gamma != 0.0:
-            yq, inside = self._quadrature(y)
-            if not (inside and math.isfinite(gamma)):
-                # how far each value lies above (+) or below (-) the channel:
-                # yq minus its clip, the same bits as max(yq - alpha, 0) -
-                # max(-alpha - yq, 0), and +0.0 inside
-                alpha = self.problem.half_width
-                overshoot = yq - np.minimum(np.maximum(yq, -alpha), alpha)
-                contrib = (overshoot * self.quad_weights) @ self.basis.T
-                out += gamma * self._scatter_vector(contrib)
-        return out
+        if gamma == 0.0:
+            return out, None
+        yq = self.values_at_quadrature(y)
+        alpha = self.problem.half_width
+        inside = bool(yq.max() <= alpha and yq.min() >= -alpha)
+        if not (inside and math.isfinite(gamma)):
+            # how far each value lies above (+) or below (-) the channel:
+            # yq minus its clip, the same bits as max(yq - alpha, 0) -
+            # max(-alpha - yq, 0), and +0.0 inside
+            overshoot = yq - np.minimum(np.maximum(yq, -alpha), alpha)
+            contrib = (overshoot * self.quad_weights) @ self.basis.T
+            out += gamma * self._scatter_vector(contrib)
+        return out, (yq, inside)
 
-    def derivative(self, gamma: float, y: np.ndarray) -> BandedMatrix:
-        """Generalized derivative: the linear part plus the active penalty mass.
+    def derivative(self, gamma: float, point: Optional[tuple]) -> BandedMatrix:
+        """Generalized derivative at the point :meth:`residual` returned.
 
-        Quadrature points sitting exactly on a bound count as inactive.
-        With none active the shared, read-only linear part is returned.
+        The linear part plus the active penalty mass; quadrature points
+        sitting exactly on a bound count as inactive.  With none active the
+        shared, read-only linear part is returned.
         """
-        yq, inside = self._quadrature(y)
-        if gamma == 0.0 or inside:
+        if point is None:  # gamma == 0
+            return self._linear
+        yq, inside = point
+        if inside:
             return self._linear
         pattern = (np.abs(yq) > self.problem.half_width) @ _PATTERN_WEIGHTS
         hit = np.flatnonzero(pattern)
@@ -563,12 +552,12 @@ def path_follow(
                   detail=f"elements={mesh.elements}")
         at = discs[fine]
         search = None if at is base else SearchLevel(
-            lambda z: (base.residual(gamma, z), z), lambda z: base.derivative(gamma, z),
+            partial(base.residual, gamma), partial(base.derivative, gamma),
             search_config, base.mass_norm,
             lambda z: restrict(fine, base.mesh, z), lambda z: prolong_to(base.mesh, fine, z),
         )
         return ContinuationStep(
-            lambda z: (at.residual(gamma, z), z), lambda z: at.derivative(gamma, z),
+            partial(at.residual, gamma), partial(at.derivative, gamma),
             beam_solver_config(at, config), at.mass_norm, branches, pool,
             f"elements={fine.elements}", search,
         )

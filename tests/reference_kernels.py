@@ -101,8 +101,12 @@ def values_at_quadrature(disc, y) -> np.ndarray:
     return np.append(y, 0.0)[disc._red] @ disc.basis
 
 
-def beam_residual(disc, gamma, y) -> np.ndarray:
-    """The penalty block on every call, from separate upper and lower parts."""
+def beam_residual(disc, gamma, y) -> tuple[np.ndarray, np.ndarray]:
+    """The penalty block on every call, from separate upper and lower parts.
+
+    The point is ``y`` itself, so :func:`beam_derivative` computes the trace
+    afresh.
+    """
     y = np.asarray(y, dtype=float)
     out = disc._linear.matvec(y) - disc.load_vector
     if gamma != 0.0:
@@ -112,7 +116,7 @@ def beam_residual(disc, gamma, y) -> np.ndarray:
         lower = np.maximum(-alpha - yq, 0.0)
         contrib = ((upper - lower) * disc.quad_weights) @ disc.basis.T
         out += gamma * disc._scatter_vector(contrib)
-    return out
+    return out, y
 
 
 def penalty_table(disc) -> np.ndarray:

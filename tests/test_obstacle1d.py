@@ -136,7 +136,7 @@ def test_residual_at_flat_beam_is_minus_load():
     problem = BeamProblem()
     mesh = HermiteMesh1D(32)
     disc = BeamDiscretization(problem, mesh)
-    res = disc.residual(50.0, np.zeros(mesh.dofs))
+    res = disc.residual(50.0, np.zeros(mesh.dofs))[0]
     np.testing.assert_allclose(res, -disc.load_vector, rtol=0, atol=1e-15)
 
 
@@ -147,7 +147,7 @@ def test_zero_penalty_is_plain_beam_residual():
     rng = np.random.RandomState(0)
     y = rng.randn(mesh.dofs)
     expected = 2.0 * disc.stiffness.matvec(y) - 2.0 * disc.geometric.matvec(y) - disc.load_vector
-    np.testing.assert_allclose(disc.residual(0.0, y), expected, atol=1e-12)
+    np.testing.assert_allclose(disc.residual(0.0, y)[0], expected, atol=1e-12)
 
 
 def beam_energy(disc, gamma, y):
@@ -167,7 +167,7 @@ def test_residual_is_gradient_of_energy():
     rng = np.random.RandomState(1)
     for _ in range(4):
         y = rng.randn(mesh.dofs) * 0.5
-        res = disc.residual(gamma, y)
+        res = disc.residual(gamma, y)[0]
         fd = np.zeros_like(y)
         for j in range(y.size):
             h = 1e-6 * (1.0 + abs(y[j]))
@@ -186,11 +186,11 @@ def test_derivative_matches_directional_differences():
     rng = np.random.RandomState(2)
     for _ in range(4):
         y = rng.randn(mesh.dofs) * 0.5
-        jac = disc.derivative(gamma, y)
+        jac = disc.derivative(gamma, disc.residual(gamma, y)[1])
         direction = rng.randn(mesh.dofs)
         h = 1e-7
         fd = (
-            disc.residual(gamma, y + h * direction) - disc.residual(gamma, y - h * direction)
+            disc.residual(gamma, y + h * direction)[0] - disc.residual(gamma, y - h * direction)[0]
         ) / (2 * h)
         assert np.linalg.norm(fd - jac.matvec(direction)) <= 1e-5 * np.linalg.norm(fd)
 
@@ -200,7 +200,7 @@ def test_derivative_without_contact_is_linear_part():
     mesh = HermiteMesh1D(16)
     disc = BeamDiscretization(problem, mesh)
     y = np.zeros(mesh.dofs)
-    jac = disc.derivative(1e6, y)
+    jac = disc.derivative(1e6, disc.residual(1e6, y)[1])
     expected = 2.0 * disc.stiffness - 2.0 * disc.geometric
     np.testing.assert_array_equal(jac.to_dense(), expected.to_dense())
 
@@ -217,7 +217,7 @@ def test_contact_exactly_at_bound_counts_inactive():
     interior = slice(2, mesh.elements - 2)
     values = disc.values_at_quadrature(y)[interior]
     assert np.abs(values - problem.half_width).max() <= 1e-15
-    jac = disc.derivative(1e6, y)
+    jac = disc.derivative(1e6, disc.residual(1e6, y)[1])
     linear = 2.0 * disc.stiffness - 2.0 * disc.geometric
     # rows touching only interior elements carry no penalty term
     np.testing.assert_array_equal(
@@ -257,14 +257,15 @@ def test_derivative_matches_elementwise_assembly(elements):
         disc = BeamDiscretization(BeamProblem(half_width=float(width)), mesh)
         for gamma in (1e1, 1e6):
             expected = reference_derivative(disc, gamma, y)
-            got = disc.derivative(gamma, y)
+            got = disc.derivative(gamma, disc.residual(gamma, y)[1])
             err = np.abs(got.data - expected.data).max() / np.abs(expected.data).max()
             assert err <= 1e-13, f"width {width}: relative error {err:.2e}"
     # a point on the bound is inactive: widening the channel by a hair
     # changes nothing, narrowing it by a hair activates the point
     for width in (yq.max(), -yq.min()):
         def jac(w):
-            return BeamDiscretization(BeamProblem(half_width=float(w)), mesh).derivative(1e6, y)
+            disc = BeamDiscretization(BeamProblem(half_width=float(w)), mesh)
+            return disc.derivative(1e6, disc.residual(1e6, y)[1])
 
         on_bound = jac(width).data
         np.testing.assert_array_equal(on_bound, jac(width * (1.0 + 1e-12)).data)
@@ -272,19 +273,42 @@ def test_derivative_matches_elementwise_assembly(elements):
 
 
 def test_quadrature_trace_follows_changed_values():
-    # residual and derivative share the trace of one point; a point changed
-    # in place must not reuse the old trace
+    # the residual hands its trace to the derivative as the point; a point
+    # taken at y must not change when y is changed in place afterwards
     problem = BeamProblem()
     mesh = HermiteMesh1D(16)
     disc = BeamDiscretization(problem, mesh)
     y = np.full(mesh.dofs, 0.5)
-    before = disc.derivative(1e3, y).data.copy()
+    _, point = disc.residual(1e3, y)
+    before = disc.derivative(1e3, point).data.copy()
     y[:] = 0.0
-    after = disc.derivative(1e3, y)
+    np.testing.assert_array_equal(disc.derivative(1e3, point).data, before)
+    value, changed = disc.residual(1e3, y)
+    after = disc.derivative(1e3, changed)
     linear = 2.0 * disc.stiffness - 2.0 * disc.geometric
     np.testing.assert_array_equal(after.data, linear.data)
     assert not np.array_equal(before, after.data)
-    np.testing.assert_array_equal(disc.residual(1e3, y), -disc.load_vector)
+    np.testing.assert_array_equal(value, -disc.load_vector)
+
+
+def test_discretization_keeps_no_per_point_state():
+    # residual and derivative share the trace through the point they pass,
+    # not through anything the discretization keeps
+    disc = BeamDiscretization(BeamProblem(), HermiteMesh1D(8))
+    before = dict(vars(disc))
+
+    def assert_unchanged():
+        after = vars(disc)
+        assert after.keys() == before.keys()
+        assert [key for key in before if after[key] is not before[key]] == []
+
+    rng = np.random.default_rng(5)
+    for gamma in (10.0, 1e6, 0.0):
+        for y in (np.zeros(disc.n), rng.standard_normal(disc.n), np.full(disc.n, 0.5)):
+            result = disc.residual(gamma, y)
+            assert_unchanged()
+            disc.derivative(gamma, result[1])
+            assert_unchanged()
 
 
 def test_prolongation_is_exact():
@@ -904,7 +928,7 @@ def test_banded_solve_matches_dense_on_active_jacobian():
     y_full[0::2] = 0.9 * np.sin(np.pi * x)
     y_full[1::2] = 0.9 * np.pi * np.cos(np.pi * x)
     y = y_full[mesh.free_indices()]
-    jac = disc.derivative(1000.0, y)
+    jac = disc.derivative(1000.0, disc.residual(1000.0, y)[1])
     assert disc.active_fraction(y) > 0.0
     rng = np.random.RandomState(4)
     b = rng.randn(mesh.dofs)
