@@ -15,6 +15,7 @@ import sys
 import time
 from dataclasses import replace
 from itertools import chain, compress, repeat
+from operator import is_
 from typing import Optional
 
 import numpy as np
@@ -51,19 +52,43 @@ def _format_number(x: float) -> str:
 
 def _json_string(text) -> str:
     # json.dumps escapes quotes, backslashes and control characters as
-    # RFC 8259 requires; ensure_ascii=False keeps other characters as they are
-    return json.dumps(str(text), ensure_ascii=False)
+    # RFC 8259 requires; ensure_ascii=False keeps other characters as they
+    # are, so printable ASCII without either of the two is only quoted
+    text = str(text)
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    return json.dumps(text, ensure_ascii=False)
 
 
-def _float_text(obj, pad: str, table: bool) -> str:
-    """A non-empty list of floats, or with ``table`` of float lists, as
-    :func:`_write_json` lays it out at ``pad``, from one ``%`` call.
+def _format_floats(values: list) -> list[str]:
+    """Each float of ``values`` as :func:`_format_number` writes it, from one
+    ``%`` call.
 
     For a finite value :func:`_format_number` gives ``%.17g``, plus ".0"
     when that shows no point and no exponent, which happens exactly for
     integral values below 1e17; those ``%.1f`` writes with the same digits.
     A non-finite value prints as "nan" or "inf", and then every value goes
-    through :func:`_format_number`.
+    through :func:`_format_number`.  No number holds a comma.
+    """
+    specs = ["%.17g"] * len(values)
+    for i in compress(range(len(values)), map(float.is_integer, values)):
+        if abs(values[i]) < 1e17:
+            specs[i] = "%.1f"
+    text = ",".join(specs) % tuple(values)
+    if "n" in text:
+        return list(map(_format_number, values))
+    return text.split(",")
+
+
+def _float_text(obj, pad: str, table: bool, texts: dict) -> str:
+    """A non-empty list of floats, or with ``table`` of float lists, as
+    :func:`_write_json` lays it out at ``pad``.
+
+    ``texts`` maps each float value formatted so far in the document to its
+    text; the values not in it yet are formatted by one
+    :func:`_format_floats` call and added.  Equal floats print alike, except
+    0.0 and -0.0, so zeros are never kept; a NaN, equal to no other float,
+    is found only as the same object.
     """
     inner, end = pad + "  ", "\n" + pad + "]"
     if table:
@@ -76,15 +101,18 @@ def _float_text(obj, pad: str, table: bool) -> str:
     else:
         first, values = "[\n" + inner, obj
         seps = [",\n" + inner] * (len(obj) - 1) + [end]
-    specs = ["%.17g"] * len(values)
-    for i in compress(range(len(values)), map(float.is_integer, values)):
-        if abs(values[i]) < 1e17:
-            specs[i] = "%.1f"
-    text = (first + "".join(chain.from_iterable(zip(specs, seps)))) % tuple(values)
-    if "n" in text:
-        template = first + "".join(chain.from_iterable(zip(repeat("%s"), seps)))
-        text = template % tuple(map(_format_number, values))
-    return text
+    strs = list(map(texts.get, values))
+    if None in strs:
+        fresh = list(compress(values, map(is_, strs, repeat(None))))
+        new = _format_floats(fresh)
+        texts.update(zip(fresh, new))
+        texts.pop(0.0, None)  # 0.0 and -0.0 are one key, but two texts
+        if len(fresh) == len(values):
+            strs = new
+        else:
+            new = iter(new)
+            strs = [next(new) if text is None else text for text in strs]
+    return first + "".join(chain.from_iterable(zip(strs, seps)))
 
 
 def _all_floats(values) -> bool:
@@ -92,6 +120,13 @@ def _all_floats(values) -> bool:
 
 
 def _write_json(obj, out, indent: int = 0) -> None:
+    """Write ``obj`` to ``out`` as JSON indented from ``indent``; a nonzero
+    float that the document's float lists hold more than once is formatted
+    once."""
+    _write_value(obj, out, indent, {})
+
+
+def _write_value(obj, out, indent: int, texts: dict) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -100,7 +135,7 @@ def _write_json(obj, out, indent: int = 0) -> None:
         out.write("{\n")
         for i, (key, value) in enumerate(obj.items()):
             out.write(f"{pad}  {_json_string(key)}: ")
-            _write_json(value, out, indent + 1)
+            _write_value(value, out, indent + 1, texts)
             out.write(",\n" if i + 1 < len(obj) else "\n")
         out.write(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -109,16 +144,16 @@ def _write_json(obj, out, indent: int = 0) -> None:
             return
         # solution vectors and node tables: one write per list or table
         if _all_floats(obj):
-            out.write(_float_text(obj, pad, table=False))
+            out.write(_float_text(obj, pad, table=False, texts=texts))
             return
         rows = all(map(isinstance, obj, repeat((list, tuple)))) and all(obj)
         if rows and _all_floats(chain.from_iterable(obj)):
-            out.write(_float_text(obj, pad, table=True))
+            out.write(_float_text(obj, pad, table=True, texts=texts))
             return
         out.write("[\n")
         for i, value in enumerate(obj):
             out.write(pad + "  ")
-            _write_json(value, out, indent + 1)
+            _write_value(value, out, indent + 1, texts)
             out.write(",\n" if i + 1 < len(obj) else "\n")
         out.write(pad + "]")
     elif isinstance(obj, str):
@@ -415,9 +450,13 @@ def _run_beam(args, parser) -> int:
     roots = _root_entries(
         state.solutions, lambda z: float(np.linalg.norm(disc.residual(state.gamma, z)[0]))
     )
+    # node tables from the float objects of each "z" and one shared x
+    # column, so the writer formats each of them once
+    xs = state.mesh.nodes().tolist()
     for entry, rec in zip(roots, state.solutions):
+        values, slopes = state.mesh.node_columns(entry["z"])
         entry.update(gamma=state.gamma, active_fraction=disc.active_fraction(rec.z),
-                     nodes=disc.node_table(rec.z).tolist())
+                     nodes=list(map(list, zip(xs, values, slopes))))
     if args.dump is not None:
         for i, entry in enumerate(roots):
             with _open_output(f"{args.dump}{i}.txt", "--dump", parser) as handle:

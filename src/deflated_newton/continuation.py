@@ -82,17 +82,19 @@ class SolutionSet:
             parameter: Optional[float]) -> Optional[RootRecord]:
         """Append and deflate ``z`` and return its :class:`RootRecord`, or return
         None, changing nothing, when ``z`` lies within ``DISTINCTNESS_TOL *
-        (1 + ||z||)`` of a member in the deflation norm (one ``norm.distances``
-        pass).  A ValueError from :meth:`DeflationState.add_root` passes on."""
-        z = np.array(z, dtype=float)
+        (1 + ||z||)`` of a member in the deflation norm.  One
+        ``norm.distances`` pass over all roots of the deflation serves this
+        test and the guard of :meth:`DeflationState.add_root`, whose
+        ValueError (another shape, or within the guard) passes on."""
+        deflation = self.deflation
+        z = deflation._checked(z)
+        distances, _ = deflation.norm.distances(z.ravel(), deflation.stacked)
         if self.records:
-            norm = self.deflation.norm
-            distances, _ = norm.distances(z, self.deflation.roots[-len(self.records):])
-            radius = DISTINCTNESS_TOL * (1.0 + norm.norm(z))
-            if not all(d > radius for d in distances):
+            radius = DISTINCTNESS_TOL * (1.0 + deflation.norm.norm(z))
+            if not all(d > radius for d in distances[-len(self.records):]):
                 return None
-        self.deflation.add_root(z)
-        record = RootRecord(z, iterations, parameter)
+        deflation._append(z, distances)
+        record = RootRecord(z.copy(), iterations, parameter)  # not the deflated array
         self.records.append(record)
         return record
 

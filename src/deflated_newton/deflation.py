@@ -64,13 +64,19 @@ class NormSpec:
     def distances(self, z: np.ndarray, roots: Sequence[np.ndarray]) -> tuple[list, np.ndarray]:
         """The norms of z - r_i over ``roots``, and the ``(k, n)`` stack of W(z - r_i).
 
-        ``z`` is a vector; each root is taken flat.  The weight is applied
-        once to the stack of all z - r_i (an empty ``(0, n)`` stack with no
-        roots); each squared distance is the dot product of a row and its
-        weighted row, with the bits of the single ``v @ W v`` of :meth:`norm`.
+        ``z`` is a vector; ``roots`` is a ``(k, n)`` array, as
+        :attr:`DeflationState.stacked`, or a sequence of roots, each taken
+        flat.  The weight is applied once to the stack of all z - r_i (with
+        no roots, the stack is an empty ``(0, n)`` one and is its own
+        weighted stack); each squared distance is the dot product of a row
+        and its weighted row, with the bits of the single ``v @ W v`` of
+        :meth:`norm`.
         """
-        differences = z - np.array(roots).reshape(len(roots), z.size)
-        weighted = differences if self.weight is None else self.weight.matvec(differences)
+        differences = z - np.asarray(roots).reshape(len(roots), z.size)
+        if self.weight is None or not len(differences):
+            weighted = differences
+        else:
+            weighted = self.weight.matvec(differences)
         squares = np.matmul(differences[:, None, :], weighted[:, :, None])
         return [math.sqrt(max(square, 0.0)) for square in squares.ravel().tolist()], weighted
 
@@ -84,33 +90,47 @@ class DeflationState:
 
     Append roots between solves with :meth:`add_root`; never mutate during a
     solve.  ``power`` >= 1 and ``shift`` >= 0; defaults are power 2, shift 1.
-    Every distance to the roots, for the operator as for the guard, is
-    measured by ``norm.distances``.
+    ``stacked`` holds the same roots, flat, as the rows of one ``(k, n)``
+    array (``(0, 0)`` with none).  Every distance to the roots, for the
+    operator as for the guard, is measured by ``norm.distances`` on it.
     """
 
     power: float = 2.0
     shift: float = 1.0
     norm: NormSpec = field(default_factory=NormSpec)
     roots: list[np.ndarray] = field(default_factory=list)
+    stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1.0 <= self.power < math.inf:
             raise ValueError(f"deflation power must be finite and >= 1, got {self.power}")
         if not 0.0 <= self.shift < math.inf:
             raise ValueError(f"deflation shift must be finite and >= 0, got {self.shift}")
-        roots, self.roots = list(self.roots), []
+        roots, self.roots, self.stacked = list(self.roots), [], np.empty((0, 0))
         for r in roots:
             self.add_root(r)
 
     def add_root(self, root: np.ndarray) -> None:
         """Deflate a copy of ``root``; ValueError when it has another shape than
         the roots held or lies within :data:`GUARD` of one of them."""
+        root = self._checked(root)
+        self._append(root, self.norm.distances(root.ravel(), self.stacked)[0])
+
+    def _checked(self, root: np.ndarray) -> np.ndarray:
+        """A float copy of ``root``; ValueError when it has another shape than
+        the roots held."""
         root = np.array(root, dtype=float)
-        if any(known.shape != root.shape for known in self.roots):
+        if self.roots and self.roots[0].shape != root.shape:
             raise ValueError("all deflated roots must share one dimension")
-        distances, _ = self.norm.distances(root.ravel(), self.roots)
+        return root
+
+    def _append(self, root: np.ndarray, distances: Sequence[float]) -> None:
+        """Deflate the checked ``root``, whose distances to the roots held are
+        ``distances``; ValueError when one is within :data:`GUARD`."""
         if any(d <= GUARD for d in distances):
             raise ValueError("new root coincides with an already deflated root")
+        row = root.reshape(1, -1)
+        self.stacked = np.concatenate((self.stacked, row)) if self.roots else row.copy()
         self.roots.append(root)
 
 
@@ -134,7 +154,7 @@ def _deflation_terms(state: DeflationState, z: np.ndarray) -> _Terms:
     Raises:
         AtDeflatedRoot: z lies within :data:`GUARD` of a deflated root.
     """
-    distances, weighted = state.norm.distances(z, state.roots)
+    distances, weighted = state.norm.distances(z, state.stacked)
     alpha, factors = 1.0, []
     for d in distances:
         if d <= GUARD:

@@ -151,11 +151,10 @@ def _band_product(data: np.ndarray, hbw: int, v: np.ndarray) -> np.ndarray:
     n = data.shape[1]
     rows, width = 2 * hbw + 1, n + 2 * hbw
     lead = v.shape[:-1]
-    # the last ``rows`` places only complete the window's shape; none is read
-    buffer = np.empty(lead + (rows * (width + 1),))
+    # zero-filled for the margins; the last ``rows`` places only complete
+    # the window's shape, and none of them is read
+    buffer = np.zeros(lead + (rows * (width + 1),))
     grid = buffer[..., : rows * width].reshape(lead + (rows, width))
-    grid[..., :hbw] = 0.0
-    grid[..., hbw + n :] = 0.0
     # a reversed output view is fast; a reversed input is not
     np.multiply(data, v[..., None, :], out=grid[..., ::-1, hbw : hbw + n])
     window = buffer.reshape(lead + (rows, width + 1))[..., :n]
@@ -232,10 +231,7 @@ def _finite_scale(data: np.ndarray) -> float:
 
 def _lu_factor_banded(matrix: BandedMatrix) -> LuFactorization:
     n, hbw, data = matrix.n, matrix.hbw, matrix.data
-    # max|A| without an |A| temporary; a NaN entry makes both ends NaN
-    scale = max(float(data.max()), -float(data.min())) if n else 0.0
-    if not math.isfinite(scale):
-        raise ValueError("matrix entries must be finite")
+    scale = _finite_scale(data) if n else 0.0
     # gbtrf wants hbw extra rows on top for pivoting fill-in; the band is
     # copied once into a Fortran-ordered buffer that gbtrf factors in place
     ab = np.zeros((3 * hbw + 1, n), order="F")

@@ -156,8 +156,18 @@ class HermiteMesh1D:
     def full_vector(self, y: np.ndarray) -> np.ndarray:
         """The reduced unknowns ``y`` with the pinned end values (0) put back."""
         full = np.zeros(self.full_dofs)
-        full[self.free_indices()] = y
+        # the pinned values are the first and the last but one unknown
+        full[1:-2], full[-1] = y[:-1], y[-1]
         return full
+
+    def reduced_vector(self, full: np.ndarray) -> np.ndarray:
+        """The free unknowns of ``full``: all but the pinned end values."""
+        return np.concatenate((full[1:-2], full[-1:]))
+
+    def node_columns(self, y: Sequence[float]) -> tuple[list, list]:
+        """The value and slope columns of the nodes, as lists of the items of
+        the reduced unknowns ``y`` with the pinned end values 0.0 put in."""
+        return [0.0, *y[1:-1:2], 0.0], [*y[0::2], y[-1]]
 
 
 def hermite_basis(h: float, xi: np.ndarray):
@@ -291,9 +301,15 @@ class BeamDiscretization:
 
     def values_at_quadrature(self, y: np.ndarray) -> np.ndarray:
         """Trace of the finite element function at all quadrature points, (m, 4)."""
+        return self._trace(self._checked(y))
+
+    def _checked(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n,):
             raise ValueError(f"y must have length {self.n}")
+        return y
+
+    def _trace(self, y: np.ndarray) -> np.ndarray:
         # a trailing zero stands in for the pinned unknowns (index -1)
         return np.concatenate((y, _PINNED))[self._red] @ self.basis
 
@@ -308,11 +324,12 @@ class BeamDiscretization:
         -0.0, being a band sum started at +0.0 minus the load.  So the block
         is skipped then.
         """
-        y = np.asarray(y, dtype=float)
-        out = self._linear.matvec(y) - self.load_vector
+        y = self._checked(y)
+        out = self._linear.matvec(y)
+        out -= self.load_vector
         if gamma == 0.0:
             return out, None
-        yq = self.values_at_quadrature(y)
+        yq = self._trace(y)
         alpha = self.problem.half_width
         inside = bool(yq.max() <= alpha and yq.min() >= -alpha)
         if not (inside and math.isfinite(gamma)):
@@ -337,7 +354,7 @@ class BeamDiscretization:
         if inside:
             return self._linear
         pattern = (np.abs(yq) > self.problem.half_width) @ _PATTERN_WEIGHTS
-        hit = np.flatnonzero(pattern)
+        hit = pattern.nonzero()[0]
         if hit.size == 0:
             return self._linear
         blocks = gamma * self._penalty_table[pattern[hit]]
@@ -368,10 +385,14 @@ def prolong(mesh: HermiteMesh1D, y: np.ndarray) -> np.ndarray:
     """
     y_full = mesh.full_vector(y)
 
-    mid_n, mid_dn, _ = hermite_basis(mesh.h, np.array([0.5]))
+    # the shape functions and their derivatives at the midpoint, the exact
+    # values :func:`hermite_basis` gives there
+    h = mesh.h
+    mid_n = np.array([0.5, h / 8.0, 0.5, -h / 8.0])
+    mid_dn = np.array([-1.5 / h, -0.25, 1.5 / h, -0.25])
     elems = y_full[2 * np.arange(mesh.elements)[:, None] + np.arange(4)[None, :]]
-    mid_values = elems @ mid_n[:, 0]
-    mid_slopes = elems @ mid_dn[:, 0]
+    mid_values = elems @ mid_n
+    mid_slopes = elems @ mid_dn
 
     fine = mesh.refined()
     fine_full = np.zeros(fine.full_dofs)
@@ -379,7 +400,7 @@ def prolong(mesh: HermiteMesh1D, y: np.ndarray) -> np.ndarray:
     fine_full[1::4] = y_full[1::2]  # old node slopes
     fine_full[2::4] = mid_values
     fine_full[3::4] = mid_slopes
-    return fine_full[fine.free_indices()]
+    return fine.reduced_vector(fine_full)
 
 
 def prolong_to(mesh: HermiteMesh1D, fine: HermiteMesh1D, y: np.ndarray) -> np.ndarray:
@@ -397,7 +418,7 @@ def restrict(mesh: HermiteMesh1D, coarse: HermiteMesh1D, y: np.ndarray) -> np.nd
     exact at the coarse nodes and undoes :func:`prolong`.
     """
     nodes = mesh.full_vector(y).reshape(-1, 2)[:: mesh.elements // coarse.elements]
-    return nodes.ravel()[coarse.free_indices()]
+    return coarse.reduced_vector(nodes.ravel())
 
 
 def gamma_schedule(gamma0: float, gamma_max: float, q: Optional[float] = None):

@@ -253,6 +253,8 @@ def assemble_newton_derivative(
             d_b = d_b1 * d_b2
         row_scale.append(d_b)
         diag_add.append(d_a)
-    out = jac * np.array(row_scale)[:, None]
-    out.flat[:: n + 1] += diag_add
+    # C order makes the flat view below a view, whatever the layout of jac
+    out = np.multiply(jac, np.array(row_scale)[:, None], order="C")
+    diagonal = out.reshape(-1)[:: n + 1]
+    diagonal += diag_add
     return out

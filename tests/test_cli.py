@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from deflated_newton.cli import _build_parser, _write_json, main
+from deflated_newton.cli import _build_parser, _json_string, _write_json, main
 from deflated_newton.obstacle1d import (
     BeamProblem,
     HermiteMesh1D,
@@ -424,6 +424,38 @@ def test_json_writer_round_trips(doc):
         reference = io.StringIO()
         reference_write_json(doc, reference)
         assert out.getvalue() == reference.getvalue()
+
+
+def test_json_writer_formats_shared_float_objects_like_the_reference():
+    # one float object in a list and in table rows, equal values held by
+    # distinct objects, 0.0 and -0.0 as two objects, NaN and both infinities
+    shared = [0.0, -0.0, 1.5, 1 / 3, 1e17, 2.0**53, math.nan, math.inf, -math.inf, 5e-324]
+    copies = [float(repr(value)) for value in shared]
+    assert not any(a is b for a, b in zip(shared, copies))
+    rows = [[shared[i % 10], copies[3 * i % 10], shared[7 * i % 10]] for i in range(40)]
+    doc = {
+        "z": shared,
+        "nodes": rows,
+        "finite": [value for value in copies if math.isfinite(value)],
+        "zeros": [-0.0, 0.0, -0.0],
+        "again": copies[::-1],
+        "roots": [{"z": copies, "nodes": rows[::-1]}, {"z": [-0.0, 1.5], "nodes": [[0.0, -0.0]]}],
+    }
+    out, want = io.StringIO(), io.StringIO()
+    _write_json(doc, out)
+    reference_write_json(doc, want)
+    assert out.getvalue() == want.getvalue()
+
+
+_special_characters = st.sampled_from(
+    ['"', "\\", "\x00", "\n", "\x1f", " ", "~", "\x7f", "a", "\xe9", "\u2028", "\u2029", "\U0001f600"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.text(_special_characters)))
+def test_json_string_is_json_dumps_property(text):
+    assert _json_string(text) == json.dumps(text, ensure_ascii=False)
 
 
 def test_json_writer_escapes_control_characters():

@@ -1,7 +1,8 @@
 """The bytes of the CLI's ``--deterministic`` documents, pinned.
 
 Each command runs in-process through ``cli.main`` and its stdout is
-compared by SHA-256.  The set covers every benchmark's search, unshifted
+compared by SHA-256, as are the plain-text ``--dump`` files of one beam
+path.  The set covers every benchmark's search, unshifted
 deflation, parameter continuation and beam paths with several initial
 meshes, so a change to what the package computes or how a document is
 written shows here.  A change that moves any of these bytes must say why
@@ -33,8 +34,26 @@ PINNED = {
 }
 
 
+# the --dump files of `beam --gamma-max 1e4`, one per root
+DUMPS = {
+    "root0.txt": "181bfcfd21af3fe507369ce87f82d7987bac51b447eccfc63721191a9460bb2a",
+    "root1.txt": "6240945350a2e4a1ab11b023731884d18d19ea66a70131db36ce5633a991bbe1",
+    "root2.txt": "5b3dffa088aa91f177b1676ea1ad20b7133b2af8280566f7f55e982484a7b2c5",
+}
+
+
 @pytest.mark.parametrize("argv", list(PINNED), ids=" ".join)
 def test_deterministic_document_bytes(capsys, argv):
     assert main([*argv, "--deterministic"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED[argv]
+
+
+def test_beam_dump_bytes(capsys, tmp_path):
+    argv = ("beam", "--gamma-max", "1e4")
+    assert main([*argv, "--deterministic", "--dump", str(tmp_path / "root")]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[argv]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(DUMPS)
+    for name, digest in DUMPS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

@@ -506,27 +506,50 @@ def _bits(vectors):
     return [v.tobytes() for v in vectors]
 
 
+# now and then a point of another shape, which only an empty state takes
+_wrong_shapes = st.sampled_from([np.zeros(3), np.ones((2, 1)), np.full(1, 0.5)])
+
+
+def _assert_stacked(state):
+    """``state.stacked`` holds the bits of ``np.array(state.roots)``, a row per root."""
+    assert len(state.stacked) == len(state.roots)
+    assert state.stacked.tobytes() == np.array(state.roots).tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(_grid_points, max_size=3, unique_by=tuple),
-    st.lists(_points, max_size=12),
+    st.lists(st.one_of(_points, _points, _points, _wrong_shapes), max_size=12),
 )
 def test_solution_set_holds_the_one_root_list_property(earlier, additions):
     state = DeflationState(roots=[np.array(point) for point in earlier])
     sols = SolutionSet(state)
     before = _bits(state.roots)
+    _assert_stacked(state)
     for z in additions:
         roots, vectors = _bits(state.roots), _bits(sols.vectors())
+        stacked = state.stacked.tobytes()
         try:
             refused = sols.add(z, iterations=0, parameter=None) is None
         except ValueError:
             refused = True
+        _assert_stacked(state)
         if refused:
-            # a refused root, duplicate of a member or of an earlier root,
-            # changes neither list
+            # a refused root, duplicate of a member or of an earlier root, or
+            # of another shape, changes neither list nor the stacked array
             assert _bits(state.roots) == roots and _bits(sols.vectors()) == vectors
+            assert state.stacked.tobytes() == stacked
     assert sols.deflation is state
     assert _bits(state.roots) == before + _bits(sols.vectors())
+    assert not any(np.shares_memory(v, r) for v in sols.vectors() for r in state.roots)
+    # a copy rebuilds the stacked array from its roots; roots=[] starts empty
+    copy = dataclasses.replace(state)
+    _assert_stacked(copy)
+    assert copy.stacked.tobytes() == state.stacked.tobytes()
+    empty = dataclasses.replace(state, roots=[])
+    assert empty.roots == [] and empty.stacked.size == 0
+    _assert_stacked(empty)
+    _assert_stacked(state)
 
 
 # a few fixed points of the 4-element beam's 8 unknowns, each moved along a

@@ -340,6 +340,50 @@ def test_restriction_injects_the_coarse_nodes():
     np.testing.assert_array_equal(coarse, table)
 
 
+def reference_prolong(mesh, y):
+    """Prolongation with the midpoint basis tabulated by ``hermite_basis`` and
+    the free unknowns picked by ``free_indices``."""
+    y_full = np.zeros(mesh.full_dofs)
+    y_full[mesh.free_indices()] = y
+    mid_n, mid_dn, _ = hermite_basis(mesh.h, np.array([0.5]))
+    elems = y_full[2 * np.arange(mesh.elements)[:, None] + np.arange(4)[None, :]]
+    fine = mesh.refined()
+    fine_full = np.zeros(fine.full_dofs)
+    fine_full[0::4], fine_full[1::4] = y_full[0::2], y_full[1::2]
+    fine_full[2::4], fine_full[3::4] = elems @ mid_n[:, 0], elems @ mid_dn[:, 0]
+    return fine_full[fine.free_indices()]
+
+
+@pytest.mark.parametrize("elements, length", [(1, 1.0), (2, 0.3), (8, 2.5), (37, 1.0), (512, 1.0)])
+def test_mesh_transfers_match_the_index_based_ones_bitwise(elements, length):
+    mesh = HermiteMesh1D(elements, length)
+    rng = np.random.default_rng(elements)
+    y = rng.standard_normal(mesh.dofs) * 10.0 ** rng.integers(-5, 6, mesh.dofs)
+    y[::5] = -0.0
+    full = np.zeros(mesh.full_dofs)
+    full[mesh.free_indices()] = y
+    assert mesh.full_vector(y).tobytes() == full.tobytes()
+    assert mesh.reduced_vector(full).tobytes() == y.tobytes()
+    assert prolong(mesh, y).tobytes() == reference_prolong(mesh, y).tobytes()
+    fine = mesh.refined().refined()
+    z = rng.standard_normal(fine.dofs)
+    nodes = fine.full_vector(z).reshape(-1, 2)[::4].ravel()
+    assert restrict(fine, mesh, z).tobytes() == nodes[mesh.free_indices()].tobytes()
+
+
+@pytest.mark.parametrize("elements", [1, 2, 7])
+def test_node_columns_are_the_node_table_of_the_same_floats(elements):
+    mesh = HermiteMesh1D(elements, 2.5)
+    y = np.random.default_rng(elements).standard_normal(mesh.dofs)
+    y[0] = -0.0
+    items = y.tolist()
+    values, slopes = mesh.node_columns(items)
+    table = BeamDiscretization(BeamProblem(length=2.5), mesh).node_table(y)
+    assert np.array([values, slopes]).T.tobytes() == table[:, 1:].tobytes()
+    # every unknown appears once, as the very float object it was given
+    assert sorted(map(id, values[1:-1] + slopes)) == sorted(map(id, items))
+
+
 from fractions import Fraction  # noqa: E402
 
 from hypothesis import example, given, settings  # noqa: E402

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -394,6 +395,48 @@ def bounded_points(draw):
 def test_assembly_matches_reference_bitwise(case):
     problem, z = case
     assert_assembly_matches_reference(problem, z)
+
+
+def flat_iterator_derivative(problem, z, kind):
+    """The assembly with its diagonal added through ``out.flat``, as it was
+    before the flat view of ``out.reshape(-1)`` took that step."""
+    value = evaluate(problem, z)
+    jac = jacobian(problem, z, value)
+    lower, upper = problem.lower, problem.upper
+    n = problem.dimension
+    row_scale, diag_add = [], []
+    for i in range(n):
+        lo_finite, up_finite = math.isfinite(lower[i]), math.isfinite(upper[i])
+        if not lo_finite and not up_finite:
+            d_a, d_b = -0.0, 1.0
+        elif lo_finite and not up_finite:
+            d_a, d_b = phi_derivative(kind, z[i] - lower[i], value[i])
+        elif up_finite and not lo_finite:
+            d_a, d_b = phi_derivative(kind, upper[i] - z[i], -value[i])
+        else:
+            a2, b2 = upper[i] - z[i], -value[i]
+            d_a2, d_b2 = phi_derivative(kind, a2, b2)
+            d_a1, d_b1 = phi_derivative(kind, z[i] - lower[i], -phi(kind, a2, b2))
+            d_a, d_b = d_a1 + d_b1 * d_a2, d_b1 * d_b2
+        row_scale.append(d_b)
+        diag_add.append(d_a)
+    out = jac * np.array(row_scale)[:, None]
+    out.flat[:: n + 1] += diag_add
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_points(), st.booleans())
+def test_diagonal_add_matches_the_flat_iterator_bitwise(case, fortran):
+    # -0.0 entries on the diagonal and in the added values; a Jacobian in
+    # Fortran order must not turn the flat view into a copy
+    problem, z = case
+    if fortran:
+        derivative = problem.derivative
+        problem = dataclasses.replace(problem, derivative=lambda y: np.asfortranarray(derivative(y)))
+    for kind in (FB, MP):
+        got = assemble_newton_derivative(problem, z, kind)
+        assert got.tobytes() == flat_iterator_derivative(problem, z, kind).tobytes()
 
 
 def kink_distance(kind, lo, up, z, f):

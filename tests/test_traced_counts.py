@@ -7,7 +7,10 @@ in ROADMAP.md).  Each workload runs once through ``bench/run.py`` with
 aggarwal-continuation workload is not gated in ``BENCHMARK.json``, but its
 counts are pinned all the same.  ``deflation.norm.calls`` counts the
 single-vector norms, which only ``SolutionSet.add`` takes, one per
-distinctness radius; every distance to a root comes from one stacked pass.
+distinctness radius; every distance to a root comes from one stacked pass,
+which ``SolutionSet.add`` takes once per root, and which applies no weight
+to an empty stack.  ``linalg.banded_matvec.calls`` counts the banded
+products: the beam's linear parts and the mass-norm distances.
 """
 
 import json
@@ -44,6 +47,7 @@ PINNED = {
         "obstacle1d.residual.calls": 917,
         "obstacle1d.derivative.calls": 866,
         "deflation.norm.calls": 28,
+        "linalg.banded_matvec.calls": 1781,
     },
 }
 
