@@ -269,22 +269,23 @@ def _beam_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI parser; with ``command``, only that subcommand gets arguments.
+    """The CLI parser; with ``command``, only that subcommand is registered.
 
-    Every subcommand is registered either way, so usage lines and errors
-    read the same, and a command line that starts with ``command`` parses
-    to the same namespace.  Adding arguments is most of the parser's cost,
-    paid in every CLI process.
+    The trimmed parser's metavar then lists all four subcommands, as the
+    full parser's usage line does, so usage lines and errors read the same,
+    and a command line that starts with ``command`` parses to the same
+    namespace.  Building subparsers is most of the parser's cost, paid in
+    every CLI process.
     """
     parser = argparse.ArgumentParser(
         prog="deflated-newton",
         description="Find distinct solutions of complementarity problems by deflation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (help_line, add_arguments, _) in _COMMANDS.items():
-        command_parser = sub.add_parser(name, help=help_line)
         if command is None or command == name:
-            add_arguments(command_parser)
+            add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -460,9 +461,9 @@ def _run_beam(args, parser) -> int:
     if args.dump is not None:
         for i, entry in enumerate(roots):
             with _open_output(f"{args.dump}{i}.txt", "--dump", parser) as handle:
-                handle.write("# x value slope\n")
-                for x, value, slope in entry["nodes"]:
-                    handle.write(f"{x:.17g} {value:.17g} {slope:.17g}\n")
+                rows = entry["nodes"]
+                text = "%.17g %.17g %.17g\n" * len(rows) % tuple(chain.from_iterable(rows))
+                handle.write("# x value slope\n" + text)
     doc = {
         "problem": "beam",
         "settings": {

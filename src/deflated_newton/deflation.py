@@ -174,12 +174,23 @@ def _power(base: float, exponent: float) -> float:
 
 
 def _gradient(state: DeflationState, terms: _Terms) -> np.ndarray:
-    # the terms of all roots, then one sum over them in root order; a term
-    # whose d ** (p + 2) overflows is below every float and reads +-0
+    # each root's term (alpha / m_i) (-p) W(z - r_i) / d_i ** (p + 2), summed
+    # in root order from 0.0; a term whose d ** (p + 2) overflows is below
+    # every float and reads +-0
     p = state.power
-    scales = np.array([(terms.alpha / m) * (-p) for m in terms.factors])
-    divisors = np.array([_power(d, p + 2.0) for d in terms.distances])
-    parts = scales[:, None] * terms.weighted / divisors[:, None]
+    scales = [(terms.alpha / m) * (-p) for m in terms.factors]
+    divisors = [_power(d, p + 2.0) for d in terms.distances]
+    if state.norm.weight is None:
+        # the dense benchmarks' k * n <= 30 terms cost less on Python floats
+        # than numpy's per-call overhead; the operations and their order are
+        # the broadcast's below, so the bits are the same (a divisor that
+        # underflows to 0 raises ZeroDivisionError)
+        grad = [0.0] * terms.weighted.shape[1]
+        for row, scale, divisor in zip(terms.weighted.tolist(), scales, divisors):
+            for i, w in enumerate(row):
+                grad[i] += scale * w / divisor
+        return np.array(grad)
+    parts = np.array(scales)[:, None] * terms.weighted / np.array(divisors)[:, None]
     return np.add.reduce(parts, axis=0, initial=0.0)
 
 
@@ -233,8 +244,15 @@ class DeflatedSystem:
         inner, terms = point
         jac = self._jacobian(inner)
         try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if self.state.norm.weight is None:
+                # the float gradient raises no numpy flag; an overflow or an
+                # invalid operation leaves an inf or NaN entry instead
                 grad = _gradient(self.state, terms)
-        except (OverflowError, FloatingPointError):
+                if not all(map(math.isfinite, grad.tolist())):
+                    raise FloatingPointError
+            else:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    grad = _gradient(self.state, terms)
+        except (OverflowError, FloatingPointError, ZeroDivisionError):
             raise NonFiniteResidual("deflation gradient overflows") from None
         return terms.alpha, jac, grad

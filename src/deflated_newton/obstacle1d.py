@@ -205,6 +205,9 @@ def hermite_basis(h: float, xi: np.ndarray):
     return n, dn, d2n
 
 
+_OVERFLOW = "beam data overflow: the assembled operator or load is not finite"
+
+
 class BeamDiscretization:
     """Assembled matrices and penalty evaluation for one problem and mesh."""
 
@@ -213,7 +216,10 @@ class BeamDiscretization:
         self.mesh = mesh
         m, h = mesh.elements, mesh.h
 
-        self.basis, self.basis_d1, self.basis_d2 = hermite_basis(h, GAUSS_POINTS)
+        try:
+            self.basis, self.basis_d1, self.basis_d2 = hermite_basis(h, GAUSS_POINTS)
+        except OverflowError:  # h ** 2 past the double range
+            raise ValueError(_OVERFLOW) from None
         self.quad_weights = GAUSS_WEIGHTS * h  # physical weights, same per element
 
         elem = np.arange(m)
@@ -268,7 +274,7 @@ class BeamDiscretization:
             self.operator_scale = self._linear.infinity_norm()
         # a NaN or infinite entry makes its row sum, hence the scale, non-finite
         if not (math.isfinite(self.operator_scale) and all_finite(self.load_vector)):
-            raise ValueError("beam data overflow: the assembled operator or load is not finite")
+            raise ValueError(_OVERFLOW)
         self._linear.data.flags.writeable = False
         self.mass_norm = NormSpec(self.mass)  # the L2 norm the beam deflates in
 
@@ -364,11 +370,6 @@ class BeamDiscretization:
         yq = self.values_at_quadrature(y)
         alpha = self.problem.half_width
         return float(((yq > alpha) | (yq < -alpha)).mean())
-
-    def node_table(self, y: np.ndarray) -> np.ndarray:
-        """Per-node (coordinate, value, slope) table for export."""
-        full = self.mesh.full_vector(y)
-        return np.column_stack([self.mesh.nodes(), full[0::2], full[1::2]])
 
 
 @lru_cache(maxsize=16)

@@ -233,23 +233,21 @@ def _backtrack(residual, z, step, rnorm):
 
     The Newton direction predicts a merit slope of -||F||^2, so sufficient
     decrease reads m(z + t d) <= (1 - 2 c t) m(z), c = LS_SUFFICIENT_DECREASE.
-    Trial points that raise or return non-finite values are rejected like
-    failed decrease.  Returns ``(trial, F(trial), point)`` of the accepted
+    Trial points that raise are rejected like failed decrease, and so are
+    those whose residual holds an inf or NaN: its merit is inf or NaN, which
+    fails the test.  Returns ``(trial, F(trial), point)`` of the accepted
     trial, or None.
     """
     merit0 = 0.5 * rnorm * rnorm
     t = 1.0
     while True:
         trial = z + t * step
-        r_trial = None
         try:
             value, point = residual(trial)
-            r_candidate = np.asarray(value, dtype=float)
-            if all_finite(r_candidate):
-                r_trial = r_candidate
         except (AtDeflatedRoot, NonFiniteResidual):
-            r_trial = None
-        if r_trial is not None:
+            pass
+        else:
+            r_trial = np.asarray(value, dtype=float)
             merit = 0.5 * float(np.vdot(r_trial, r_trial))
             if merit <= (1.0 - 2.0 * LS_SUFFICIENT_DECREASE * t) * merit0:
                 return trial, r_trial, point

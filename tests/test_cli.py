@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -177,6 +178,14 @@ def test_command_parser_matches_the_full_parser(argv, capsys):
         assert trimmed == parse_outcome(_build_parser(), line, capsys), line
     # usage errors still exit 2
     assert parse_outcome(_build_parser(command), [command, "--no-such-flag"], capsys)[0] == 2
+    # and only the command on the line is built
+    assert registered_commands(_build_parser(command)) == [command]
+    assert registered_commands(_build_parser()) == ["list", "solve", "continue", "beam"]
+
+
+def registered_commands(parser) -> list[str]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
 
 
 def test_out_file(tmp_path, capsys):

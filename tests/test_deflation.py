@@ -383,6 +383,49 @@ def test_overflowing_deflation_is_a_nonfinite_residual():
         near.derivative(point)
 
 
+@pytest.mark.parametrize("weighted", [False, True], ids=["euclidean", "mass"])
+def test_a_nonfinite_gradient_is_a_nonfinite_residual_in_both_norms(weighted):
+    # the Euclidean gradient runs on Python floats and the banded one under
+    # numpy's raising errstate; each refuses the same points
+    mesh = HermiteMesh1D(4)
+    norm = NormSpec(BeamDiscretization(BeamProblem(), mesh).mass) if weighted else NormSpec()
+    direction = np.linspace(1.0, 2.0, mesh.dofs)
+    direction /= norm.norm(direction)  # unit length in the deflation norm
+
+    def derivative_at(power, distance, *roots):
+        state = DeflationState(power=power, norm=norm, roots=[r * direction for r in roots])
+        system = DeflatedSystem(state, lambda z: (z, z), lambda z: np.eye(z.size))
+        return system.derivative(system.residual(distance * direction)[1])
+
+    # d < 1: 0.4918^-1000 is finite, but the divisor 0.4918^1002 is
+    # subnormal and the quotient lies beyond the double range
+    with pytest.raises(NonFiniteResidual, match="gradient"):
+        derivative_at(1000.0, 0.4918, 0.0)
+    # d > 1: the divisor 1e110^1002 overflows, and the other root's factor
+    # 0.631^-1000 (about 1e200) pushes the numerator past the double range too
+    with pytest.raises(NonFiniteResidual, match="gradient"):
+        derivative_at(1000.0, 0.631, 0.0, -1e110)
+    # the divisor (1e-9)^36 underflows to 0 while the factor (1e-9)^-34 is finite
+    with pytest.raises(NonFiniteResidual, match="gradient"):
+        derivative_at(34.0, 1e-9, 0.0)
+    # each term finite: the gradient is returned
+    alpha, _, grad = derivative_at(1000.0, 4.0, 0.0)
+    assert alpha == 1.0 and np.isfinite(grad).all()
+
+
+def test_an_overflowing_gradient_scale_is_a_nonfinite_residual():
+    # unshifted, the scale (alpha / m_B) (-p) = m_A (-p) of the root at d = 2
+    # is -inf (m_A = 0.494^-1000, about 3e306), though alpha = m_A m_B is
+    # finite; numpy raised no flag for -inf times finite entries and the
+    # gradient was returned as [-inf, -inf]
+    z = np.array([0.494, 0.0])
+    state = DeflationState(power=1000.0, shift=0.0, roots=[np.zeros(2), z - np.sqrt(2.0)])
+    system = DeflatedSystem(state, lambda z: (z, z), lambda z: np.eye(2))
+    _, point = system.residual(z)
+    with pytest.raises(NonFiniteResidual, match="gradient"):
+        system.derivative(point)
+
+
 def test_norm_spec_refuses_a_dense_weight():
     for weight in (np.eye(2), [[1.0, 0.0], [0.0, 1.0]]):
         with pytest.raises(ValueError, match="BandedMatrix"):

@@ -324,6 +324,12 @@ def test_prolongation_is_exact():
     assert problem.length == mesh.length
 
 
+def node_table(mesh, y):
+    """Per-node (coordinate, value, slope) table of the reduced unknowns ``y``."""
+    full = mesh.full_vector(y)
+    return np.column_stack([mesh.nodes(), full[0::2], full[1::2]])
+
+
 def test_restriction_injects_the_coarse_nodes():
     mesh, fine = HermiteMesh1D(8, 2.5), HermiteMesh1D(64, 2.5)
     y = np.random.RandomState(5).randn(mesh.dofs)
@@ -335,8 +341,8 @@ def test_restriction_injects_the_coarse_nodes():
     np.testing.assert_array_equal(prolong_to(mesh, mesh, y), y)
     # injection reads the nodal pairs of any fine function, not only a prolonged one
     z = np.random.RandomState(6).randn(fine.dofs)
-    table = BeamDiscretization(BeamProblem(length=2.5), fine).node_table(z)[::8]
-    coarse = BeamDiscretization(BeamProblem(length=2.5), mesh).node_table(restrict(fine, mesh, z))
+    table = node_table(fine, z)[::8]
+    coarse = node_table(mesh, restrict(fine, mesh, z))
     np.testing.assert_array_equal(coarse, table)
 
 
@@ -378,7 +384,7 @@ def test_node_columns_are_the_node_table_of_the_same_floats(elements):
     y[0] = -0.0
     items = y.tolist()
     values, slopes = mesh.node_columns(items)
-    table = BeamDiscretization(BeamProblem(length=2.5), mesh).node_table(y)
+    table = node_table(mesh, y)
     assert np.array([values, slopes]).T.tobytes() == table[:, 1:].tobytes()
     # every unknown appears once, as the very float object it was given
     assert sorted(map(id, values[1:-1] + slopes)) == sorted(map(id, items))
@@ -1019,6 +1025,12 @@ def test_overflowing_beam_data_is_a_value_error(data):
         with pytest.raises(ValueError, match="overflow"):
             path_follow(problem, gamma_max=100.0, events=events)
     assert events == []
+
+
+def test_a_mesh_too_long_for_its_basis_is_a_value_error():
+    # h ** 2 of the Hermite basis overflows before any matrix is assembled
+    with pytest.raises(ValueError, match="beam data overflow"):
+        BeamDiscretization(BeamProblem(length=1e300), HermiteMesh1D(64, 1e300))
 
 
 def test_mesh_and_problem_validation():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from deflated_newton.reformulate import (
 from deflated_newton.solver import (
     SolveStatus,
     SolverConfig,
+    _backtrack,
     plain_derivative,
     solve,
 )
@@ -121,6 +123,28 @@ def test_backtracking_merit_nonincreasing():
     assert result.status is SolveStatus.CONVERGED
     merits = [0.5 * r * r for r in result.residual_history]
     assert all(b <= a + 1e-15 for a, b in zip(merits, merits[1:]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_backtracking_rejects_a_nonfinite_trial_residual(bad):
+    # F(x) = x from z with the Newton step -z: the full step's residual holds
+    # a non-finite entry, so its merit fails the Armijo test, and the first
+    # halving is accepted
+    z, step = np.array([1.0, -2.0]), np.array([-1.0, 2.0])
+    seen = []
+
+    def residual(trial):
+        seen.append(trial)
+        value = np.array([bad, 0.0]) if len(seen) == 1 else trial.copy()
+        return value, ("point", len(seen))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trial, r_trial, point = _backtrack(residual, z, step, math.sqrt(5.0))
+    assert len(seen) == 2
+    assert trial.tobytes() == (z + 0.5 * step).tobytes()
+    assert r_trial.tobytes() == trial.tobytes()
+    assert point == ("point", 2)
 
 
 def test_divergence_on_blowup():
