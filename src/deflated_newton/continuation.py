@@ -31,9 +31,6 @@ from .reformulate import (
 )
 from .solver import SolveResult, SolveStatus, SolverConfig, plain_derivative, solve
 
-DISTINCTNESS_TOL = 1e-6  # see SolutionSet.add
-
-
 class AllBranchesLost(Exception):
     """No branch could be re-solved at some continuation step.
 
@@ -59,10 +56,11 @@ class RootRecord:
 class SolutionSet:
     """Ordered collection of pairwise distinct roots, and the deflation of them.
 
-    :meth:`add` is the one place a root enters a :class:`DeflationState`
-    and the one place distinctness is decided: ``deflation.roots`` (a fresh
-    shifted p=2 state by default) is the roots the state came with, then
-    :meth:`vectors`, so the members are its last ``len(self)`` roots.
+    Members enter the :class:`DeflationState` only through :meth:`add`, so
+    ``deflation.roots`` (a fresh shifted p=2 state by default) is the roots
+    the state came with, then :meth:`vectors`: the members are its last
+    ``len(self)`` roots, which :meth:`DeflationState.add_root` tells a
+    newcomer apart from.
     """
 
     def __init__(self, deflation: Optional[DeflationState] = None):
@@ -82,19 +80,13 @@ class SolutionSet:
             parameter: Optional[float]) -> Optional[RootRecord]:
         """Append and deflate ``z`` and return its :class:`RootRecord`, or return
         None, changing nothing, when ``z`` lies within ``DISTINCTNESS_TOL *
-        (1 + ||z||)`` of a member in the deflation norm.  One
-        ``norm.distances`` pass over all roots of the deflation serves this
-        test and the guard of :meth:`DeflationState.add_root`, whose
-        ValueError (another shape, or within the guard) passes on."""
-        deflation = self.deflation
-        z = deflation._checked(z)
-        distances, _ = deflation.norm.distances(z.ravel(), deflation.stacked)
-        if self.records:
-            radius = DISTINCTNESS_TOL * (1.0 + deflation.norm.norm(z))
-            if not all(d > radius for d in distances[-len(self.records):]):
-                return None
-        deflation._append(z, distances)
-        record = RootRecord(z.copy(), iterations, parameter)  # not the deflated array
+        (1 + ||z||)`` of a member in the deflation norm.  The ValueError of
+        :meth:`DeflationState.add_root` (another shape, or within the guard)
+        passes on."""
+        if not self.deflation.add_root(z, distinct_from=len(self.records)):
+            return None
+        # the record gets its own copy, not the deflated array
+        record = RootRecord(self.deflation.roots[-1].copy(), iterations, parameter)
         self.records.append(record)
         return record
 
@@ -142,9 +134,11 @@ def polish_root(result: SolveResult, deflation: DeflationState, atol: float) -> 
 
     The solve stops at ||G|| <= atol; a root also needs ||F|| = ||G|| / alpha
     <= atol at its final iterate.  With shift 1, alpha >= 1 and this always
-    holds; with shift 0 it rejects solves that run off to where alpha vanishes.
+    holds; with shift 0 it rejects solves that run off to where alpha vanishes,
+    and those where alpha underflows to 0, which leave ||F|| unknown.
     """
-    return result.residual_history[-1] / deflation_factor(deflation, result.solution) <= atol
+    alpha = deflation_factor(deflation, result.solution)
+    return alpha > 0.0 and result.residual_history[-1] / alpha <= atol
 
 
 def checked_guesses(guesses: Sequence[np.ndarray], n: int) -> list[np.ndarray]:

@@ -25,6 +25,7 @@ from .linalg import BandedMatrix, lapack
 from .reformulate import NonFiniteResidual
 
 GUARD = 1e-10  # radius of the guard ball around each deflated root
+DISTINCTNESS_TOL = 1e-6  # see DeflationState.add_root
 
 
 class AtDeflatedRoot(Exception):
@@ -88,11 +89,12 @@ EUCLIDEAN = NormSpec()
 class DeflationState:
     """Roots deflated so far plus the operator parameters.
 
-    Append roots between solves with :meth:`add_root`; never mutate during a
-    solve.  ``power`` >= 1 and ``shift`` >= 0; defaults are power 2, shift 1.
-    ``stacked`` holds the same roots, flat, as the rows of one ``(k, n)``
-    array (``(0, 0)`` with none).  Every distance to the roots, for the
-    operator as for the guard, is measured by ``norm.distances`` on it.
+    :meth:`add_root` is the one place a root enters; call it between
+    solves, never during one.  ``power`` >= 1 and ``shift`` >= 0; defaults
+    are power 2, shift 1.  ``stacked`` holds the same roots, flat, as the
+    rows of one ``(k, n)`` array (``(0, 0)`` with none).  Every distance to
+    the roots, for the operator, the guard and the distinctness test, is
+    measured by ``norm.distances`` on it.
     """
 
     power: float = 2.0
@@ -110,28 +112,26 @@ class DeflationState:
         for r in roots:
             self.add_root(r)
 
-    def add_root(self, root: np.ndarray) -> None:
-        """Deflate a copy of ``root``; ValueError when it has another shape than
-        the roots held or lies within :data:`GUARD` of one of them."""
-        root = self._checked(root)
-        self._append(root, self.norm.distances(root.ravel(), self.stacked)[0])
-
-    def _checked(self, root: np.ndarray) -> np.ndarray:
-        """A float copy of ``root``; ValueError when it has another shape than
-        the roots held."""
+    def add_root(self, root: np.ndarray, distinct_from: int = 0) -> bool:
+        """Deflate a copy of ``root`` and return True, or return False, changing
+        nothing, when it lies within ``DISTINCTNESS_TOL * (1 + ||root||)`` of one
+        of the last ``distinct_from`` roots.  One ``norm.distances`` pass serves
+        that test and the guard.  ValueError when ``root`` has another shape
+        than the roots held or lies within :data:`GUARD` of one of them."""
         root = np.array(root, dtype=float)
         if self.roots and self.roots[0].shape != root.shape:
             raise ValueError("all deflated roots must share one dimension")
-        return root
-
-    def _append(self, root: np.ndarray, distances: Sequence[float]) -> None:
-        """Deflate the checked ``root``, whose distances to the roots held are
-        ``distances``; ValueError when one is within :data:`GUARD`."""
+        distances, _ = self.norm.distances(root.ravel(), self.stacked)
+        if distinct_from:
+            radius = DISTINCTNESS_TOL * (1.0 + self.norm.norm(root))
+            if not all(d > radius for d in distances[-distinct_from:]):
+                return False
         if any(d <= GUARD for d in distances):
             raise ValueError("new root coincides with an already deflated root")
         row = root.reshape(1, -1)
         self.stacked = np.concatenate((self.stacked, row)) if self.roots else row.copy()
         self.roots.append(root)
+        return True
 
 
 class _Terms(NamedTuple):
@@ -190,6 +190,9 @@ def _gradient(state: DeflationState, terms: _Terms) -> np.ndarray:
             for i, w in enumerate(row):
                 grad[i] += scale * w / divisor
         return np.array(grad)
+    if not all(map(math.isfinite, scales)):
+        # an infinite scale times finite entries raises no numpy flag
+        raise FloatingPointError("deflation gradient overflows")
     parts = np.array(scales)[:, None] * terms.weighted / np.array(divisors)[:, None]
     return np.add.reduce(parts, axis=0, initial=0.0)
 

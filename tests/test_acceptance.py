@@ -3,9 +3,13 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.
 """
 
+import contextlib
+import io
+
 import numpy as np
 
-from deflated_newton import problems
+from deflated_newton import continuation, problems
+from deflated_newton.cli import main
 from deflated_newton.continuation import ContinuationPlan, continue_parameter, deflated_search
 from deflated_newton.deflation import DeflationState, deflation_factor, deflation_gradient
 from deflated_newton.linalg import lu_factor, solve_rank_one_update
@@ -15,7 +19,7 @@ from deflated_newton.reformulate import (
     assemble_newton_derivative,
     assemble_residual,
 )
-from deflated_newton.solver import SolverConfig
+from deflated_newton.solver import SolveStatus, SolverConfig
 
 FB = NcpFunction.FISCHER_BURMEISTER
 SQRT6 = np.sqrt(6.0)
@@ -341,3 +345,45 @@ def test_criterion_9_published_residuals():
         if gap > 1e-12:
             issues.append(f"{name} at {root}: residual off by {gap:.2e}")
     report(9, issues, f"{len(PUBLISHED_PAIRS)} published residual evaluations reproduced")
+
+
+RATE_FLOOR = 1e-13  # a residual norm below it is rounding, not contraction
+RATE_BOUND = 1e-2  # linear end games (d_b scaled by 0.9) read 0.03 to 0.17
+
+
+def last_contraction(history):
+    """The last ratio ||G_{k+1}|| / ||G_k|| of a residual history whose
+    ||G_k|| lies above :data:`RATE_FLOOR`; None when there is none."""
+    ratios = [after / before for before, after in zip(history, history[1:])
+              if before > RATE_FLOOR]
+    return ratios[-1] if ratios else None
+
+
+def test_criterion_10_local_superlinear_convergence(monkeypatch):
+    # the paper: deflation keeps the local superlinear convergence of
+    # semismooth Newton at BD-regular roots, so every converged deflated
+    # solve of the MCP searches ends contracting far faster than linearly
+    solves, solve = [], continuation.solve
+
+    def recorded(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        solves.append(result)
+        return result
+
+    monkeypatch.setattr(continuation, "solve", recorded)
+    issues, worst, count = [], 0.0, 0
+    for argv in (["kojima-shindoh"], ["gould"], ["gerard"], ["aggarwal", "--mu", "1e-3"]):
+        solves.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["solve", *argv, "--deterministic"]) == 0
+        converged = [r for r in solves if r.status is SolveStatus.CONVERGED]
+        if not converged:
+            issues.append(f"{' '.join(argv)}: no converged solve")
+        for i, result in enumerate(converged):
+            ratio = last_contraction(result.residual_history)
+            if ratio is None or not ratio < RATE_BOUND:
+                issues.append(f"{' '.join(argv)} solve {i}: last contraction ratio {ratio}")
+            else:
+                worst = max(worst, ratio)
+        count += len(converged)
+    report(10, issues, f"{count} converged deflated solves, last contraction ratio <= {worst:.1e}")

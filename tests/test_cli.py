@@ -240,6 +240,37 @@ def test_an_overflowing_gradient_term_lets_the_search_step(capsys):
     ]
 
 
+POWER_SHIFT_SWEEP = [
+    ["solve", name, "--p", power, "--shift", shift]
+    for name in ("kojima-shindoh", "gould", "aggarwal", "gerard")
+    for power in ("1", "2", "1000", "1e5")
+    for shift in ("0", "1")
+] + [["continue", "aggarwal", "--p", power, "--shift", "0"] for power in ("1000", "1e5")]
+
+
+@pytest.mark.parametrize("argv", POWER_SHIFT_SWEEP, ids=" ".join)
+def test_every_power_and_shift_ends_in_a_document(argv, capsys):
+    # unshifted at p = 1000 or 1e5, the factor underflows to 0 at the second
+    # search's guess, where G = 0 converges at once; checking that solve's
+    # undeflated residual used to divide by that 0 and end in a traceback
+    code = main([*argv, "--deterministic"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    json.loads(out)
+    assert "Traceback" not in err
+
+
+def test_a_vanishing_deflation_factor_leaves_the_solve_unverified(capsys):
+    code, out = run_cli(capsys, "solve", "kojima-shindoh", "--p", "1000", "--shift", "0",
+                        "--deterministic")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["roots"]) == 1
+    assert [(ev["kind"], ev.get("iterations")) for ev in doc["events"]][2:] == [
+        ("deflated-solve", 0), ("rejected-unverified", None)
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -6,14 +6,13 @@ import pytest
 
 from deflated_newton import continuation, problems
 from deflated_newton.continuation import (
-    DISTINCTNESS_TOL,
     AllBranchesLost,
     ContinuationPlan,
     SolutionSet,
     continue_parameter,
     deflated_search,
 )
-from deflated_newton.deflation import EUCLIDEAN, GUARD, DeflationState
+from deflated_newton.deflation import DISTINCTNESS_TOL, EUCLIDEAN, GUARD, DeflationState
 from deflated_newton.obstacle1d import BeamDiscretization, BeamProblem, HermiteMesh1D
 from deflated_newton.reformulate import (
     MixedComplementarityProblem,
@@ -377,7 +376,7 @@ def test_root_inside_a_known_roots_radius_is_rejected_as_a_duplicate():
     # guard but inside one distinctness radius: the deflated solve finds the
     # second, and the set refuses it
     a, b = 0.0, 1e-7
-    assert GUARD < b - a < continuation.DISTINCTNESS_TOL
+    assert GUARD < b - a < DISTINCTNESS_TOL
     events = []
     sols = continuation.deflated_search_callables(
         residual=lambda z: (1e7 * (z - a) * (z - b), z),

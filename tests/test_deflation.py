@@ -424,6 +424,16 @@ def test_an_overflowing_gradient_scale_is_a_nonfinite_residual():
     _, point = system.residual(z)
     with pytest.raises(NonFiniteResidual, match="gradient"):
         system.derivative(point)
+    # the same distances in the mass norm of the 1-element beam, whose banded
+    # product raised no flag either
+    norm = NormSpec(BeamDiscretization(BeamProblem(), HermiteMesh1D(1)).mass)
+    direction = np.ones(2) / norm.norm(np.ones(2))
+    roots = [0.494 * direction, -2.0 * direction]
+    state = DeflationState(power=1000.0, shift=0.0, norm=norm, roots=roots)
+    system = DeflatedSystem(state, lambda z: (z, z), lambda z: np.eye(2))
+    _, point = system.residual(np.zeros(2))
+    with pytest.raises(NonFiniteResidual, match="gradient"):
+        system.derivative(point)
 
 
 def test_norm_spec_refuses_a_dense_weight():
