@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 from itertools import chain, compress, repeat
 from operator import is_
@@ -119,11 +120,10 @@ def _all_floats(values) -> bool:
     return all(map(isinstance, values, repeat(float)))
 
 
-def _write_json(obj, out, indent: int = 0) -> None:
-    """Write ``obj`` to ``out`` as JSON indented from ``indent``; a nonzero
-    float that the document's float lists hold more than once is formatted
-    once."""
-    _write_value(obj, out, indent, {})
+def _write_json(obj, out) -> None:
+    """Write ``obj`` to ``out`` as JSON; a nonzero float that the document's
+    float lists hold more than once is formatted once."""
+    _write_value(obj, out, 0, {})
 
 
 def _write_value(obj, out, indent: int, texts: dict) -> None:
@@ -176,42 +176,26 @@ def _open_output(path: str, option: str, parser: argparse.ArgumentParser):
         parser.error(f"cannot write {option} {path}: {err.strerror or err}")
 
 
-def _emit_document(doc: dict, path: Optional[str], parser: argparse.ArgumentParser) -> None:
-    if path is None:
-        _write_json(doc, sys.stdout)
-        sys.stdout.write("\n")
-        return
-    with _open_output(path, "--out", parser) as handle:
-        _write_json(doc, handle)
-        handle.write("\n")
-
-
-def _event_dicts(events) -> list[dict]:
-    out = []
-    for ev in events:
-        entry = {"kind": ev.kind}
-        for key in ("step", "parameter", "branch", "status", "iterations"):
-            value = getattr(ev, key)
-            if value is not None:
-                entry[key] = value
-        if ev.detail:
-            entry["detail"] = ev.detail
-        out.append(entry)
-    return out
-
-
-def _root_entries(solutions: SolutionSet, residual_norm) -> list[dict]:
-    entries = []
-    for rec in solutions:
-        entries.append(
+def _document(problem: str, settings: dict, solutions: SolutionSet, residual_norm, events) -> dict:
+    """The JSON document of a run: each root with ``residual_norm`` of its ``z``,
+    and each event's fields but ``None`` and an empty detail, in field order."""
+    return {
+        "problem": problem,
+        "settings": settings,
+        "roots": [
             {
                 "z": rec.z.tolist(),
                 "iterations": rec.iterations,
                 "residual_norm": residual_norm(rec.z),
                 "discovered_at_parameter": rec.parameter,
             }
-        )
-    return entries
+            for rec in solutions
+        ],
+        "events": [
+            {key: value for key, value in vars(ev).items() if value is not None and value != ""}
+            for ev in events
+        ],
+    }
 
 
 def _list_arguments(parser: argparse.ArgumentParser) -> None:
@@ -318,9 +302,13 @@ def _registry_settings(args, parser):
 
 
 def _finish(doc: dict, args, parser, n_roots: int) -> int:
+    """Write ``doc`` to ``--out`` or stdout; the exit code for ``n_roots`` roots."""
     if not args.deterministic:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    _emit_document(doc, args.out, parser)
+    out = nullcontext(sys.stdout) if args.out is None else _open_output(args.out, "--out", parser)
+    with out as handle:
+        _write_json(doc, handle)
+        handle.write("\n")
     return EXIT_OK if n_roots > 0 else EXIT_NO_ROOTS
 
 
@@ -361,22 +349,19 @@ def _run_solve(args, parser) -> int:
         max_roots=args.max_roots,
         events=events,
     )
-    doc = {
-        "problem": bench.value,
-        "settings": {
-            "ncp": kind.value,
-            "p": deflation.power,
-            "shift": deflation.shift,
-            "line_search": line_search,
-            "atol": config.atol,
-            "max_iter": config.max_iter,
-            "mu": problem.parameter,
-        },
-        "roots": _root_entries(
-            solutions, lambda z: float(np.linalg.norm(assemble_residual(problem, z, kind)))
-        ),
-        "events": _event_dicts(events),
+    settings = {
+        "ncp": kind.value,
+        "p": deflation.power,
+        "shift": deflation.shift,
+        "line_search": line_search,
+        "atol": config.atol,
+        "max_iter": config.max_iter,
+        "mu": problem.parameter,
     }
+    doc = _document(
+        bench.value, settings, solutions,
+        lambda z: float(np.linalg.norm(assemble_residual(problem, z, kind))), events,
+    )
     return _finish(doc, args, parser, len(solutions))
 
 
@@ -407,22 +392,19 @@ def _run_continue(args, parser) -> int:
         events.append(Event(kind="all-branches-lost", detail=str(err)))
         final, mu_final = err.solutions, err.parameter
     last = problems.build(bench, mu=mu_final)
-    doc = {
-        "problem": bench.value,
-        "settings": {
-            "ncp": kind.value,
-            "p": deflation.power,
-            "shift": deflation.shift,
-            "mu_start": args.mu_start,
-            "mu_end": args.mu_end,
-            "mu_steps": args.mu_steps,
-            "atol": config.atol,
-        },
-        "roots": _root_entries(
-            final, lambda z: float(np.linalg.norm(assemble_residual(last, z, kind)))
-        ),
-        "events": _event_dicts(events),
+    settings = {
+        "ncp": kind.value,
+        "p": deflation.power,
+        "shift": deflation.shift,
+        "mu_start": args.mu_start,
+        "mu_end": args.mu_end,
+        "mu_steps": args.mu_steps,
+        "atol": config.atol,
     }
+    doc = _document(
+        bench.value, settings, final,
+        lambda z: float(np.linalg.norm(assemble_residual(last, z, kind))), events,
+    )
     return _finish(doc, args, parser, len(final))
 
 
@@ -448,38 +430,34 @@ def _run_beam(args, parser) -> int:
         # solve, or beam data that overflow a mesh's assembled operator
         parser.error(str(err))
     disc = _discretization(problem, state.mesh)
-    roots = _root_entries(
-        state.solutions, lambda z: float(np.linalg.norm(disc.residual(state.gamma, z)[0]))
+    settings = {
+        "gamma0": args.gamma0,
+        "gamma_max": args.gamma_max,
+        "q": args.q,
+        "mesh": args.mesh,
+        "final_elements": state.mesh.elements,
+        "p": args.p,
+        "shift": args.shift,
+        "load": args.load,
+        "alpha": args.alpha,
+    }
+    doc = _document(
+        "beam", settings, state.solutions,
+        lambda z: float(np.linalg.norm(disc.residual(state.gamma, z)[0])), events,
     )
     # node tables from the float objects of each "z" and one shared x
     # column, so the writer formats each of them once
     xs = state.mesh.nodes().tolist()
-    for entry, rec in zip(roots, state.solutions):
+    for entry, rec in zip(doc["roots"], state.solutions):
         values, slopes = state.mesh.node_columns(entry["z"])
         entry.update(gamma=state.gamma, active_fraction=disc.active_fraction(rec.z),
                      nodes=list(map(list, zip(xs, values, slopes))))
     if args.dump is not None:
-        for i, entry in enumerate(roots):
+        for i, entry in enumerate(doc["roots"]):
             with _open_output(f"{args.dump}{i}.txt", "--dump", parser) as handle:
                 rows = entry["nodes"]
                 text = "%.17g %.17g %.17g\n" * len(rows) % tuple(chain.from_iterable(rows))
                 handle.write("# x value slope\n" + text)
-    doc = {
-        "problem": "beam",
-        "settings": {
-            "gamma0": args.gamma0,
-            "gamma_max": args.gamma_max,
-            "q": args.q,
-            "mesh": args.mesh,
-            "final_elements": state.mesh.elements,
-            "p": args.p,
-            "shift": args.shift,
-            "load": args.load,
-            "alpha": args.alpha,
-        },
-        "roots": roots,
-        "events": _event_dicts(events),
-    }
     return _finish(doc, args, parser, len(state.solutions))
 
 

@@ -82,9 +82,6 @@ class NormSpec:
         return [math.sqrt(max(square, 0.0)) for square in squares.ravel().tolist()], weighted
 
 
-EUCLIDEAN = NormSpec()
-
-
 @dataclass
 class DeflationState:
     """Roots deflated so far plus the operator parameters.
@@ -159,7 +156,7 @@ def _deflation_terms(state: DeflationState, z: np.ndarray) -> _Terms:
     for d in distances:
         if d <= GUARD:
             raise AtDeflatedRoot(f"point within {GUARD:.1e} of a deflated root (d={d:.3e})")
-        m = d ** (-state.power) + state.shift
+        m = _power(d, -state.power) + state.shift
         alpha *= m
         factors.append(m)
     return _Terms(alpha, distances, factors, weighted)
@@ -175,30 +172,34 @@ def _power(base: float, exponent: float) -> float:
 
 def _gradient(state: DeflationState, terms: _Terms) -> np.ndarray:
     # each root's term (alpha / m_i) (-p) W(z - r_i) / d_i ** (p + 2), summed
-    # in root order from 0.0; a term whose d ** (p + 2) overflows is below
-    # every float and reads +-0
+    # in root order from 0.0; a term whose d ** (p + 2) overflows reads +-0.
+    # An entry past the double range raises NonFiniteResidual, as do a divisor
+    # that underflows to 0 and alpha / m_i = 0 / 0 (shift 0, d ** -p = 0)
     p = state.power
-    scales = [(terms.alpha / m) * (-p) for m in terms.factors]
-    divisors = [_power(d, p + 2.0) for d in terms.distances]
-    if state.norm.weight is None:
-        # the dense benchmarks' k * n <= 30 terms cost less on Python floats
-        # than numpy's per-call overhead; the operations and their order are
-        # the broadcast's below, so the bits are the same (a divisor that
-        # underflows to 0 raises ZeroDivisionError)
-        grad = [0.0] * terms.weighted.shape[1]
-        for row, scale, divisor in zip(terms.weighted.tolist(), scales, divisors):
-            for i, w in enumerate(row):
-                grad[i] += scale * w / divisor
-        return np.array(grad)
-    if not all(map(math.isfinite, scales)):
-        # an infinite scale times finite entries raises no numpy flag
-        raise FloatingPointError("deflation gradient overflows")
-    parts = np.array(scales)[:, None] * terms.weighted / np.array(divisors)[:, None]
-    return np.add.reduce(parts, axis=0, initial=0.0)
+    try:
+        scales = [(terms.alpha / m) * (-p) for m in terms.factors]
+        divisors = [_power(d, p + 2.0) for d in terms.distances]
+        if state.norm.weight is None:
+            # the dense benchmarks' k * n <= 30 terms cost less on Python floats
+            # than numpy's per-call overhead; the operations and their order are
+            # the broadcast's below, so the bits are the same
+            grad = [0.0] * terms.weighted.shape[1]
+            for row, scale, divisor in zip(terms.weighted.tolist(), scales, divisors):
+                for i, w in enumerate(row):
+                    grad[i] += scale * w / divisor
+            if all(map(math.isfinite, grad)):
+                return np.array(grad)
+        elif all(map(math.isfinite, scales)):  # no numpy flag for inf * finite
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                parts = np.array(scales)[:, None] * terms.weighted / np.array(divisors)[:, None]
+                return np.add.reduce(parts, axis=0, initial=0.0)
+    except (ZeroDivisionError, FloatingPointError):
+        pass
+    raise NonFiniteResidual("deflation gradient overflows")
 
 
 def deflation_factor(state: DeflationState, z: np.ndarray) -> float:
-    """alpha(z) = prod_i (||z - r_i||^-p + shift); 1.0 with no roots."""
+    """alpha(z) = prod_i (||z - r_i||^-p + shift), inf past the double range; 1.0 with no roots."""
     return _deflation_terms(state, np.asarray(z, dtype=float)).alpha
 
 
@@ -207,7 +208,8 @@ def deflation_gradient(state: DeflationState, z: np.ndarray) -> np.ndarray:
 
     Each factor m_i = ||z - r_i||^-p + shift contributes
     -p W(z - r_i) / ||z - r_i||^(p+2) times the product of the others,
-    where W is the norm weight (identity for the Euclidean norm).
+    where W is the norm weight (identity for the Euclidean norm); an entry
+    past the double range raises :class:`NonFiniteResidual`.
     """
     z = np.asarray(z, dtype=float)
     return _gradient(state, _deflation_terms(state, z))
@@ -232,10 +234,7 @@ class DeflatedSystem:
 
     def residual(self, z: np.ndarray):
         value, inner = self._residual(z)
-        try:
-            terms = _deflation_terms(self.state, z)
-        except OverflowError:
-            raise NonFiniteResidual("deflation factor overflows") from None
+        terms = _deflation_terms(self.state, z)
         if not terms.alpha < math.inf:
             raise NonFiniteResidual("deflation factor overflows")
         return terms.alpha * np.asarray(value, dtype=float), (inner, terms)
@@ -245,17 +244,4 @@ class DeflatedSystem:
         ``alpha H_F + outer(G / alpha, grad alpha)``, the system that
         :func:`deflated_newton.linalg.solve_rank_one_update` solves."""
         inner, terms = point
-        jac = self._jacobian(inner)
-        try:
-            if self.state.norm.weight is None:
-                # the float gradient raises no numpy flag; an overflow or an
-                # invalid operation leaves an inf or NaN entry instead
-                grad = _gradient(self.state, terms)
-                if not all(map(math.isfinite, grad.tolist())):
-                    raise FloatingPointError
-            else:
-                with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    grad = _gradient(self.state, terms)
-        except (OverflowError, FloatingPointError, ZeroDivisionError):
-            raise NonFiniteResidual("deflation gradient overflows") from None
-        return terms.alpha, jac, grad
+        return terms.alpha, self._jacobian(inner), _gradient(self.state, terms)

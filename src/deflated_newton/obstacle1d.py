@@ -212,6 +212,8 @@ class BeamDiscretization:
     """Assembled matrices and penalty evaluation for one problem and mesh."""
 
     def __init__(self, problem: BeamProblem, mesh: HermiteMesh1D):
+        if mesh.length != problem.length:
+            raise ValueError(f"mesh length {mesh.length} differs from beam length {problem.length}")
         self.problem = problem
         self.mesh = mesh
         m, h = mesh.elements, mesh.h

@@ -149,83 +149,81 @@ def solve(
 
     Args:
         residual: z -> (residual vector, point); may raise AtDeflatedRoot
-            or NonFiniteResidual.
+            or NonFiniteResidual, which end the solve as DEFLATED_ROOT_HIT
+            or DIVERGED.
         derivative: point -> (scale, matrix, w) as described in the
             module docstring; may raise NonFiniteResidual.
         z0: starting point.
         config: solver settings; defaults to ``SolverConfig()``.
 
     Returns:
-        A :class:`SolveResult`; ``residual_history`` holds one norm per
-        visited iterate, so its length is ``iterations + 1``.
+        A :class:`SolveResult` at the last accepted iterate, whose
+        ``residual_history`` holds one norm per visited iterate
+        (``iterations + 1`` of them), or ``[inf]`` if the first residual raises.
     """
     cfg = config or SolverConfig()
     z = np.array(z0, dtype=float)
+    history: list[float] = []
+    iterations = 0
+    best, best_at = math.inf, 0
 
     try:
         value, point = residual(z)
         r = np.asarray(value, dtype=float)
-    except AtDeflatedRoot:
-        return SolveResult(SolveStatus.DEFLATED_ROOT_HIT, z, 0, [math.inf])
-    except NonFiniteResidual:
-        return SolveResult(SolveStatus.DIVERGED, z, 0, [math.inf])
+        while True:
+            rnorm = _norm(r)
+            history.append(rnorm)
+            if rnorm <= cfg.atol:
+                status = SolveStatus.CONVERGED
+                break
+            if not math.isfinite(rnorm) or rnorm > cfg.divergence_tol:
+                status = SolveStatus.DIVERGED
+                break
+            if iterations >= cfg.max_iter:
+                status = SolveStatus.MAX_ITERATIONS
+                break
 
-    rnorm = _norm(r)
-    history = [rnorm]
-    iterations = 0
-    best, best_at = math.inf, 0
-
-    while True:
-        if rnorm <= cfg.atol:
-            return SolveResult(SolveStatus.CONVERGED, z, iterations, history)
-        if not math.isfinite(rnorm) or rnorm > cfg.divergence_tol:
-            return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
-        if iterations >= cfg.max_iter:
-            return SolveResult(SolveStatus.MAX_ITERATIONS, z, iterations, history)
-
-        try:
             scale, matrix, w = derivative(point)
-        except NonFiniteResidual:
-            return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
+            progress = rnorm / scale
+            if progress <= 0.5 * best:
+                best, best_at = progress, iterations
+            if cfg.stall_window is not None and iterations - best_at >= cfg.stall_window:
+                status = SolveStatus.STALLED
+                break
 
-        progress = rnorm / scale
-        if progress <= 0.5 * best:
-            best, best_at = progress, iterations
-        if cfg.stall_window is not None and iterations - best_at >= cfg.stall_window:
-            return SolveResult(SolveStatus.STALLED, z, iterations, history)
-
-        try:
-            fac = lu_factor(matrix)
-        except ValueError:
-            return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
-        try:
-            step = -solve_rank_one_update(fac, scale, w, r)
-        except SingularMatrix:
-            if not cfg.least_squares_fallback:
-                return SolveResult(SolveStatus.SINGULAR_JACOBIAN, z, iterations, history)
-            step = _least_squares_step(scale, matrix, w, r)
-        if not all_finite(step):
-            return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
-
-        if cfg.line_search:
-            accepted = _backtrack(residual, z, step, rnorm)
-            if accepted is None:
-                return SolveResult(SolveStatus.LINE_SEARCH_FAILED, z, iterations, history)
-            z_new, r_new, point_new = accepted
-        else:
-            z_new = z + step
             try:
-                value, point_new = residual(z_new)
-                r_new = np.asarray(value, dtype=float)
-            except AtDeflatedRoot:
-                return SolveResult(SolveStatus.DEFLATED_ROOT_HIT, z, iterations, history)
-            except NonFiniteResidual:
-                return SolveResult(SolveStatus.DIVERGED, z, iterations, history)
+                fac = lu_factor(matrix)
+            except ValueError:  # e.g. an inf or NaN entry
+                status = SolveStatus.DIVERGED
+                break
+            try:
+                step = -solve_rank_one_update(fac, scale, w, r)
+            except SingularMatrix:
+                if not cfg.least_squares_fallback:
+                    raise
+                step = _least_squares_step(scale, matrix, w, r)
+            if not all_finite(step):
+                status = SolveStatus.DIVERGED
+                break
 
-        z, r, point = z_new, r_new, point_new
-        rnorm = _norm(r)
-        iterations += 1
-        history.append(rnorm)
+            if cfg.line_search:
+                accepted = _backtrack(residual, z, step, rnorm)
+                if accepted is None:
+                    status = SolveStatus.LINE_SEARCH_FAILED
+                    break
+                z, r, point = accepted
+            else:
+                z_new = z + step
+                value, point = residual(z_new)
+                z, r = z_new, np.asarray(value, dtype=float)
+            iterations += 1
+    except AtDeflatedRoot:
+        status = SolveStatus.DEFLATED_ROOT_HIT
+    except NonFiniteResidual:
+        status = SolveStatus.DIVERGED
+    except SingularMatrix:
+        status = SolveStatus.SINGULAR_JACOBIAN
+    return SolveResult(status, z, iterations, history or [math.inf])
 
 
 def _backtrack(residual, z, step, rnorm):

@@ -12,7 +12,7 @@ from deflated_newton.continuation import (
     continue_parameter,
     deflated_search,
 )
-from deflated_newton.deflation import DISTINCTNESS_TOL, EUCLIDEAN, GUARD, DeflationState
+from deflated_newton.deflation import DISTINCTNESS_TOL, GUARD, DeflationState, NormSpec
 from deflated_newton.obstacle1d import BeamDiscretization, BeamProblem, HermiteMesh1D
 from deflated_newton.reformulate import (
     MixedComplementarityProblem,
@@ -22,6 +22,7 @@ from deflated_newton.reformulate import (
 from deflated_newton.solver import SolverConfig
 
 FB = NcpFunction.FISCHER_BURMEISTER
+EUCLIDEAN = NormSpec()
 
 KOJIMA_ROOTS = [
     np.array([1.0, 0.0, 3.0, 0.0]),

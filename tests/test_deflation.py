@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from deflated_newton import problems
 from deflated_newton.deflation import (
+    GUARD,
     AtDeflatedRoot,
     DeflatedSystem,
     DeflationState,
@@ -450,7 +453,7 @@ def test_weighted_norm_value():
 
 # Property test: the deflation gradient against central differences.
 
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
@@ -492,3 +495,65 @@ def test_gradient_matches_central_differences_property(point):
     # truncation O(h^2) and rounding O(eps / h), both relative to the factor
     scale = deflation_factor(state, z) + np.linalg.norm(grad)
     assert np.linalg.norm(fd - grad) <= 1e-6 * scale
+
+
+# Property test: the overflow rule.  At any power, shift and distances, the
+# deflated residual is finite or raises NonFiniteResidual (AtDeflatedRoot
+# only inside the guard ball), and so is its gradient; nothing else is
+# raised and numpy warns of nothing.
+
+MASS_NORM = NormSpec(BeamDiscretization(BeamProblem(), HermiteMesh1D(4)).mass)
+N_MASS = MASS_NORM.weight.n  # 8 unknowns
+
+
+def overflow_outcome(state, z):
+    """``"finite"``, or the error type that ended the deflated residual of
+    F = 1 or its derivative at ``z``, once the overflow rule is checked."""
+    system = system_at(state, np.ones(z.size), np.eye(z.size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            value, point = system.residual(z)
+        except AtDeflatedRoot:
+            assert min(state.norm.distances(z, state.stacked)[0]) <= GUARD
+            return AtDeflatedRoot
+        except NonFiniteResidual:
+            return NonFiniteResidual
+        assert np.isfinite(value).all()
+        try:
+            grad = system.derivative(point)[2]
+        except NonFiniteResidual:
+            return NonFiniteResidual
+    assert np.isfinite(grad).all()
+    return "finite"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    power=st.floats(1.0, 2000.0),
+    shift=st.sampled_from([0.0, 1.0]),
+    distances=st.lists(st.floats(-9.0, 4.0).map(lambda e: 10.0**e), min_size=1, max_size=2),
+)
+@example(power=1000.0, shift=0.0, distances=[4.0])
+def test_overflow_rule_property(power, shift, distances):
+    # roots at the drawn distances from z = 0 along two unit directions, in
+    # the Euclidean norm and in the 4-element beam's mass norm
+    z = np.zeros(N_MASS)
+    for norm in (NormSpec(), MASS_NORM):
+        directions = [np.linspace(1.0, 2.0, N_MASS), np.resize([1.0, -1.0], N_MASS)]
+        roots = [-d * u / norm.norm(u) for d, u in zip(distances, directions)]
+        state = DeflationState(power=power, shift=shift, norm=norm, roots=roots)
+        overflow_outcome(state, z)
+
+
+def test_a_vanishing_factor_has_no_finite_gradient():
+    # alpha = 4^-1000 + 0 underflows to 0, so G = 0, and each gradient scale
+    # alpha / m_i is 0 / 0
+    state = DeflationState(power=1000.0, shift=0.0, roots=[np.zeros(2)])
+    z = np.array([4.0, 0.0])
+    system = system_at(state, np.ones(2), np.eye(2))
+    value, point = system.residual(z)
+    assert value.tolist() == [0.0, 0.0]
+    with pytest.raises(NonFiniteResidual, match="gradient"):
+        system.derivative(point)
+    assert overflow_outcome(state, z) is NonFiniteResidual

@@ -51,7 +51,7 @@ def hermite_eval(mesh, y_reduced, points):
 def test_element_matrices_match_closed_forms():
     # three elements: the middle one has all four unknowns free, and each
     # closed form is assembled with the end values pinned, as the program does
-    problem = BeamProblem(bending_stiffness=2.0, load=3.0, density=1.5, gravity=2.0)
+    problem = BeamProblem(bending_stiffness=2.0, load=3.0, density=1.5, gravity=2.0, length=0.75)
     mesh = HermiteMesh1D(3, length=0.75)
     h = mesh.h
     disc = BeamDiscretization(problem, mesh)
@@ -120,7 +120,7 @@ def test_pure_bending_matches_simply_supported_closed_form():
 
 
 def test_mass_partition_of_unity():
-    problem = BeamProblem()
+    problem = BeamProblem(length=2.5)
     mesh = HermiteMesh1D(13, length=2.5)
     mass = BeamDiscretization(problem, mesh).mass
     # the free value unknowns set to 1 give the function 1 on every element
@@ -130,6 +130,16 @@ def test_mass_partition_of_unity():
     rows = mass.matvec(ones)[3:-3].reshape(-1, 2)
     assert len(rows) == mesh.elements - 3
     np.testing.assert_allclose(rows, [[mesh.h, 0.0]] * len(rows), rtol=0, atol=1e-13)
+
+
+def test_a_mesh_of_another_length_than_the_beam_is_refused():
+    # the assembly reads only the mesh's length: this pair would be assembled
+    # as a beam of length 1 (h = 0.125)
+    with pytest.raises(ValueError, match="mesh length 1.0 differs from beam length 2.0"):
+        BeamDiscretization(BeamProblem(length=2.0), HermiteMesh1D(8))
+    with pytest.raises(ValueError, match="mesh length 2.0 differs from beam length 1.0"):
+        BeamDiscretization(BeamProblem(), HermiteMesh1D(8, 2.0))
+    assert BeamDiscretization(BeamProblem(length=2.0), HermiteMesh1D(8, 2.0)).mesh.h == 0.25
 
 
 def test_residual_at_flat_beam_is_minus_load():

@@ -164,17 +164,18 @@ def test_nan_residual_becomes_diverged():
     assert result.status is SolveStatus.DIVERGED
 
 
-def first_call_only(residual):
-    """``residual``, raising :class:`NonFiniteResidual` from its second call on."""
+def raising_from(call, error):
+    """F(z) = z under the point contract, raising ``error`` from its
+    ``call``-th call on."""
     calls = []
 
-    def wrapped(z):
+    def residual(z):
         calls.append(z)
-        if len(calls) > 1:
-            raise NonFiniteResidual("trial residual overflows")
-        return residual(z)
+        if len(calls) >= call:
+            raise error("scripted failure")
+        return z, z
 
-    return wrapped
+    return residual
 
 
 @pytest.mark.parametrize(
@@ -186,7 +187,7 @@ def first_call_only(residual):
         # overflows in the back-substitution
         (lambda: at_z(lambda z: z), np.array([[1e-310]])),
         # an undamped step whose residual raises
-        (lambda: first_call_only(at_z(lambda z: z)), np.eye(1)),
+        (lambda: raising_from(2, NonFiniteResidual), np.eye(1)),
     ],
     ids=["nonfinite-matrix", "nonfinite-step", "nonfinite-trial-residual"],
 )
@@ -335,6 +336,46 @@ def test_stall_window_counts_the_undeflated_residual(n):
     assert result.iterations == 5
     history = result.residual_history
     assert all(later < earlier for earlier, later in zip(history, history[1:]))
+
+
+# Newton matrices for F(z) = z whose iterates are exact: "h" halves z, "d"
+# doubles it, "n" lands on the root and "0" is singular
+EXACT_STEPS = {"h": 2.0 * np.eye(2), "d": -np.eye(2), "n": np.eye(2), "0": np.zeros((2, 2))}
+
+
+@pytest.mark.parametrize(
+    "script, settings, fails_from, status, iterations, factor",
+    [
+        ("hn", {}, None, SolveStatus.CONVERGED, 2, 0.0),
+        ("hhh", {"max_iter": 3}, None, SolveStatus.MAX_ITERATIONS, 3, 0.125),
+        ("h0", {}, None, SolveStatus.SINGULAR_JACOBIAN, 1, 0.5),
+        ("hdd", {"divergence_tol": 1.5}, None, SolveStatus.DIVERGED, 3, 2.0),
+        ("hh", {}, (3, NonFiniteResidual), SolveStatus.DIVERGED, 1, 0.5),
+        ("", {}, (1, NonFiniteResidual), SolveStatus.DIVERGED, 0, 1.0),
+        ("hh", {}, (3, AtDeflatedRoot), SolveStatus.DEFLATED_ROOT_HIT, 1, 0.5),
+        ("", {}, (1, AtDeflatedRoot), SolveStatus.DEFLATED_ROOT_HIT, 0, 1.0),
+        ("hd", {"line_search": True}, None, SolveStatus.LINE_SEARCH_FAILED, 1, 0.5),
+        # the stall test reads the derivative of the iterate it stops at
+        ("ddd", {"stall_window": 2}, None, SolveStatus.STALLED, 2, 4.0),
+    ],
+)
+def test_every_status_ends_at_the_last_accepted_iterate(
+    script, settings, fails_from, status, iterations, factor
+):
+    z0 = np.array([1.0, 0.5])
+    steps = iter(script)
+    residual = IDENTITY if fails_from is None else raising_from(*fails_from)
+    derivative = lambda point: (1.0, EXACT_STEPS[next(steps)], None)  # noqa: E731
+    result = solve(residual, derivative, z0, SolverConfig(**settings))
+    assert result.status is status and result.iterations == iterations
+    assert next(steps, None) is None  # every scripted step was taken
+    np.testing.assert_array_equal(result.solution, factor * z0)
+    if fails_from is not None and fails_from[0] == 1:
+        assert result.residual_history == [math.inf]
+    else:
+        assert len(result.residual_history) == iterations + 1
+        solution = result.solution
+        assert result.residual_history[-1] == math.sqrt(np.vdot(solution, solution))
 
 
 @pytest.mark.parametrize("window", [0, -1])
