@@ -31,7 +31,7 @@ from .continuation import (
     deflated_search,
 )
 from .deflation import DeflationState
-from .obstacle1d import BeamProblem, _discretization, path_follow
+from .obstacle1d import BeamProblem, HermiteMesh1D, _discretization, path_follow
 from .reformulate import NcpFunction, assemble_residual
 from .solver import SolverConfig
 
@@ -417,7 +417,7 @@ def _run_beam(args, parser) -> int:
             gamma0=args.gamma0,
             gamma_max=args.gamma_max,
             q=args.q,
-            initial_elements=args.mesh,
+            initial_mesh=HermiteMesh1D(args.mesh),
             deflation=DeflationState(power=args.p, shift=args.shift),
             config=_solver_config(args),
             max_roots=args.max_roots,

@@ -29,7 +29,7 @@ from .reformulate import (
     assemble_residual,
     evaluate,
 )
-from .solver import SolveResult, SolveStatus, SolverConfig, plain_derivative, solve
+from .solver import SolveResult, SolveStatus, SolverConfig, check_count, plain_derivative, solve
 
 class AllBranchesLost(Exception):
     """No branch could be re-solved at some continuation step.
@@ -263,8 +263,7 @@ class ContinuationPlan:
     config: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("continuation needs at least one step")
+        check_count("continuation steps", self.steps)
         # a finite start and end can still be too far apart to step between
         if not all(map(math.isfinite, (self.start, self.end, self.end - self.start))):
             raise ValueError("continuation range must be finite")

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .linalg import BandedMatrix, lapack
+from .linalg import BandedMatrix, all_finite, lapack
 from .reformulate import NonFiniteResidual
 
 GUARD = 1e-10  # radius of the guard ball around each deflated root
@@ -113,9 +113,12 @@ class DeflationState:
         """Deflate a copy of ``root`` and return True, or return False, changing
         nothing, when it lies within ``DISTINCTNESS_TOL * (1 + ||root||)`` of one
         of the last ``distinct_from`` roots.  One ``norm.distances`` pass serves
-        that test and the guard.  ValueError when ``root`` has another shape
-        than the roots held or lies within :data:`GUARD` of one of them."""
+        that test and the guard.  ValueError when ``root`` is not finite, has
+        another shape than the roots held or lies within :data:`GUARD` of one
+        of them."""
         root = np.array(root, dtype=float)
+        if not all_finite(root):
+            raise ValueError("a deflated root must be finite")
         if self.roots and self.roots[0].shape != root.shape:
             raise ValueError("all deflated roots must share one dimension")
         distances, _ = self.norm.distances(root.ravel(), self.stacked)

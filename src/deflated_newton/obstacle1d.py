@@ -5,15 +5,16 @@ linearization for small rotations: minimize
 
     J(y) = int_0^L B (y'')^2 - P (y')^2 - rho g y dx,   |y| <= alpha a.e.
 
-over y in H^2 with y(0) = y(L) = 0.  The constraint indicator is replaced by
-the quadratic penalty (gamma/2) int (y - alpha)_+^2 + (-alpha - y)_+^2 dx,
-giving a semismooth residual whose roots approach the constrained equilibria
-as gamma grows.  Discretization uses C^1 cubic Hermite elements (value and
-slope unknowns per node); path-following drives gamma to gamma_max with the
-mesh refined so that h <= 1/sqrt(gamma), deflating in the L2 norm to collect
-distinct equilibria.  The search for new equilibria stays on the mesh of the
-initial penalty: its roots are prolonged to the current mesh and re-solved
-there, and nodal injection (:func:`restrict`) takes branches the other way.
+over y in H^2 with y(0) = y(L) = 0, L the length of the mesh.  The constraint
+indicator is replaced by the quadratic penalty (gamma/2) int (y - alpha)_+^2
++ (-alpha - y)_+^2 dx, giving a semismooth residual whose roots approach the
+constrained equilibria as gamma grows.  Discretization uses C^1 cubic Hermite
+elements (value and slope unknowns per node); path-following drives gamma to
+gamma_max with the mesh refined so that h <= 1/sqrt(gamma), deflating in the
+L2 norm to collect distinct equilibria.  The search for new equilibria stays
+on the mesh of the initial penalty: its roots are prolonged to the current
+mesh and re-solved there, and nodal injection (:func:`restrict`) takes
+branches the other way.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .continuation import AllBranchesLost, ContinuationStep, SearchLevel, Soluti
 from .continuation import checked_guesses, deflated_continuation, unrooted
 from .deflation import DeflationState, NormSpec
 from .linalg import BandedMatrix, all_finite
-from .solver import SolverConfig
+from .solver import SolverConfig, check_count
 
 # unused here, but the benchmark's layer trace patches these names on this module
 from .continuation import deflated_search_callables, polish_root  # noqa: F401
@@ -91,24 +92,20 @@ _PAIR_GROUPS = (slice(0, 12), slice(12, 16))
 
 @dataclass(frozen=True)
 class BeamProblem:
-    """Physical data of the channel-constrained beam."""
+    """B, P, rho g (``weight``) and alpha of the channel-constrained beam's J(y);
+    the beam's length is the length of the mesh it is discretized on."""
 
     bending_stiffness: float = 1.0
     load: float = 10.4
-    density: float = 1.0
-    gravity: float = 1.0
-    length: float = 1.0
+    weight: float = 1.0
     half_width: float = 0.4
 
     def __post_init__(self):
-        values = (
-            self.bending_stiffness, self.load, self.density, self.gravity, self.length,
-            self.half_width,
-        )
+        values = (self.bending_stiffness, self.load, self.weight, self.half_width)
         if not all(map(math.isfinite, values)):
             raise ValueError("beam data must be finite")
-        if self.bending_stiffness <= 0 or self.length <= 0 or self.half_width <= 0:
-            raise ValueError("stiffness, length and channel half-width must be positive")
+        if self.bending_stiffness <= 0 or self.half_width <= 0:
+            raise ValueError("stiffness and channel half-width must be positive")
 
 
 @dataclass(frozen=True)
@@ -123,8 +120,7 @@ class HermiteMesh1D:
     length: float = 1.0
 
     def __post_init__(self):
-        if self.elements < 1:
-            raise ValueError("mesh needs at least one element")
+        check_count("mesh elements", self.elements)
         if not 0 < self.length < math.inf:
             raise ValueError("mesh length must be positive and finite")
 
@@ -212,8 +208,6 @@ class BeamDiscretization:
     """Assembled matrices and penalty evaluation for one problem and mesh."""
 
     def __init__(self, problem: BeamProblem, mesh: HermiteMesh1D):
-        if mesh.length != problem.length:
-            raise ValueError(f"mesh length {mesh.length} differs from beam length {problem.length}")
         self.problem = problem
         self.mesh = mesh
         m, h = mesh.elements, mesh.h
@@ -266,7 +260,7 @@ class BeamDiscretization:
             ke = self.problem.bending_stiffness * (self.basis_d2 * wb) @ self.basis_d2.T
             ge = self.problem.load * (self.basis_d1 * wb) @ self.basis_d1.T
             me = (self.basis * wb) @ self.basis.T
-            fe = self.problem.density * self.problem.gravity * self.basis @ wb
+            fe = self.problem.weight * self.basis @ wb
 
             self.stiffness = self._assemble_constant(ke)
             self.geometric = self._assemble_constant(ge)
@@ -514,7 +508,7 @@ def path_follow(
     gamma0: float = 10.0,
     gamma_max: float = 1e6,
     q: Optional[float] = None,
-    initial_elements: int = 64,
+    initial_mesh: HermiteMesh1D = HermiteMesh1D(64),
     deflation: Optional[DeflationState] = None,
     config: Optional[SolverConfig] = None,
     max_roots: Optional[int] = None,
@@ -526,14 +520,14 @@ def path_follow(
     gamma0 and then the values of :func:`gamma_schedule`.  The mesh of each
     penalty is decided up front by :func:`path_meshes` (h <= 1/sqrt(gamma)),
     and each mesh is assembled once, in path order.  A step on a finer mesh
-    prolongs the branches to it.  Each step deflates in the L2 norm of the
-    mass matrix with the power and shift of ``deflation`` (p=2, shift 1 by
-    default), which must hold no roots.  Every step searches from the
-    branch points and then from the pool, so
-    equilibria that only appear at larger penalties are picked up; at gamma0
-    there are no branches yet, so that step is the search from the pool
-    alone.  The pool holds the supplied guesses (default: the flat beam),
-    given on the initial mesh and prolonged to the mesh of gamma0.
+    prolongs the branches to it.  Each step deflates in the L2 norm of its
+    mesh's mass matrix, with the power and shift of ``deflation`` (p=2,
+    shift 1 by default).  Every step searches from the branch points and then
+    from the pool, so equilibria that only appear at larger penalties are
+    picked up; at gamma0 there are no branches yet, so that step is the
+    search from the pool alone.  The pool holds the supplied guesses
+    (default: the flat beam), given on the initial mesh and prolonged to
+    the mesh of gamma0.
 
     Every search runs on that mesh of gamma0, with its own tolerances and
     mass norm.  On a step whose mesh is finer the branches are re-solved
@@ -541,6 +535,9 @@ def path_follow(
     again on the search mesh, where they are deflated.  A root the search
     finds there is prolonged to the step's mesh and re-solved, and is kept
     only when that converges to an equilibrium distinct from the branches.
+
+    Args:
+        initial_mesh: the mesh of the guesses; its length is the beam's.
 
     Returns:
         PathState with the solution set at gamma_max, deflated in the final
@@ -551,17 +548,19 @@ def path_follow(
             failed to re-converge at some step.
         ValueError: the penalty schedule is invalid (see :func:`gamma_schedule`),
             the final mesh would exceed :data:`MAX_ELEMENTS` elements (see
-            :func:`path_meshes`), ``deflation`` holds roots, a guess
-            does not have the length of the initial mesh's unknowns,
+            :func:`path_meshes`), ``deflation`` holds roots or a norm weight,
+            a guess does not have the length of the initial mesh's unknowns,
             or the beam data overflow the assembled operator or load; all but
             the last are raised before any assembly.
     """
     values = [gamma0] + gamma_schedule(gamma0, gamma_max, q)
-    initial = HermiteMesh1D(initial_elements, problem.length)
-    meshes = path_meshes(initial, values)
+    meshes = path_meshes(initial_mesh, values)
     operator = unrooted(deflation)
-    pool = [np.zeros(initial.dofs)] if guesses is None else checked_guesses(guesses, initial.dofs)
-    pool = [prolong_to(initial, meshes[0], guess) for guess in pool]  # emits no event
+    if operator.norm.weight is not None:
+        raise ValueError("each step deflates in its mesh's mass norm; give a norm without weight")
+    n = initial_mesh.dofs
+    pool = [np.zeros(n)] if guesses is None else checked_guesses(guesses, n)
+    pool = [prolong_to(initial_mesh, meshes[0], guess) for guess in pool]  # emits no event
     discs = {mesh: _discretization(problem, mesh) for mesh in dict.fromkeys(meshes)}
     # step 0's mesh: every newcomer search runs on it, from the pool
     base = discs[meshes[0]]

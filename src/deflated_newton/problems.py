@@ -265,7 +265,6 @@ def build(benchmark, mu: Optional[float] = None) -> MixedComplementarityProblem:
         derivative=derivative,
         lower=entry.lower,
         parameter=parameter,
-        name=bench.value,
     )
 
 

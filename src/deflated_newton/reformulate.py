@@ -80,7 +80,6 @@ class MixedComplementarityProblem:
         lower: lower bounds (default all zero, the NCP case).
         upper: upper bounds (default all +inf).
         parameter: value of the problem's scalar parameter, if any.
-        name: identifier used in logs and CLI output.
 
     The bounds are copied into read-only arrays and each component is
     classified (free, lower, upper or box) once, at construction.
@@ -92,7 +91,6 @@ class MixedComplementarityProblem:
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
     parameter: Optional[float] = None
-    name: str = ""
 
     def __post_init__(self):
         n = self.dimension

@@ -18,6 +18,7 @@ modifies an array it has passed to ``residual``, so a point may hold ``z``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -54,6 +55,12 @@ LS_MIN_STEP = 1e-10
 SMALL_NORM = 1e-150  # squares of entries this small approach the subnormal range
 
 
+def check_count(name: str, value) -> None:
+    """ValueError unless ``value`` is an integer of at least 1 and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Tolerances and globalization settings for :func:`solve`.
@@ -85,10 +92,9 @@ class SolverConfig:
     def __post_init__(self):
         if not all(0.0 < tol < math.inf for tol in (self.atol, self.divergence_tol)):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.stall_window is not None and self.stall_window < 1:
-            raise ValueError("stall_window must be at least 1")
+        check_count("max_iter", self.max_iter)
+        if self.stall_window is not None:
+            check_count("stall_window", self.stall_window)
         for name in ("line_search", "least_squares_fallback"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")

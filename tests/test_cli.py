@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import io
 import json
 import math
@@ -8,11 +9,13 @@ import numpy as np
 import pytest
 
 from deflated_newton.cli import _build_parser, _json_string, _write_json, main
+from deflated_newton.deflation import DeflationState
 from deflated_newton.obstacle1d import (
     BeamProblem,
     HermiteMesh1D,
     _discretization,
     beam_solver_config,
+    path_follow,
 )
 
 
@@ -20,6 +23,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_beam_flag_defaults_are_the_library_defaults():
+    # the beam command passes every value itself, so the pinned bytes would
+    # not show a library default that drifts from its flag's default
+    args = _build_parser("beam").parse_args(["beam"])
+    problem, deflation = BeamProblem(), DeflationState()
+    defaults = {name: p.default for name, p in inspect.signature(path_follow).parameters.items()}
+    assert (args.load, args.alpha) == (problem.load, problem.half_width)
+    assert (args.p, args.shift) == (deflation.power, deflation.shift)
+    assert (args.gamma0, args.gamma_max, args.q) == (
+        defaults["gamma0"], defaults["gamma_max"], defaults["q"]
+    )
+    assert args.mesh == defaults["initial_mesh"].elements
+    assert HermiteMesh1D(args.mesh) == defaults["initial_mesh"]
 
 
 def test_list_command(capsys):
@@ -365,9 +383,8 @@ def test_shifted_runs_accept_every_converged_solve_as_a_root_at_atol(argv, capsy
     assert settings["shift"] == 1.0
     assert "rejected-unverified" not in [ev["kind"] for ev in doc["events"]]
     if argv[0] == "beam":
-        problem = BeamProblem()
-        mesh = HermiteMesh1D(settings["final_elements"], problem.length)
-        atol = beam_solver_config(_discretization(problem, mesh)).atol
+        mesh = HermiteMesh1D(settings["final_elements"])
+        atol = beam_solver_config(_discretization(BeamProblem(), mesh)).atol
     else:
         atol = settings["atol"]
     assert doc["roots"]

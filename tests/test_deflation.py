@@ -362,6 +362,20 @@ def test_state_validation():
         state.add_root(np.zeros(2))
 
 
+@pytest.mark.parametrize(
+    "root", [np.full(4, np.nan), np.array([np.inf, 0.0, 0.0, 0.0])], ids=["nan", "inf"]
+)
+def test_a_nonfinite_root_is_refused(root):
+    # every distance to such a root is NaN or infinite, so it deflates
+    # nothing and every deflated solve against it ends diverged
+    with pytest.raises(ValueError, match="a deflated root must be finite"):
+        DeflationState(roots=[root])
+    state = DeflationState(roots=[np.ones(4)])
+    with pytest.raises(ValueError, match="a deflated root must be finite"):
+        state.add_root(root)
+    assert len(state.roots) == 1 and state.stacked.shape == (1, 4)
+
+
 def test_overflowing_deflation_is_a_nonfinite_residual():
     def system(power, *roots):
         state = DeflationState(power=power, roots=list(roots))

@@ -51,7 +51,7 @@ def hermite_eval(mesh, y_reduced, points):
 def test_element_matrices_match_closed_forms():
     # three elements: the middle one has all four unknowns free, and each
     # closed form is assembled with the end values pinned, as the program does
-    problem = BeamProblem(bending_stiffness=2.0, load=3.0, density=1.5, gravity=2.0, length=0.75)
+    problem = BeamProblem(bending_stiffness=2.0, load=3.0, weight=3.0)
     mesh = HermiteMesh1D(3, length=0.75)
     h = mesh.h
     disc = BeamDiscretization(problem, mesh)
@@ -89,7 +89,7 @@ def test_element_matrices_match_closed_forms():
             [-13 * h, -3 * h**2, -22 * h, 4 * h**2],
         ]
     )
-    fe = problem.density * problem.gravity * h * np.array([0.5, h / 12, 0.5, -h / 12])
+    fe = problem.weight * h * np.array([0.5, h / 12, 0.5, -h / 12])
     np.testing.assert_allclose(stiffness.to_dense(), assembled(ke), rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(geometric.to_dense(), assembled(ge), rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(mass.to_dense(), assembled(me), rtol=1e-13, atol=1e-16)
@@ -120,7 +120,7 @@ def test_pure_bending_matches_simply_supported_closed_form():
 
 
 def test_mass_partition_of_unity():
-    problem = BeamProblem(length=2.5)
+    problem = BeamProblem()
     mesh = HermiteMesh1D(13, length=2.5)
     mass = BeamDiscretization(problem, mesh).mass
     # the free value unknowns set to 1 give the function 1 on every element
@@ -130,16 +130,6 @@ def test_mass_partition_of_unity():
     rows = mass.matvec(ones)[3:-3].reshape(-1, 2)
     assert len(rows) == mesh.elements - 3
     np.testing.assert_allclose(rows, [[mesh.h, 0.0]] * len(rows), rtol=0, atol=1e-13)
-
-
-def test_a_mesh_of_another_length_than_the_beam_is_refused():
-    # the assembly reads only the mesh's length: this pair would be assembled
-    # as a beam of length 1 (h = 0.125)
-    with pytest.raises(ValueError, match="mesh length 1.0 differs from beam length 2.0"):
-        BeamDiscretization(BeamProblem(length=2.0), HermiteMesh1D(8))
-    with pytest.raises(ValueError, match="mesh length 2.0 differs from beam length 1.0"):
-        BeamDiscretization(BeamProblem(), HermiteMesh1D(8, 2.0))
-    assert BeamDiscretization(BeamProblem(length=2.0), HermiteMesh1D(8, 2.0)).mesh.h == 0.25
 
 
 def test_residual_at_flat_beam_is_minus_load():
@@ -322,7 +312,6 @@ def test_discretization_keeps_no_per_point_state():
 
 
 def test_prolongation_is_exact():
-    problem = BeamProblem()
     mesh = HermiteMesh1D(8)
     rng = np.random.RandomState(3)
     y = rng.randn(mesh.dofs)
@@ -331,7 +320,6 @@ def test_prolongation_is_exact():
     coarse_values = hermite_eval(mesh, y, points)
     fine_values = hermite_eval(mesh.refined(), fine, points)
     assert np.abs(coarse_values - fine_values).max() <= 1e-13
-    assert problem.length == mesh.length
 
 
 def node_table(mesh, y):
@@ -413,7 +401,7 @@ def coarse_functions(draw):
     length = draw(st.sampled_from([1.0, 0.3, 2.5]))
     mesh = HermiteMesh1D(draw(st.integers(1, 40)), length)
     y = draw(arrays(float, mesh.dofs, elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
-    return BeamProblem(length=length), mesh, y
+    return BeamProblem(), mesh, y
 
 
 def gamma(n: int) -> Fraction:
@@ -595,7 +583,8 @@ def test_path_meshes_follow_the_mesh_rule(beam_path):
     with pytest.raises(ValueError, match=f"from {2 * MAX_ELEMENTS} elements to gamma = 10 "):
         path_meshes(HermiteMesh1D(2 * MAX_ELEMENTS), [10.0])
     for gamma_max, q, mesh in ((1e4, None, 64), (3e5, 10.0, 32), (50.0, None, 8)):
-        short = path_follow(BeamProblem(), gamma_max=gamma_max, q=q, initial_elements=mesh)
+        short = path_follow(BeamProblem(), gamma_max=gamma_max, q=q,
+                            initial_mesh=HermiteMesh1D(mesh))
         assert short.mesh.elements == final_elements(mesh, 10.0, gamma_max)
 
 
@@ -640,7 +629,7 @@ def test_path_meshes_are_the_coarsest_meeting_the_rule(elements, length, gamma0,
 
 
 @pytest.mark.parametrize(
-    "initial_elements, gamma_max, q, assembled, refines",
+    "elements, gamma_max, q, assembled, refines",
     [
         # gamma = 1e5 needs 512 elements: three levels in one step, solved on the last
         (64, 1e5, 100.0, [64, 512], [(2, 128), (2, 256), (2, 512)]),
@@ -648,8 +637,7 @@ def test_path_meshes_are_the_coarsest_meeting_the_rule(elements, length, gamma0,
         (1, 1e3, None, [4, 8, 16, 32], [(1, 8), (4, 16), (7, 32)]),
     ],
 )
-def test_one_assembly_per_solved_mesh(monkeypatch, initial_elements, gamma_max, q, assembled,
-                                      refines):
+def test_one_assembly_per_solved_mesh(monkeypatch, elements, gamma_max, q, assembled, refines):
     built = []
     original = obstacle1d._discretization
 
@@ -659,7 +647,7 @@ def test_one_assembly_per_solved_mesh(monkeypatch, initial_elements, gamma_max, 
 
     monkeypatch.setattr(obstacle1d, "_discretization", recording)
     events = []
-    path_follow(BeamProblem(), gamma_max=gamma_max, q=q, initial_elements=initial_elements,
+    path_follow(BeamProblem(), gamma_max=gamma_max, q=q, initial_mesh=HermiteMesh1D(elements),
                 events=events)
     assert built == assembled
     refined = [(ev.step, ev.detail) for ev in events if ev.kind == "refine"]
@@ -771,6 +759,24 @@ def test_path_refuses_a_deflation_that_holds_roots(monkeypatch):
     assert calls == []
 
 
+def test_path_refuses_a_weighted_deflation_norm(monkeypatch):
+    # each step measures distances in its own mesh's mass norm, so a norm
+    # given in the state would be dropped; it is refused before any assembly
+    norm = _discretization(BeamProblem(), HermiteMesh1D(64)).mass_norm
+    calls, events = [], []
+    monkeypatch.setattr(obstacle1d, "_discretization", lambda *args: calls.append(args))
+    monkeypatch.setattr(continuation, "solve", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="mass norm; give a norm without weight"):
+        path_follow(BeamProblem(), deflation=deflation.DeflationState(norm=norm), events=events)
+    assert calls == [] and events == []
+
+
+def test_the_initial_mesh_sets_the_beam_length():
+    state = path_follow(BeamProblem(), initial_mesh=HermiteMesh1D(8, 2.0), gamma_max=1e3)
+    assert state.mesh == HermiteMesh1D(64, 2.0)  # h = 1/32 <= 1/sqrt(1e3)
+    assert len(state.solutions) > 0
+
+
 def test_newcomer_searches_run_on_the_initial_mesh(monkeypatch):
     unknowns = []
     original = continuation.deflated_search_callables
@@ -816,7 +822,7 @@ def test_a_search_root_that_lifts_onto_a_branch_is_not_found():
     # On 8 elements the search at gamma = 1e6 converges to a root the lift
     # re-solves onto a known branch on 1024 elements: a duplicate, not a root
     events = []
-    state = path_follow(BeamProblem(), initial_elements=8, events=events)
+    state = path_follow(BeamProblem(), initial_mesh=HermiteMesh1D(8), events=events)
     assert len(state.solutions) == sum(ev.kind == "root-found" for ev in events) == 3
     rejected = [(ev.step, ev.branch) for ev in events if ev.kind == "rejected-duplicate"]
     assert rejected == [(9, 2)]
@@ -833,13 +839,13 @@ def test_path_finds_three_equilibria(beam_path):
 
 
 def test_mesh_rule_enforced(beam_path):
-    problem, state, events = beam_path
+    _, state, events = beam_path
     assert state.mesh.h <= 1.0 / math.sqrt(state.gamma)
     # every re-solve happened on a mesh satisfying h <= 1/sqrt(gamma)
     for ev in events:
         if ev.kind == "branch-resolved":
             elements = int(ev.detail.split("=")[1])
-            assert problem.length / elements <= (1.0 + 1e-12) / math.sqrt(ev.parameter)
+            assert state.mesh.length / elements <= (1.0 + 1e-12) / math.sqrt(ev.parameter)
 
 
 def test_branch_resolved_events_name_the_current_mesh(beam_path):
@@ -967,7 +973,7 @@ def test_resolve_iterations_mesh_independent(beam_path):
 def test_subcritical_load_single_solution(beam_path_subcritical):
     problem, state, _ = beam_path_subcritical
     # the load at the first bifurcation of the unconstrained rod
-    buckling_load = problem.bending_stiffness * math.pi**2 / problem.length**2
+    buckling_load = problem.bending_stiffness * math.pi**2 / state.mesh.length**2
     assert problem.load < buckling_load
     assert len(state.solutions) == 1
     disc = _discretization(problem, state.mesh)
@@ -1000,7 +1006,7 @@ def test_banded_solve_matches_dense_on_active_jacobian():
 def test_discovery_is_mesh_independent(beam_path):
     # a finer starting mesh finds the same equilibria at the same cost
     _, coarse_state, _ = beam_path
-    state = path_follow(BeamProblem(), initial_elements=128)
+    state = path_follow(BeamProblem(), initial_mesh=HermiteMesh1D(128))
     assert len(state.solutions) == 3
     coarse_its = [rec.iterations for rec in coarse_state.solutions]
     fine_its = [rec.iterations for rec in state.solutions]
@@ -1008,17 +1014,18 @@ def test_discovery_is_mesh_independent(beam_path):
 
 
 @pytest.mark.parametrize(
-    "data",
+    "data, mesh",
     [
-        {"load": 1e308},
-        {"load": 1.5e306},
-        {"bending_stiffness": 1e305},
-        {"density": 1e308, "gravity": 1e308},
+        ({"load": 1e308}, HermiteMesh1D(64)),
+        ({"load": 1.5e306}, HermiteMesh1D(64)),
+        ({"bending_stiffness": 1e305}, HermiteMesh1D(64)),
+        # a slope entry of the load is weight * h^2 / 12, past the double range at h = 10
+        ({"weight": 1e308}, HermiteMesh1D(1, 10.0)),
     ],
     ids=["load", "load-assembled", "stiffness", "gravity-load"],
 )
-def test_overflowing_beam_data_is_a_value_error(data):
-    problem, mesh = BeamProblem(**data), HermiteMesh1D(64)
+def test_overflowing_beam_data_is_a_value_error(data, mesh):
+    problem = BeamProblem(**data)
     if data == {"load": 1.5e306}:
         # each element matrix is finite; at an interior node the sum of the
         # two elements' value-value entries is not
@@ -1032,15 +1039,17 @@ def test_overflowing_beam_data_is_a_value_error(data):
         with pytest.raises(ValueError, match="overflow"):
             BeamDiscretization(problem, mesh)
         events = []
+        # a first penalty of at most h^-2 keeps the path on ``mesh`` (h <= 1/sqrt(gamma0))
         with pytest.raises(ValueError, match="overflow"):
-            path_follow(problem, gamma_max=100.0, events=events)
+            path_follow(problem, gamma0=min(10.0, mesh.h**-2), gamma_max=100.0,
+                        initial_mesh=mesh, events=events)
     assert events == []
 
 
 def test_a_mesh_too_long_for_its_basis_is_a_value_error():
     # h ** 2 of the Hermite basis overflows before any matrix is assembled
     with pytest.raises(ValueError, match="beam data overflow"):
-        BeamDiscretization(BeamProblem(length=1e300), HermiteMesh1D(64, 1e300))
+        BeamDiscretization(BeamProblem(), HermiteMesh1D(64, 1e300))
 
 
 def test_mesh_and_problem_validation():
@@ -1048,7 +1057,7 @@ def test_mesh_and_problem_validation():
         HermiteMesh1D(0)
     with pytest.raises(ValueError):
         BeamProblem(bending_stiffness=-1.0)
-    for field in ("bending_stiffness", "load", "density", "gravity", "length", "half_width"):
+    for field in ("bending_stiffness", "load", "weight", "half_width"):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="must be finite"):
                 BeamProblem(**{field: value})

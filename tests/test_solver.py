@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from deflated_newton import problems
+from deflated_newton.continuation import ContinuationPlan
 from deflated_newton.deflation import (
     AtDeflatedRoot,
     DeflatedSystem,
@@ -12,6 +13,7 @@ from deflated_newton.deflation import (
     deflation_factor,
     deflation_gradient,
 )
+from deflated_newton.obstacle1d import HermiteMesh1D
 from deflated_newton.reformulate import (
     NcpFunction,
     NonFiniteResidual,
@@ -565,3 +567,28 @@ def test_singular_deflated_step_falls_back_on_the_assembled_matrix(case):
     result, step = first_step(system, 3)
     assert result.status is SolveStatus.SINGULAR_JACOBIAN and result.iterations == 0
     np.testing.assert_array_equal(step, np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HermiteMesh1D(4.0),
+        lambda: ContinuationPlan(0.0, 1.0, 2.5),
+        lambda: SolverConfig(max_iter=2.5),
+        lambda: SolverConfig(stall_window=2.5),
+        lambda: SolverConfig(max_iter=True),
+        lambda: HermiteMesh1D(True),
+    ],
+    ids=["mesh", "plan-steps", "max-iter", "stall-window", "max-iter-bool", "mesh-bool"],
+)
+def test_a_count_that_is_not_an_integer_is_refused_at_construction(build):
+    # a float count would fail later, in assembly or in numpy, and a bool
+    # would read as 0 or 1
+    with pytest.raises(ValueError, match="must be an integer of at least 1, got (4.0|2.5|True)"):
+        build()
+
+
+def test_numpy_integer_counts_are_accepted():
+    assert HermiteMesh1D(np.int64(4)).dofs == 8
+    assert SolverConfig(max_iter=np.int32(3), stall_window=np.int64(2)).max_iter == 3
+    assert len(ContinuationPlan(0.0, 1.0, np.int64(2)).values()) == 2
