@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from itertools import chain, compress, repeat
 from operator import is_
@@ -168,12 +168,14 @@ def _write_value(obj, out, indent: int, texts: dict) -> None:
         out.write(_format_number(float(obj)))
 
 
-def _open_output(path: str, option: str, parser: argparse.ArgumentParser):
-    """``open(path, "w")``, or a usage error naming ``option`` if that fails."""
+@contextmanager
+def _output(path: str, option: str):
+    """``open(path, "w")``; a failed open, write or close is a ValueError naming ``option``."""
     try:
-        return open(path, "w")
+        with open(path, "w") as handle:
+            yield handle
     except OSError as err:
-        parser.error(f"cannot write {option} {path}: {err.strerror or err}")
+        raise ValueError(f"cannot write {option} {path}: {err.strerror or err}") from None
 
 
 def _document(problem: str, settings: dict, solutions: SolutionSet, residual_norm, events) -> dict:
@@ -273,46 +275,31 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _solver_config(args) -> SolverConfig:
-    changes = {}
-    if args.atol is not None:
-        changes["atol"] = args.atol
-    if args.max_iter is not None:
-        changes["max_iter"] = args.max_iter
-    return SolverConfig(**changes)
+def _given(**values) -> dict:
+    """The keyword arguments that are not None: the flags a command line gives."""
+    return {name: value for name, value in values.items() if value is not None}
 
 
-def _registry_settings(args, parser):
-    """Benchmark, registry record, deflation, config and search config of a
-    `solve` or `continue` command line: the flags over the registry's values,
-    and the registry's max_iter in the search config unless --max-iter is given."""
-    try:
-        bench = problems.resolve(args.benchmark)
-    except problems.UnknownBenchmark as err:
-        parser.error(str(err))
+def _registry_settings(args):
+    """Benchmark, registry record and deflation of a `solve` or `continue` command
+    line: --p over the registry's power, --shift over the library's default."""
+    bench = problems.resolve(args.benchmark)
     rec = problems.defaults(bench)
-    try:
-        config = replace(_solver_config(args), least_squares_fallback=rec.least_squares_fallback)
-        deflation = DeflationState(power=rec.power if args.p is None else args.p,
-                                   shift=rec.shift if args.shift is None else args.shift)
-    except ValueError as err:
-        parser.error(str(err))
-    search_config = config if args.max_iter is not None else replace(config, max_iter=rec.max_iter)
-    return bench, rec, deflation, config, search_config
+    deflation = replace(DeflationState(power=rec.power), **_given(power=args.p, shift=args.shift))
+    return bench, rec, deflation
 
 
-def _finish(doc: dict, args, parser, n_roots: int) -> int:
+def _finish(doc: dict, args, n_roots: int) -> int:
     """Write ``doc`` to ``--out`` or stdout; the exit code for ``n_roots`` roots."""
     if not args.deterministic:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    out = nullcontext(sys.stdout) if args.out is None else _open_output(args.out, "--out", parser)
-    with out as handle:
+    with nullcontext(sys.stdout) if args.out is None else _output(args.out, "--out") as handle:
         _write_json(doc, handle)
         handle.write("\n")
     return EXIT_OK if n_roots > 0 else EXIT_NO_ROOTS
 
 
-def _run_list(args, parser) -> int:
+def _run_list(args) -> int:
     entries = []
     for name in problems.list_benchmarks():
         rec = problems.defaults(name)
@@ -322,23 +309,20 @@ def _run_list(args, parser) -> int:
                 "dimension": problems.dimension(name),
                 "ncp": rec.ncp.value,
                 "p": rec.power,
-                "shift": rec.shift,
-                "line_search": rec.line_search,
+                "shift": DeflationState().shift,
+                "line_search": rec.config.line_search,
                 "parameterized": rec.parameterized,
             }
         )
-    return _finish({"problem": "registry", "benchmarks": entries}, args, parser, len(entries))
+    return _finish({"problem": "registry", "benchmarks": entries}, args, len(entries))
 
 
-def _run_solve(args, parser) -> int:
-    bench, rec, deflation, _, config = _registry_settings(args, parser)
+def _run_solve(args) -> int:
+    bench, rec, deflation = _registry_settings(args)
     kind = NcpFunction(args.ncp) if args.ncp else rec.ncp
-    line_search = rec.line_search if args.line_search is None else args.line_search
-    config = replace(config, line_search=line_search)
-    try:
-        problem = problems.build(bench, mu=args.mu)
-    except ValueError as err:
-        parser.error(str(err))
+    config = replace(rec.config, **_given(atol=args.atol, max_iter=args.max_iter,
+                                          line_search=args.line_search))
+    problem = problems.build(bench, mu=args.mu)
     events: list = []
     solutions = deflated_search(
         problem,
@@ -353,7 +337,7 @@ def _run_solve(args, parser) -> int:
         "ncp": kind.value,
         "p": deflation.power,
         "shift": deflation.shift,
-        "line_search": line_search,
+        "line_search": config.line_search,
         "atol": config.atol,
         "max_iter": config.max_iter,
         "mu": problem.parameter,
@@ -362,30 +346,27 @@ def _run_solve(args, parser) -> int:
         bench.value, settings, solutions,
         lambda z: float(np.linalg.norm(assemble_residual(problem, z, kind))), events,
     )
-    return _finish(doc, args, parser, len(solutions))
+    return _finish(doc, args, len(solutions))
 
 
-def _run_continue(args, parser) -> int:
-    bench, rec, deflation, config, search_config = _registry_settings(args, parser)
+def _run_continue(args) -> int:
+    bench, rec, deflation = _registry_settings(args)
     if not rec.parameterized:
-        parser.error(f"{bench.value} has no continuation parameter")
-    kind = rec.ncp
-    try:
-        plan = ContinuationPlan(
-            start=args.mu_start, end=args.mu_end, steps=args.mu_steps, config=config
-        )
-    except ValueError as err:
-        parser.error(str(err))
+        raise ValueError(f"{bench.value} has no continuation parameter")
+    flags = _given(atol=args.atol, max_iter=args.max_iter)
+    # later steps solve with the solver defaults and the registry's fallback
+    plan = ContinuationPlan(args.mu_start, args.mu_end, args.mu_steps, SolverConfig(
+        least_squares_fallback=rec.config.least_squares_fallback, **flags))
 
     events: list = []
-    # step 0 is the search at mu_start, with the registry's iteration cap;
+    # step 0 is the search at mu_start, with the registry's settings;
     # residuals are reported where the returned set lives: mu_end after a
     # full continuation, the last step that kept a branch when all are lost
     try:
         final = continue_parameter(
             lambda mu: problems.build(bench, mu=mu), plan, [problems.initial_guess(bench)],
-            ncp=kind, deflation=deflation, config=search_config, max_roots=args.max_roots,
-            events=events,
+            ncp=rec.ncp, deflation=deflation, config=replace(rec.config, **flags),
+            max_roots=args.max_roots, events=events,
         )
         mu_final = args.mu_end
     except AllBranchesLost as err:
@@ -393,22 +374,22 @@ def _run_continue(args, parser) -> int:
         final, mu_final = err.solutions, err.parameter
     last = problems.build(bench, mu=mu_final)
     settings = {
-        "ncp": kind.value,
+        "ncp": rec.ncp.value,
         "p": deflation.power,
         "shift": deflation.shift,
         "mu_start": args.mu_start,
         "mu_end": args.mu_end,
         "mu_steps": args.mu_steps,
-        "atol": config.atol,
+        "atol": plan.config.atol,
     }
     doc = _document(
         bench.value, settings, final,
-        lambda z: float(np.linalg.norm(assemble_residual(last, z, kind))), events,
+        lambda z: float(np.linalg.norm(assemble_residual(last, z, rec.ncp))), events,
     )
-    return _finish(doc, args, parser, len(final))
+    return _finish(doc, args, len(final))
 
 
-def _run_beam(args, parser) -> int:
+def _run_beam(args) -> int:
     events: list = []
     try:
         problem = BeamProblem(load=args.load, half_width=args.alpha)
@@ -419,16 +400,13 @@ def _run_beam(args, parser) -> int:
             q=args.q,
             initial_mesh=HermiteMesh1D(args.mesh),
             deflation=DeflationState(power=args.p, shift=args.shift),
-            config=_solver_config(args),
+            config=SolverConfig(**_given(atol=args.atol, max_iter=args.max_iter)),
             max_roots=args.max_roots,
             events=events,
         )
     except AllBranchesLost as err:
-        parser.exit(EXIT_NO_ROOTS, f"no solutions: {err}\n")
-    except ValueError as err:
-        # bad beam data, schedule, mesh or deflation values, found before any
-        # solve, or beam data that overflow a mesh's assembled operator
-        parser.error(str(err))
+        print(f"no solutions: {err}", file=sys.stderr)
+        raise SystemExit(EXIT_NO_ROOTS) from None
     disc = _discretization(problem, state.mesh)
     settings = {
         "gamma0": args.gamma0,
@@ -454,11 +432,11 @@ def _run_beam(args, parser) -> int:
                      nodes=list(map(list, zip(xs, values, slopes))))
     if args.dump is not None:
         for i, entry in enumerate(doc["roots"]):
-            with _open_output(f"{args.dump}{i}.txt", "--dump", parser) as handle:
+            with _output(f"{args.dump}{i}.txt", "--dump") as handle:
                 rows = entry["nodes"]
                 text = "%.17g %.17g %.17g\n" * len(rows) % tuple(chain.from_iterable(rows))
                 handle.write("# x value slope\n" + text)
-    return _finish(doc, args, parser, len(state.solutions))
+    return _finish(doc, args, len(state.solutions))
 
 
 # command -> (help line, function adding its arguments, function running it)
@@ -471,14 +449,17 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command line and return its exit code; a ValueError raised while
+    it runs (a refused value, a failed write) ends it as a usage error, exit 2."""
     argv = sys.argv[1:] if argv is None else list(argv)
     # --help, no command and an unknown command get the full parser
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
-    if getattr(args, "max_roots", None) is not None and args.max_roots < 1:
-        parser.error(f"--max-roots must be at least 1, got {args.max_roots}")
     _, _, run = _COMMANDS[args.command]
-    return run(args, parser)
+    try:
+        return run(args)
+    except ValueError as err:
+        parser.error(str(err))
 
 
 if __name__ == "__main__":

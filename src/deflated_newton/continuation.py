@@ -141,16 +141,25 @@ def polish_root(result: SolveResult, deflation: DeflationState, atol: float) -> 
     return alpha > 0.0 and result.residual_history[-1] / alpha <= atol
 
 
-def checked_guesses(guesses: Sequence[np.ndarray], n: int) -> list[np.ndarray]:
-    """The guesses as float arrays, each checked to have length ``n``.
+def checked_guesses(guesses: Sequence[np.ndarray], n: int,
+                    deflation: Optional[DeflationState]) -> list[np.ndarray]:
+    """The guesses as float arrays, each checked to have length ``n``; the roots
+    and the norm weight of ``deflation`` (if given) are checked to have it too.
 
     Raises:
-        ValueError: naming the first guess of another shape.
+        ValueError: naming the first guess, or the part of ``deflation``, of
+            another dimension.
     """
     pool = [np.asarray(guess, dtype=float) for guess in guesses]
     for gi, guess in enumerate(pool):
         if guess.shape != (n,):
             raise ValueError(f"guess {gi} has shape {guess.shape}; expected length {n}")
+    if deflation is not None:
+        weight = deflation.norm.weight
+        for what, size in (("roots have", deflation.stacked.shape[1] if deflation.roots else n),
+                           ("norm weight has", n if weight is None else weight.n)):
+            if size != n:
+                raise ValueError(f"the deflation {what} dimension {size}, not the problem's {n}")
     return pool
 
 
@@ -227,10 +236,13 @@ def deflated_search(
         A :class:`SolutionSet`; empty when no guess converged.
 
     Raises:
-        ValueError: a guess does not have the problem's dimension; raised
-            before any solve.
+        ValueError: ``max_roots`` is neither None nor a count of at least 1,
+            or a guess or ``deflation`` has another dimension than the
+            problem; raised before any solve.
     """
-    guesses = checked_guesses(guesses, problem.dimension)
+    if max_roots is not None:
+        check_count("max_roots", max_roots)
+    guesses = checked_guesses(guesses, problem.dimension, deflation)
     system = _ReformulatedSystem(problem, ncp)
     return deflated_search_callables(
         residual=system.residual,
@@ -445,16 +457,19 @@ def continue_parameter(
         The branches at plan.end, deflated by its ``deflation``; empty when none.
 
     Raises:
-        ValueError: ``deflation`` holds roots, or a guess does not have the
-            problem's dimension; raised before any solve.
+        ValueError: ``max_roots`` is neither None nor a count of at least 1,
+            ``deflation`` holds roots, or a guess or its norm weight has
+            another dimension than the problem; raised before any solve.
         AllBranchesLost: no branch re-converges at some step.
     """
+    if max_roots is not None:
+        check_count("max_roots", max_roots)
     state = unrooted(deflation)
     search_config = config or SolverConfig()
 
     def step_at(step: int, mu: float, branches: list[RootRecord]) -> ContinuationStep:
         system = _ReformulatedSystem(family(mu), ncp)
-        pool = checked_guesses(guesses, system.problem.dimension) if step == 0 else []
+        pool = checked_guesses(guesses, system.problem.dimension, state) if step == 0 else []
         step_config = plan.config if step > 0 else search_config
         return ContinuationStep(
             system.residual, system.jacobian, step_config, state.norm, branches, pool, ""

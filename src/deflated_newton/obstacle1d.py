@@ -546,20 +546,23 @@ def path_follow(
     Raises:
         AllBranchesLost: no solution at the initial penalty, or every branch
             failed to re-converge at some step.
-        ValueError: the penalty schedule is invalid (see :func:`gamma_schedule`),
+        ValueError: ``max_roots`` is neither None nor a count of at least 1,
+            the penalty schedule is invalid (see :func:`gamma_schedule`),
             the final mesh would exceed :data:`MAX_ELEMENTS` elements (see
             :func:`path_meshes`), ``deflation`` holds roots or a norm weight,
             a guess does not have the length of the initial mesh's unknowns,
             or the beam data overflow the assembled operator or load; all but
             the last are raised before any assembly.
     """
+    if max_roots is not None:
+        check_count("max_roots", max_roots)
     values = [gamma0] + gamma_schedule(gamma0, gamma_max, q)
     meshes = path_meshes(initial_mesh, values)
     operator = unrooted(deflation)
     if operator.norm.weight is not None:
         raise ValueError("each step deflates in its mesh's mass norm; give a norm without weight")
     n = initial_mesh.dofs
-    pool = [np.zeros(n)] if guesses is None else checked_guesses(guesses, n)
+    pool = [np.zeros(n)] if guesses is None else checked_guesses(guesses, n, operator)
     pool = [prolong_to(initial_mesh, meshes[0], guess) for guess in pool]  # emits no event
     discs = {mesh: _discretization(problem, mesh) for mesh in dict.fromkeys(meshes)}
     # step 0's mesh: every newcomer search runs on it, from the pool

@@ -17,9 +17,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .reformulate import MixedComplementarityProblem, NcpFunction
+from .solver import SolverConfig
 
 
-class UnknownBenchmark(Exception):
+class UnknownBenchmark(ValueError):
     """Requested benchmark name is not in the registry."""
 
 
@@ -32,15 +33,13 @@ class Benchmark(Enum):
 
 @dataclass(frozen=True)
 class BenchmarkDefaults:
-    """Recommended solver settings for a benchmark."""
+    """Recommended settings for a benchmark: ``config`` is its searches'
+    :class:`SolverConfig`, and ``power`` its deflation power at the default shift."""
 
     ncp: NcpFunction = NcpFunction.FISCHER_BURMEISTER
     power: float = 2.0
-    shift: float = 1.0
-    line_search: bool = False
-    least_squares_fallback: bool = False
+    config: SolverConfig = SolverConfig()
     parameterized: bool = False
-    max_iter: int = 100
 
 
 # The benchmark maps unpack z with ``tolist()`` and compute on Python floats:
@@ -209,16 +208,15 @@ _REGISTRY = {
         # the game is symmetric under swapping the players, the zero guess is
         # symmetric, and two of the equilibria are not: escaping the symmetric
         # subspace rides on rounding noise and needs a generous iteration cap
-        BenchmarkDefaults(parameterized=True, max_iter=2000),
+        BenchmarkDefaults(config=SolverConfig(max_iter=2000), parameterized=True),
         guess=np.zeros(4),
         functions=lambda mu: (_aggarwal_f(mu), _aggarwal_jac(mu)),
     ),
     Benchmark.GERARD: _Entry(
         # the all-zero start makes several rows of the Newton matrix vanish,
         # so singular systems are solved in the minimum-norm sense there
-        BenchmarkDefaults(
-            ncp=NcpFunction.MIN_MAX, power=1.0, line_search=True, least_squares_fallback=True,
-        ),
+        BenchmarkDefaults(ncp=NcpFunction.MIN_MAX, power=1.0,
+                          config=SolverConfig(line_search=True, least_squares_fallback=True)),
         guess=np.zeros(10),
         functions=lambda mu: (_gerard_f, _gerard_jac),
         # the certainty-equivalent variable is unconstrained

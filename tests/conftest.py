@@ -13,7 +13,6 @@ import pytest
 from deflated_newton import (
     BeamProblem,
     DeflationState,
-    SolverConfig,
     deflated_search,
     path_follow,
 )
@@ -41,15 +40,12 @@ def gould_roots():
 @pytest.fixture(scope="session")
 def gerard_solutions():
     rec = problems.defaults("gerard")
-    config = SolverConfig(
-        line_search=True, least_squares_fallback=rec.least_squares_fallback, max_iter=rec.max_iter
-    )
     sols = deflated_search(
         problems.build("gerard"),
         [problems.initial_guess("gerard")],
         ncp=rec.ncp,
-        deflation=DeflationState(power=rec.power, shift=rec.shift),
-        config=config,
+        deflation=DeflationState(power=rec.power),
+        config=rec.config,
     )
     return sols
 
@@ -57,8 +53,7 @@ def gerard_solutions():
 @pytest.fixture(scope="session")
 def aggarwal_search():
     """Deflated search on the bimatrix game at the small parameter value."""
-    rec = problems.defaults("aggarwal")
-    config = SolverConfig(max_iter=rec.max_iter)
+    config = problems.defaults("aggarwal").config
     events = []
     sols = deflated_search(
         problems.build("aggarwal", mu=1e-3),

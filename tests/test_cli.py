@@ -1,13 +1,16 @@
 import argparse
+import errno
 import inspect
 import io
 import json
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from deflated_newton import cli
 from deflated_newton.cli import _build_parser, _json_string, _write_json, main
 from deflated_newton.deflation import DeflationState
 from deflated_newton.obstacle1d import (
@@ -153,8 +156,12 @@ def test_usage_error_exit_code(capsys):
     [
         ["list", "--out", "{missing}/x.json"],
         ["beam", "--gamma-max", "1e3", "--dump", "{missing}/sol"],
+        # the open succeeds and the write or close fails
+        pytest.param(["list", "--out", "/dev/full"], id="full",
+                     marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                              reason="no /dev/full")),
     ],
-    ids=["out", "dump"],
+    ids=["out", "dump", "full"],
 )
 def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys):
     missing = tmp_path / "missing"
@@ -165,6 +172,23 @@ def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith("deflated-newton: error: cannot write")
     assert not missing.exists()
+
+
+def test_a_failed_dump_write_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    class FullFile(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "open", lambda *args: FullFile(), raising=False)
+    prefix = tmp_path / "sol"
+    with pytest.raises(SystemExit) as err:
+        main(["beam", "--gamma-max", "1e3", "--dump", str(prefix), "--deterministic"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"deflated-newton: error: cannot write --dump {prefix}0.txt: {os.strerror(errno.ENOSPC)}"
+    )
 
 
 COMMAND_LINES = [

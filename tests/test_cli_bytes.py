@@ -2,10 +2,10 @@
 
 Each command runs in-process through ``cli.main`` and its stdout is
 compared by SHA-256, as are the plain-text ``--dump`` files of one beam
-path.  The set covers every benchmark's search, unshifted
-deflation, parameter continuation and beam paths with several initial
-meshes, so a change to what the package computes or how a document is
-written shows here.  A change that moves any of these bytes must say why
+path.  The set covers the registry listing, every benchmark's search,
+unshifted deflation, parameter continuation and beam paths with several
+initial meshes, so a change to what the package computes or how a
+document is written shows here.  A change that moves any of these bytes must say why
 and update the hashes here.  The bytes do not depend on the BLAS thread
 count (checked with ``OPENBLAS_NUM_THREADS`` 1 and 2).
 """
@@ -17,6 +17,7 @@ import pytest
 from deflated_newton.cli import main
 
 PINNED = {
+    ("list",): "4025d70d2f1350efb9c49ba69d6d41b82a0deb8b56a5cd6c81eafd021e25c4ab",
     ("solve", "kojima-shindoh"): "92c67dd3fb9c9c6748890d72a608a8e8e505bcf85632876c2117412e1616c201",
     ("solve", "gould"): "5cb92f37e7261509c0147a5412f46315507a99df74886256212131cadf69a33c",
     ("solve", "gerard"): "d4c95bba5aba122f0a3c3c469456048190844833752478864985ad35c1d11af6",

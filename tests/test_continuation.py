@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from deflated_newton import continuation, problems
+from deflated_newton import continuation, obstacle1d, problems
 from deflated_newton.continuation import (
     AllBranchesLost,
     ContinuationPlan,
@@ -13,7 +13,7 @@ from deflated_newton.continuation import (
     deflated_search,
 )
 from deflated_newton.deflation import DISTINCTNESS_TOL, GUARD, DeflationState, NormSpec
-from deflated_newton.obstacle1d import BeamDiscretization, BeamProblem, HermiteMesh1D
+from deflated_newton.obstacle1d import BeamDiscretization, BeamProblem, HermiteMesh1D, path_follow
 from deflated_newton.reformulate import (
     MixedComplementarityProblem,
     NcpFunction,
@@ -490,6 +490,52 @@ def test_continuation_refuses_a_deflation_that_holds_roots(monkeypatch):
         continue_parameter(calls.append, plan, [np.full(4, 0.7)], deflation=state)
     assert calls == []
     assert len(state.roots) == 1
+
+
+@pytest.mark.parametrize("max_roots", [0, -1, 1.5, True])
+def test_search_refuses_a_root_cap_that_is_not_a_count(max_roots, monkeypatch):
+    calls, events = [], []
+    monkeypatch.setattr(continuation, "solve", lambda *args: calls.append(args))
+    message = f"^max_roots must be an integer of at least 1, got {re.escape(repr(max_roots))}$"
+    with pytest.raises(ValueError, match=message):
+        deflated_search(problems.build("gould"), [problems.initial_guess("gould")],
+                        max_roots=max_roots, events=events)
+    assert calls == [] and events == []
+
+
+def test_continuations_refuse_a_root_cap_of_zero(monkeypatch):
+    calls, events = [], []
+    monkeypatch.setattr(continuation, "solve", lambda *args: calls.append(args))
+    monkeypatch.setattr(obstacle1d, "_discretization", lambda *args: calls.append(args))
+    message = "^max_roots must be an integer of at least 1, got 0$"
+    plan = ContinuationPlan(start=0.1, end=1.0, steps=2)
+    with pytest.raises(ValueError, match=message):
+        continue_parameter(calls.append, plan, [np.zeros(4)], max_roots=0, events=events)
+    with pytest.raises(ValueError, match=message):
+        path_follow(BeamProblem(), gamma_max=1e2, max_roots=0, events=events)
+    assert calls == [] and events == []
+
+
+def test_a_deflation_of_another_dimension_is_refused_before_any_evaluation():
+    # it used to fail inside the first solve, with numpy's reshape or
+    # broadcast error
+    calls, events = [], []
+    kojima = problems.build("kojima-shindoh")
+    problem = dataclasses.replace(kojima, residual=lambda z: calls.append(z) or kojima.residual(z))
+    guess = problems.initial_guess("kojima-shindoh")
+    norm = BeamDiscretization(BeamProblem(), HermiteMesh1D(1)).mass_norm  # 2 unknowns
+    roots_message = "^the deflation roots have dimension 3, not the problem's 4$"
+    weight_message = "^the deflation norm weight has dimension 2, not the problem's 4$"
+    with pytest.raises(ValueError, match=roots_message):
+        deflated_search(problem, [guess], deflation=DeflationState(roots=[np.ones(3)]),
+                        events=events)
+    with pytest.raises(ValueError, match=weight_message):
+        deflated_search(problem, [guess], deflation=DeflationState(norm=norm), events=events)
+    plan = ContinuationPlan(start=0.0, end=1.0, steps=2)
+    with pytest.raises(ValueError, match=weight_message):
+        continue_parameter(lambda mu: problem, plan, [guess], deflation=DeflationState(norm=norm),
+                           events=events)
+    assert calls == [] and events == []
 
 
 from hypothesis import given, settings  # noqa: E402

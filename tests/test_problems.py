@@ -111,13 +111,15 @@ def test_unknown_benchmark():
 def test_registry_defaults():
     assert problems.defaults(Benchmark.GERARD).ncp is NcpFunction.MIN_MAX
     assert problems.defaults(Benchmark.GERARD).power == 1.0
-    assert problems.defaults(Benchmark.GERARD).line_search is True
-    assert problems.defaults(Benchmark.GERARD).least_squares_fallback is True
+    assert problems.defaults(Benchmark.GERARD).config.line_search is True
+    assert problems.defaults(Benchmark.GERARD).config.least_squares_fallback is True
+    assert problems.defaults(Benchmark.GERARD).config.max_iter == 100
+    assert problems.defaults(Benchmark.AGGARWAL).config.max_iter == 2000
     for name in ("kojima-shindoh", "gould", "aggarwal"):
         rec = problems.defaults(name)
         assert rec.ncp is NcpFunction.FISCHER_BURMEISTER
-        assert rec.power == 2.0 and rec.shift == 1.0
-        assert rec.line_search is False and rec.least_squares_fallback is False
+        assert rec.power == 2.0
+        assert rec.config.line_search is False and rec.config.least_squares_fallback is False
     assert problems.list_benchmarks() == ["kojima-shindoh", "gould", "aggarwal", "gerard"]
 
 
