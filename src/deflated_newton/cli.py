@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager, nullcontext
@@ -169,13 +170,22 @@ def _write_value(obj, out, indent: int, texts: dict) -> None:
 
 
 @contextmanager
-def _output(path: str, option: str):
-    """``open(path, "w")``; a failed open, write or close is a ValueError naming ``option``."""
+def _output(path: Optional[str], option: str):
+    """``open(path, "w")``, or stdout when ``path`` is None; a failed open,
+    write, flush or close is a ValueError naming ``option``."""
     try:
-        with open(path, "w") as handle:
+        with nullcontext(sys.stdout) if path is None else open(path, "w") as handle:
             yield handle
+            handle.flush()
     except OSError as err:
-        raise ValueError(f"cannot write {option} {path}: {err.strerror or err}") from None
+        if path is None:
+            # the interpreter flushes stdout once more as it exits: let that
+            # write go nowhere instead of failing with a second error
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        where = option if path is None else f"{option} {path}"
+        raise ValueError(f"cannot write {where}: {err.strerror or err}") from None
 
 
 def _document(problem: str, settings: dict, solutions: SolutionSet, residual_norm, events) -> dict:
@@ -281,52 +291,49 @@ def _given(**values) -> dict:
 
 
 def _registry_settings(args):
-    """Benchmark, registry record and deflation of a `solve` or `continue` command
-    line: --p over the registry's power, --shift over the library's default."""
-    bench = problems.resolve(args.benchmark)
-    rec = problems.defaults(bench)
+    """Registry record and deflation of a `solve` or `continue` command line:
+    --p over the registry's power, --shift over the library's default."""
+    rec = problems.get(args.benchmark)
     deflation = replace(DeflationState(power=rec.power), **_given(power=args.p, shift=args.shift))
-    return bench, rec, deflation
+    return rec, deflation
 
 
 def _finish(doc: dict, args, n_roots: int) -> int:
     """Write ``doc`` to ``--out`` or stdout; the exit code for ``n_roots`` roots."""
     if not args.deterministic:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    with nullcontext(sys.stdout) if args.out is None else _output(args.out, "--out") as handle:
+    with _output(args.out, "stdout" if args.out is None else "--out") as handle:
         _write_json(doc, handle)
         handle.write("\n")
     return EXIT_OK if n_roots > 0 else EXIT_NO_ROOTS
 
 
 def _run_list(args) -> int:
-    entries = []
-    for name in problems.list_benchmarks():
-        rec = problems.defaults(name)
-        entries.append(
-            {
-                "name": name,
-                "dimension": problems.dimension(name),
-                "ncp": rec.ncp.value,
-                "p": rec.power,
-                "shift": DeflationState().shift,
-                "line_search": rec.config.line_search,
-                "parameterized": rec.parameterized,
-            }
-        )
+    entries = [
+        {
+            "name": rec.name,
+            "dimension": rec.guess.size,
+            "ncp": rec.ncp.value,
+            "p": rec.power,
+            "shift": DeflationState().shift,
+            "line_search": rec.config.line_search,
+            "parameterized": rec.parameterized,
+        }
+        for rec in problems.REGISTRY.values()
+    ]
     return _finish({"problem": "registry", "benchmarks": entries}, args, len(entries))
 
 
 def _run_solve(args) -> int:
-    bench, rec, deflation = _registry_settings(args)
+    rec, deflation = _registry_settings(args)
     kind = NcpFunction(args.ncp) if args.ncp else rec.ncp
     config = replace(rec.config, **_given(atol=args.atol, max_iter=args.max_iter,
                                           line_search=args.line_search))
-    problem = problems.build(bench, mu=args.mu)
+    problem = problems.build(rec.name, mu=args.mu)
     events: list = []
     solutions = deflated_search(
         problem,
-        guesses=[problems.initial_guess(bench)],
+        guesses=[rec.guess],
         ncp=kind,
         deflation=deflation,
         config=config,
@@ -343,16 +350,16 @@ def _run_solve(args) -> int:
         "mu": problem.parameter,
     }
     doc = _document(
-        bench.value, settings, solutions,
+        rec.name, settings, solutions,
         lambda z: float(np.linalg.norm(assemble_residual(problem, z, kind))), events,
     )
     return _finish(doc, args, len(solutions))
 
 
 def _run_continue(args) -> int:
-    bench, rec, deflation = _registry_settings(args)
+    rec, deflation = _registry_settings(args)
     if not rec.parameterized:
-        raise ValueError(f"{bench.value} has no continuation parameter")
+        raise ValueError(f"{rec.name} has no continuation parameter")
     flags = _given(atol=args.atol, max_iter=args.max_iter)
     # later steps solve with the solver defaults and the registry's fallback
     plan = ContinuationPlan(args.mu_start, args.mu_end, args.mu_steps, SolverConfig(
@@ -364,7 +371,7 @@ def _run_continue(args) -> int:
     # full continuation, the last step that kept a branch when all are lost
     try:
         final = continue_parameter(
-            lambda mu: problems.build(bench, mu=mu), plan, [problems.initial_guess(bench)],
+            lambda mu: problems.build(rec.name, mu=mu), plan, [rec.guess],
             ncp=rec.ncp, deflation=deflation, config=replace(rec.config, **flags),
             max_roots=args.max_roots, events=events,
         )
@@ -372,7 +379,7 @@ def _run_continue(args) -> int:
     except AllBranchesLost as err:
         events.append(Event(kind="all-branches-lost", detail=str(err)))
         final, mu_final = err.solutions, err.parameter
-    last = problems.build(bench, mu=mu_final)
+    last = problems.build(rec.name, mu=mu_final)
     settings = {
         "ncp": rec.ncp.value,
         "p": deflation.power,
@@ -383,7 +390,7 @@ def _run_continue(args) -> int:
         "atol": plan.config.atol,
     }
     doc = _document(
-        bench.value, settings, final,
+        rec.name, settings, final,
         lambda z: float(np.linalg.norm(assemble_residual(last, z, rec.ncp))), events,
     )
     return _finish(doc, args, len(final))

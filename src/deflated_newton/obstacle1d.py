@@ -357,8 +357,6 @@ class BeamDiscretization:
             return self._linear
         pattern = (np.abs(yq) > self.problem.half_width) @ _PATTERN_WEIGHTS
         hit = pattern.nonzero()[0]
-        if hit.size == 0:
-            return self._linear
         blocks = gamma * self._penalty_table[pattern[hit]]
         return self._add_blocks(self._linear, blocks, hit)
 

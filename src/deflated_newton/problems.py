@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,24 +21,6 @@ from .solver import SolverConfig
 
 class UnknownBenchmark(ValueError):
     """Requested benchmark name is not in the registry."""
-
-
-class Benchmark(Enum):
-    KOJIMA_SHINDOH = "kojima-shindoh"
-    GOULD = "gould"
-    AGGARWAL = "aggarwal"
-    GERARD = "gerard"
-
-
-@dataclass(frozen=True)
-class BenchmarkDefaults:
-    """Recommended settings for a benchmark: ``config`` is its searches'
-    :class:`SolverConfig`, and ``power`` its deflation power at the default shift."""
-
-    ncp: NcpFunction = NcpFunction.FISCHER_BURMEISTER
-    power: float = 2.0
-    config: SolverConfig = SolverConfig()
-    parameterized: bool = False
 
 
 # The benchmark maps unpack z with ``tolist()`` and compute on Python floats:
@@ -180,65 +161,68 @@ def _gerard_jac(z):
 
 
 @dataclass(frozen=True)
-class _Entry:
-    """One registry row: solver defaults, initial guess and problem data.
+class Benchmark:
+    """One registry row: a benchmark's name, problem data and search settings.
 
-    ``functions(mu)`` returns ``(F, jacobian)``; only a parameterized entry
-    reads ``mu``.  The dimension is the length of ``guess``.
+    ``guess`` is the initial guess, and its length the dimension;
+    ``functions(mu)`` returns ``(F, jacobian)``, and only a parameterized
+    entry reads ``mu``; ``lower`` is the lower bound (``None``: all zero).
+    ``ncp``, ``power`` and ``config`` are the NCP function, the deflation
+    power at the default shift and the :class:`SolverConfig` of the
+    benchmark's searches.  ``guess`` and ``lower`` are made read-only.
     """
 
-    defaults: BenchmarkDefaults
+    name: str
     guess: np.ndarray
     functions: Callable[[Optional[float]], tuple]
     lower: Optional[np.ndarray] = None
+    ncp: NcpFunction = NcpFunction.FISCHER_BURMEISTER
+    power: float = 2.0
+    config: SolverConfig = SolverConfig()
+    parameterized: bool = False
+
+    def __post_init__(self):
+        for values in (self.guess, self.lower):
+            if values is not None:
+                values.flags.writeable = False
 
 
-_REGISTRY = {
-    Benchmark.KOJIMA_SHINDOH: _Entry(
-        BenchmarkDefaults(),
-        guess=np.full(4, 0.7),
-        functions=lambda mu: (_kojima_shindoh_f, _kojima_shindoh_jac),
-    ),
-    Benchmark.GOULD: _Entry(
-        BenchmarkDefaults(),
-        guess=np.array([0.2, 0.2, 0.0, 0.0]),
-        functions=lambda mu: (_gould_f, lambda z: _GOULD_JAC),
-    ),
-    Benchmark.AGGARWAL: _Entry(
-        # the game is symmetric under swapping the players, the zero guess is
-        # symmetric, and two of the equilibria are not: escaping the symmetric
-        # subspace rides on rounding noise and needs a generous iteration cap
-        BenchmarkDefaults(config=SolverConfig(max_iter=2000), parameterized=True),
-        guess=np.zeros(4),
-        functions=lambda mu: (_aggarwal_f(mu), _aggarwal_jac(mu)),
-    ),
-    Benchmark.GERARD: _Entry(
-        # the all-zero start makes several rows of the Newton matrix vanish,
-        # so singular systems are solved in the minimum-norm sense there
-        BenchmarkDefaults(ncp=NcpFunction.MIN_MAX, power=1.0,
-                          config=SolverConfig(line_search=True, least_squares_fallback=True)),
-        guess=np.zeros(10),
-        functions=lambda mu: (_gerard_f, _gerard_jac),
-        # the certainty-equivalent variable is unconstrained
-        lower=np.append(np.zeros(9), -np.inf),
-    ),
-}
+REGISTRY = {rec.name: rec for rec in (
+    Benchmark("kojima-shindoh", np.full(4, 0.7),
+              lambda mu: (_kojima_shindoh_f, _kojima_shindoh_jac)),
+    Benchmark("gould", np.array([0.2, 0.2, 0.0, 0.0]), lambda mu: (_gould_f, lambda z: _GOULD_JAC)),
+    # the game is symmetric under swapping the players, the zero guess is
+    # symmetric, and two of the equilibria are not: escaping the symmetric
+    # subspace rides on rounding noise and needs a generous iteration cap
+    Benchmark("aggarwal", np.zeros(4), lambda mu: (_aggarwal_f(mu), _aggarwal_jac(mu)),
+              config=SolverConfig(max_iter=2000), parameterized=True),
+    # the all-zero start makes several rows of the Newton matrix vanish, so
+    # singular systems are solved in the minimum-norm sense there; the
+    # certainty-equivalent variable is unconstrained
+    Benchmark("gerard", np.zeros(10), lambda mu: (_gerard_f, _gerard_jac),
+              lower=np.append(np.zeros(9), -np.inf), ncp=NcpFunction.MIN_MAX, power=1.0,
+              config=SolverConfig(line_search=True, least_squares_fallback=True)),
+)}
 
 
-def resolve(benchmark) -> Benchmark:
-    if isinstance(benchmark, Benchmark):
-        return benchmark
-    try:
-        return Benchmark(str(benchmark))
-    except ValueError:
-        raise UnknownBenchmark(f"unknown benchmark {benchmark!r}; see list_benchmarks()") from None
+def get(name) -> Benchmark:
+    """The :data:`REGISTRY` record called ``name``.
+
+    Raises:
+        UnknownBenchmark: if ``name`` is not the name of a registry entry,
+            a value that is not a string included.
+    """
+    rec = REGISTRY.get(name) if isinstance(name, str) else None
+    if rec is None:
+        raise UnknownBenchmark(f"unknown benchmark {name!r}; known: {', '.join(REGISTRY)}")
+    return rec
 
 
-def build(benchmark, mu: Optional[float] = None) -> MixedComplementarityProblem:
-    """Build a benchmark MCP.
+def build(name, mu: Optional[float] = None) -> MixedComplementarityProblem:
+    """Build the MCP of the benchmark called ``name``.
 
     Args:
-        benchmark: a :class:`Benchmark` or its string name.
+        name: a :data:`REGISTRY` name.
         mu: continuation parameter, only meaningful for a parameterized
             benchmark (defaults to 1, the original problem).
 
@@ -247,37 +231,19 @@ def build(benchmark, mu: Optional[float] = None) -> MixedComplementarityProblem:
         ValueError: if ``mu`` is passed for a non-parameterized benchmark or
             is not finite.
     """
-    bench = resolve(benchmark)
-    entry = _REGISTRY[bench]
+    rec = get(name)
     parameter = None
-    if entry.defaults.parameterized:
+    if rec.parameterized:
         parameter = 1.0 if mu is None else float(mu)
         if not math.isfinite(parameter):
             raise ValueError(f"mu must be finite, got {parameter}")
     elif mu is not None:
-        raise ValueError(f"{bench.value} takes no parameter")
-    residual, derivative = entry.functions(parameter)
+        raise ValueError(f"{rec.name} takes no parameter")
+    residual, derivative = rec.functions(parameter)
     return MixedComplementarityProblem(
-        dimension=entry.guess.size,
+        dimension=rec.guess.size,
         residual=residual,
         derivative=derivative,
-        lower=entry.lower,
+        lower=rec.lower,
         parameter=parameter,
     )
-
-
-def defaults(benchmark) -> BenchmarkDefaults:
-    return _REGISTRY[resolve(benchmark)].defaults
-
-
-def initial_guess(benchmark) -> np.ndarray:
-    return _REGISTRY[resolve(benchmark)].guess.copy()
-
-
-def dimension(benchmark) -> int:
-    return _REGISTRY[resolve(benchmark)].guess.size
-
-
-def list_benchmarks() -> list[str]:
-    return [b.value for b in Benchmark]
-

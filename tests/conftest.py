@@ -26,23 +26,23 @@ EPS = float(np.finfo(float).eps)
 @pytest.fixture(scope="session")
 def kojima_roots():
     prob = problems.build("kojima-shindoh")
-    sols = deflated_search(prob, [problems.initial_guess("kojima-shindoh")])
+    sols = deflated_search(prob, [problems.get("kojima-shindoh").guess])
     return [rec.z for rec in sols]
 
 
 @pytest.fixture(scope="session")
 def gould_roots():
     prob = problems.build("gould")
-    sols = deflated_search(prob, [problems.initial_guess("gould")])
+    sols = deflated_search(prob, [problems.get("gould").guess])
     return [rec.z for rec in sols]
 
 
 @pytest.fixture(scope="session")
 def gerard_solutions():
-    rec = problems.defaults("gerard")
+    rec = problems.get("gerard")
     sols = deflated_search(
         problems.build("gerard"),
-        [problems.initial_guess("gerard")],
+        [rec.guess],
         ncp=rec.ncp,
         deflation=DeflationState(power=rec.power),
         config=rec.config,
@@ -53,11 +53,12 @@ def gerard_solutions():
 @pytest.fixture(scope="session")
 def aggarwal_search():
     """Deflated search on the bimatrix game at the small parameter value."""
-    config = problems.defaults("aggarwal").config
+    rec = problems.get("aggarwal")
+    config = rec.config
     events = []
     sols = deflated_search(
         problems.build("aggarwal", mu=1e-3),
-        [problems.initial_guess("aggarwal")],
+        [rec.guess],
         config=config,
         events=events,
     )

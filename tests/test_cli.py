@@ -5,7 +5,10 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +192,39 @@ def test_a_failed_dump_write_is_a_usage_error(tmp_path, monkeypatch, capsys):
     assert captured.err.splitlines()[-1] == (
         f"deflated-newton: error: cannot write --dump {prefix}0.txt: {os.strerror(errno.ENOSPC)}"
     )
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve", "gould"], ["beam", "--gamma-max", "100"], ["list"]],
+    ids=["solve", "beam", "list"],
+)
+def test_a_closed_stdout_is_a_usage_error(argv):
+    # the reader's end of the pipe is closed before the command starts
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "deflated_newton.cli", *argv, "--deterministic"],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=300,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        f"deflated-newton: error: cannot write stdout: {os.strerror(errno.EPIPE)}"
+    )
+
+
+def test_beam_without_a_solution_exits_1_with_one_stderr_line(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["beam", "--max-iter", "1", "--alpha", "0.01", "--deterministic"])
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "no solutions: no solution found at the initial penalty 10.0\n"
 
 
 COMMAND_LINES = [

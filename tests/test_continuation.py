@@ -114,7 +114,7 @@ def test_aggarwal_continuation_to_unit_parameter(aggarwal_search):
     plan = ContinuationPlan(start=1e-3, end=1.0, steps=50, config=SolverConfig())
     final = continue_parameter(
         lambda mu: problems.build("aggarwal", mu=mu), plan,
-        [problems.initial_guess("aggarwal")], config=config,
+        [problems.get("aggarwal").guess], config=config,
     )
     assert len(final) == 3
     match_as_set(final.vectors(), AGGARWAL_ROOTS, tol=1e-6)
@@ -330,7 +330,7 @@ def test_wrong_length_guess_fails_before_any_solve(monkeypatch):
     prob = problems.build("kojima-shindoh")
     calls = []
     monkeypatch.setattr(continuation, "solve", lambda *args: calls.append(args))
-    good = problems.initial_guess("kojima-shindoh")
+    good = problems.get("kojima-shindoh").guess
     for guesses, index, shape in (
         ([good, np.zeros(3)], 1, "(3,)"),
         ([np.zeros(5)], 0, "(5,)"),
@@ -460,7 +460,7 @@ def test_one_residual_evaluation_per_point(monkeypatch):
 
     monkeypatch.setattr(continuation, "solve", counting_solve)
     problem = dataclasses.replace(base, residual=counted_f)
-    sols = deflated_search(problem, [problems.initial_guess("kojima-shindoh")])
+    sols = deflated_search(problem, [problems.get("kojima-shindoh").guess])
     assert len(sols) == 2
     assert len(points) > 0
     assert len(f_calls) == len(points)
@@ -498,7 +498,7 @@ def test_search_refuses_a_root_cap_that_is_not_a_count(max_roots, monkeypatch):
     monkeypatch.setattr(continuation, "solve", lambda *args: calls.append(args))
     message = f"^max_roots must be an integer of at least 1, got {re.escape(repr(max_roots))}$"
     with pytest.raises(ValueError, match=message):
-        deflated_search(problems.build("gould"), [problems.initial_guess("gould")],
+        deflated_search(problems.build("gould"), [problems.get("gould").guess],
                         max_roots=max_roots, events=events)
     assert calls == [] and events == []
 
@@ -522,7 +522,7 @@ def test_a_deflation_of_another_dimension_is_refused_before_any_evaluation():
     calls, events = [], []
     kojima = problems.build("kojima-shindoh")
     problem = dataclasses.replace(kojima, residual=lambda z: calls.append(z) or kojima.residual(z))
-    guess = problems.initial_guess("kojima-shindoh")
+    guess = problems.get("kojima-shindoh").guess
     norm = BeamDiscretization(BeamProblem(), HermiteMesh1D(1)).mass_norm  # 2 unknowns
     roots_message = "^the deflation roots have dimension 3, not the problem's 4$"
     weight_message = "^the deflation norm weight has dimension 2, not the problem's 4$"

@@ -1,8 +1,11 @@
+import re
+import types
+
 import numpy as np
 import pytest
 
 from deflated_newton import problems
-from deflated_newton.problems import Benchmark, UnknownBenchmark
+from deflated_newton.problems import UnknownBenchmark
 from deflated_newton.reformulate import NcpFunction, assemble_residual
 
 SQRT6 = np.sqrt(6.0)
@@ -86,48 +89,68 @@ def test_non_finite_mu_rejected(mu):
         problems.build("aggarwal", mu=mu)
 
 
-@pytest.mark.parametrize("name", problems.list_benchmarks())
+@pytest.mark.parametrize("name", list(problems.REGISTRY))
 def test_registry_is_consistent(name):
-    guess = problems.initial_guess(name)
-    assert problems.dimension(name) == problems.build(name).dimension == len(guess)
-    if problems.defaults(name).parameterized:
+    rec = problems.get(name)
+    assert rec is problems.REGISTRY[name] and rec.name == name
+    assert problems.build(name).dimension == rec.guess.size
+    if rec.parameterized:
         assert problems.build(name, mu=0.5).parameter == 0.5
     else:
         with pytest.raises(ValueError, match="takes no parameter"):
             problems.build(name, mu=0.5)
-    # the registry hands out copies, and a problem's bounds are read-only
+    # the registry's arrays and a problem's bounds are read-only
+    for values in (rec.guess, rec.lower, problems.build(name).lower):
+        if values is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                values[:] = 123.0
+    guess = rec.guess.copy()
     guess[:] = 123.0
-    with pytest.raises(ValueError, match="read-only"):
-        problems.build(name).lower[:] = 123.0
-    assert not (problems.initial_guess(name) == 123.0).any()
+    assert not (rec.guess == 123.0).any()
     assert not (problems.build(name).lower == 123.0).any()
 
 
 def test_unknown_benchmark():
-    with pytest.raises(UnknownBenchmark):
+    known = "known: kojima-shindoh, gould, aggarwal, gerard"
+    with pytest.raises(UnknownBenchmark, match=f"^unknown benchmark 'lemke'; {known}$"):
         problems.build("lemke")
+    # a value that is not a string names no benchmark either
+    for value in (None, 4, ["gould"]):
+        with pytest.raises(UnknownBenchmark, match=f"^unknown benchmark {re.escape(repr(value))}"):
+            problems.get(value)
 
 
 def test_registry_defaults():
-    assert problems.defaults(Benchmark.GERARD).ncp is NcpFunction.MIN_MAX
-    assert problems.defaults(Benchmark.GERARD).power == 1.0
-    assert problems.defaults(Benchmark.GERARD).config.line_search is True
-    assert problems.defaults(Benchmark.GERARD).config.least_squares_fallback is True
-    assert problems.defaults(Benchmark.GERARD).config.max_iter == 100
-    assert problems.defaults(Benchmark.AGGARWAL).config.max_iter == 2000
+    gerard = problems.get("gerard")
+    assert gerard.ncp is NcpFunction.MIN_MAX
+    assert gerard.power == 1.0
+    assert gerard.config.line_search is True
+    assert gerard.config.least_squares_fallback is True
+    assert gerard.config.max_iter == 100
+    assert problems.get("aggarwal").config.max_iter == 2000
     for name in ("kojima-shindoh", "gould", "aggarwal"):
-        rec = problems.defaults(name)
+        rec = problems.get(name)
         assert rec.ncp is NcpFunction.FISCHER_BURMEISTER
         assert rec.power == 2.0
         assert rec.config.line_search is False and rec.config.least_squares_fallback is False
-    assert problems.list_benchmarks() == ["kojima-shindoh", "gould", "aggarwal", "gerard"]
+    assert list(problems.REGISTRY) == ["kojima-shindoh", "gould", "aggarwal", "gerard"]
+
+
+def test_public_names():
+    # every other name is private or imported from elsewhere
+    public = {
+        name for name, value in vars(problems).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        and getattr(value, "__module__", problems.__name__) == problems.__name__
+    }
+    assert public == {"UnknownBenchmark", "Benchmark", "REGISTRY", "get", "build"}
 
 
 def test_initial_guesses():
-    np.testing.assert_array_equal(problems.initial_guess("kojima-shindoh"), np.full(4, 0.7))
-    np.testing.assert_array_equal(problems.initial_guess("gould"), [0.2, 0.2, 0.0, 0.0])
-    np.testing.assert_array_equal(problems.initial_guess("aggarwal"), np.zeros(4))
-    np.testing.assert_array_equal(problems.initial_guess("gerard"), np.zeros(10))
+    np.testing.assert_array_equal(problems.get("kojima-shindoh").guess, np.full(4, 0.7))
+    np.testing.assert_array_equal(problems.get("gould").guess, [0.2, 0.2, 0.0, 0.0])
+    np.testing.assert_array_equal(problems.get("aggarwal").guess, np.zeros(4))
+    np.testing.assert_array_equal(problems.get("gerard").guess, np.zeros(10))
 
 
 # Property test: the float-unpacked benchmark maps against the numpy-scalar

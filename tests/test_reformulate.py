@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from deflated_newton import problems
+from deflated_newton.linalg import lu_factor
+from deflated_newton.obstacle1d import BeamDiscretization, BeamProblem, HermiteMesh1D
 from deflated_newton.reformulate import (
     MixedComplementarityProblem,
     NcpFunction,
@@ -258,6 +260,42 @@ def test_nan_bound_is_rejected(bounds):
     # side: lower=[nan] made the component free, upper=[nan] a lower bound
     with pytest.raises(ValueError, match="NaN"):
         MixedComplementarityProblem(1, residual=lambda z: z - 2.0, **bounds)
+
+
+def _square(n, residual=lambda z: z, derivative=None):
+    return MixedComplementarityProblem(n, residual=residual, derivative=derivative)
+
+
+@pytest.mark.parametrize(
+    "refused, error, message",
+    [
+        (lambda: MixedComplementarityProblem(2, residual=lambda z: z, lower=np.zeros(3)),
+         ValueError, "bounds must have the problem dimension"),
+        (lambda: MixedComplementarityProblem(1, residual=lambda z: z, lower=np.array([np.inf])),
+         ValueError, "bounds leave no feasible value at some index"),
+        (lambda: MixedComplementarityProblem(1, residual=lambda z: z, lower=np.array([-np.inf]),
+                                             upper=np.array([-np.inf])),
+         ValueError, "bounds leave no feasible value at some index"),
+        (lambda: evaluate(_square(2), np.zeros(3)), ValueError, "z must have length 2"),
+        (lambda: evaluate(_square(2, residual=lambda z: np.zeros(3)), np.zeros(2)),
+         ValueError, "residual map returned the wrong length"),
+        (lambda: jacobian(_square(2, derivative=lambda z: np.zeros((2, 3))), np.zeros(2)),
+         ValueError, "derivative map returned the wrong shape"),
+        (lambda: jacobian(_square(2, derivative=lambda z: np.array([[np.nan, 0.0], [0.0, 1.0]])),
+                          np.zeros(2)),
+         NonFiniteResidual, r"F'\(z\) contains non-finite entries"),
+        (lambda: lu_factor(np.zeros((2, 3))),
+         ValueError, r"expected a square matrix, got shape \(2, 3\)"),
+        (lambda: BeamDiscretization(BeamProblem(), HermiteMesh1D(1)).residual(10.0, np.zeros(3)),
+         ValueError, "y must have length 2"),
+    ],
+    ids=["bounds-length", "lower-plus-inf", "upper-minus-inf", "z-length", "F-length",
+         "derivative-shape", "derivative-non-finite", "lu-not-square", "beam-y-length"],
+)
+def test_refused_inputs_raise_their_documented_error(refused, error, message):
+    with pytest.raises(error, match=f"^{message}") as caught:
+        refused()
+    assert type(caught.value) is error
 
 
 # The assembly runs its per-component branches on Python floats; the

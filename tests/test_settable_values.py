@@ -65,11 +65,11 @@ SETTABLE_VALUES = {
     "obstacle1d.path_follow.initial_mesh",
     "obstacle1d.path_follow.max_roots",
     "obstacle1d.path_follow.q",
-    "problems.BenchmarkDefaults.config",
-    "problems.BenchmarkDefaults.ncp",
-    "problems.BenchmarkDefaults.parameterized",
-    "problems.BenchmarkDefaults.power",
-    "problems._Entry.lower",
+    "problems.Benchmark.config",
+    "problems.Benchmark.lower",
+    "problems.Benchmark.ncp",
+    "problems.Benchmark.parameterized",
+    "problems.Benchmark.power",
     "problems.build.mu",
     "reformulate.MixedComplementarityProblem.derivative",
     "reformulate.MixedComplementarityProblem.lower",

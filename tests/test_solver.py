@@ -13,6 +13,7 @@ from deflated_newton.deflation import (
     deflation_factor,
     deflation_gradient,
 )
+from deflated_newton.linalg import BandedMatrix
 from deflated_newton.obstacle1d import HermiteMesh1D
 from deflated_newton.reformulate import (
     NcpFunction,
@@ -220,6 +221,31 @@ def test_singular_least_squares_fallback():
     )
     assert result.status is SolveStatus.CONVERGED
     assert result.solution[1] == pytest.approx(2.0)
+
+
+def test_least_squares_fallback_on_a_banded_matrix_matches_its_dense_copy():
+    # a singular tridiagonal matrix, row 3 all zero, and a right-hand side
+    # in its range; the fallback takes the minimum-norm step from to_dense()
+    n = 6
+    dense = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    dense[3] = 0.0
+    banded = BandedMatrix.zeros(n, 1)
+    for i in range(n):
+        for j in range(max(0, i - 1), min(n, i + 2)):
+            banded.data[1 + i - j, j] = dense[i, j]
+    np.testing.assert_array_equal(banded.to_dense(), dense)
+    rhs = dense @ np.linspace(1.0, 2.0, n)
+    residual = at_z(lambda z: dense @ z - rhs)
+    results = [
+        solve(residual, plain_derivative(lambda z, m=matrix: m), np.zeros(n),
+              SolverConfig(least_squares_fallback=True))
+        for matrix in (banded, dense)
+    ]
+    assert results[0].status is results[1].status is SolveStatus.CONVERGED
+    assert results[0].iterations == results[1].iterations
+    assert results[0].solution.tobytes() == results[1].solution.tobytes()
+    without = solve(residual, plain_derivative(lambda z: banded), np.zeros(n))
+    assert without.status is SolveStatus.SINGULAR_JACOBIAN
 
 
 def test_line_search_failed_on_stationary_merit():
